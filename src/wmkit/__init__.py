@@ -73,7 +73,6 @@ from .lm import (
     TraceSource,
     load_trace,
     parse_model_spec,
-    replay_next,
     save_trace,
 )
 from .attacks import (

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GeneratedText, NtpDistribution, RngStream
+from .core import GeneratedText, NtpDistribution, RngStream, context_window
 from .decoders import (
-    DegenerateExcess,
     Scheme,
     VocabMismatch,
+    accept_or_resample,
     categorical_from_uniform,
-    context_window,
     gumbel_max_step_full,
     hard_list_q,
     sample_rejection_coupling,
@@ -190,6 +189,10 @@ def specdec_postprocess(
         raise ValueError("n must be >= 1")
     if isinstance(accept_rng, (int, np.integer)):
         accept_rng = np.random.default_rng(accept_rng)
+
+    def accept_u() -> float:
+        return float(accept_rng.random())
+
     history: list[int] = list(prompt.tokens)
     stats = SpecDecStats()
     target_n = len(prompt.tokens) + n
@@ -207,22 +210,18 @@ def specdec_postprocess(
         for w, q in proposals:
             p = target_model.next(history)
             stats.n_evaluated += 1
-            zeta = float(accept_rng.random())
-            if config.accept_scale * zeta * q.probs[w] <= p.probs[w]:
-                history.append(w)
+            token, ok = accept_or_resample(p, q, w, accept_u(), accept_u, config.accept_scale)
+            history.append(token)
+            if ok:
                 accepted += 1
                 continue
             stats.n_rejected += 1
-            excess = np.maximum(p.probs - q.probs, 0.0)
-            if float(excess.sum()) <= 0.0:
-                raise DegenerateExcess("rejection with zero excess mass")
-            history.append(categorical_from_uniform(excess, float(accept_rng.random())))
             rejected = True
             break
         if not rejected and len(history) < target_n:
             # Bonus token from the target after a fully accepted run.
             p = target_model.next(history)
-            history.append(categorical_from_uniform(p.probs, float(accept_rng.random())))
+            history.append(categorical_from_uniform(p.probs, accept_u()))
         stats.accepted_run_lengths[accepted] += 1
     text = GeneratedText(tokens=tuple(history[:target_n]), prompt_len=len(prompt.tokens))
     return text, stats

@@ -10,6 +10,7 @@ value on every platform, which all golden tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,8 @@ __all__ = [
     "mix64",
     "mix64_array",
     "fold64",
+    "counter_uniforms",
+    "context_window",
     "RngStream",
     "NtpDistribution",
     "make_ntp",
@@ -27,10 +30,6 @@ __all__ = [
     "NegativeEntry",
     "NotNormalized",
 ]
-
-# TokenId and UniformDraw are plain ints/floats throughout; aliases document intent.
-TokenId = int
-UniformDraw = float
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -88,6 +87,28 @@ def _unit_float(z: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
+def counter_uniforms(states, counters) -> np.ndarray:
+    """Draws at the given counters of the streams seeded by ``states``:
+    ``mix64(state + c * GOLDEN) >> 11`` scaled to [0, 1), broadcast over
+    uint64 arrays.  Entry for entry equal to ``RngStream(state).value_at(c)``.
+    """
+    states = np.asarray(states, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    z = mix64_array(states + counters * np.uint64(GOLDEN))
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def context_window(history: Sequence[int], k: int) -> tuple[int, ...]:
+    """Trailing k tokens of the history, left-padded with token 0 when the
+    history is shorter than k."""
+    if k == 0:
+        return ()
+    tail = tuple(int(t) for t in history[-k:])
+    if len(tail) < k:
+        tail = (0,) * (k - len(tail)) + tail
+    return tail
+
+
 class RngStream:
     """Counter-based uniform stream over [0, 1) with 53-bit mantissas.
 
@@ -111,9 +132,8 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` draws as a float64 array; advances the counter by ``n``."""
         counters = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter)
-        z = mix64_array(np.uint64(self.state) + counters * np.uint64(GOLDEN))
         self.counter = (self.counter + n) & MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return counter_uniforms(self.state, counters)
 
     def value_at(self, counter: int) -> float:
         """Draw at an absolute counter position without advancing the stream."""

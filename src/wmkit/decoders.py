@@ -11,7 +11,8 @@ probability of red tokens via rejection sampling against the soft Q.
 
 Batch samplers (``*_batch``) reproduce the scalar step functions
 draw-for-draw over arrays of contexts; they exist so statistical tests on
-1e5 samples run in seconds.
+1e5 samples run in seconds.  The Gumbel argmax and the DiPmark reweight
+are each one kernel that both forms call.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import GOLDEN, GeneratedText, NtpDistribution, RngStream, mix64_array
+from .core import GeneratedText, NtpDistribution, RngStream, context_window, counter_uniforms
 from .keying import (
     MaskLedger,
     WatermarkKey,
@@ -37,6 +38,7 @@ from .keying import (
     green_mask_batch,
     keyed_permutation,
     keyed_permutation_batch,
+    perm_head,
 )
 
 __all__ = [
@@ -49,14 +51,10 @@ __all__ = [
     "categorical_from_uniform",
     "sample_maximal_coupling",
     "sample_rejection_coupling",
+    "accept_or_resample",
     "hard_list_q",
     "mc_soft_q",
-    "mc_step",
-    "mc_soft_step",
     "dipmark_q",
-    "gumbel_max_step",
-    "soft_step",
-    "dipmark_step",
     "generate",
     "context_window",
     "to_record",
@@ -69,8 +67,6 @@ __all__ = [
     "ZeroGreenMass",
     "DegenerateExcess",
 ]
-
-_INV_2_53 = 2.0**-53
 
 
 class VocabMismatch(ValueError):
@@ -206,12 +202,27 @@ def sample_rejection_coupling(
     """
     _check_vocab(P, Q)
     w = categorical_from_uniform(Q.probs, aux.next_uniform())
+    return accept_or_resample(P, Q, w, zeta, aux.next_uniform, accept_scale)
+
+
+def accept_or_resample(
+    P: NtpDistribution,
+    Q: NtpDistribution,
+    w: int,
+    zeta: float,
+    resample_u: Callable[[], float],
+    accept_scale: float = 1.0,
+) -> tuple[int, bool]:
+    """Accept test of the rejection coupling for a proposal ``w ~ Q``: keep
+    it iff ``accept_scale * zeta * Q_w <= P_w``, else draw from the
+    normalized excess max(0, P - Q) with one uniform from ``resample_u``,
+    which is called only on rejection."""
     if accept_scale * zeta * Q.probs[w] <= P.probs[w]:
         return w, True
     excess = np.maximum(P.probs - Q.probs, 0.0)
     if float(excess.sum()) <= 0.0:
         raise DegenerateExcess("rejection with zero excess mass")
-    return categorical_from_uniform(excess, aux.next_uniform()), False
+    return categorical_from_uniform(excess, resample_u()), False
 
 
 def hard_list_q(P: NtpDistribution, green: np.ndarray) -> NtpDistribution:
@@ -272,10 +283,6 @@ def mc_step_full(
     )
 
 
-def mc_step(P, key, ctx, ledger, aux) -> int:
-    return mc_step_full(P, key, ctx, ledger, aux).token
-
-
 def mc_soft_step_full(
     P: NtpDistribution,
     key: WatermarkKey,
@@ -302,10 +309,6 @@ def mc_soft_step_full(
     )
 
 
-def mc_soft_step(P, key, ctx, ledger, aux, delta) -> int:
-    return mc_soft_step_full(P, key, ctx, ledger, aux, delta).token
-
-
 def gumbel_max_step_full(
     P: NtpDistribution,
     key: WatermarkKey,
@@ -320,16 +323,18 @@ def gumbel_max_step_full(
         if aux is None:
             raise ValueError("masked Gumbel step needs an aux stream to sample from P")
         return StepResult(token=_sample_plain(P, aux), masked=True)
-    stream = RngStream(derive_seed(key, ctx, ZETA_TAG))
-    u = stream.uniforms(len(P))
-    scores = np.full(len(P), -np.inf)
+    seed = np.array([derive_seed(key, ctx, ZETA_TAG)], dtype=np.uint64)
+    return StepResult(token=int(_gumbel_argmax(P, seed)[0]), masked=False)
+
+
+def _gumbel_argmax(P: NtpDistribution, seeds: np.ndarray) -> np.ndarray:
+    """argmax_w log(U_w) / P_w per ZETA seed, U_w being draw w + 1 of the
+    seed's stream; zero-probability tokens never win."""
+    u = counter_uniforms(seeds[:, None], np.arange(1, len(P) + 1, dtype=np.uint64)[None, :])
+    scores = np.full(u.shape, -np.inf)
     pos = P.probs > 0.0
-    scores[pos] = np.log(u[pos]) / P.probs[pos]
-    return StepResult(token=int(np.argmax(scores)), masked=False)
-
-
-def gumbel_max_step(P, key, ctx, ledger, aux=None) -> int:
-    return gumbel_max_step_full(P, key, ctx, ledger, aux).token
+    scores[:, pos] = np.log(u[:, pos]) / P.probs[pos]
+    return scores.argmax(axis=1).astype(np.int64)
 
 
 def soft_step_full(
@@ -351,10 +356,6 @@ def soft_step_full(
     return StepResult(token=token, masked=False, green_mass=mass)
 
 
-def soft_step(P, key, ctx, ledger, aux, delta) -> int:
-    return soft_step_full(P, key, ctx, ledger, aux, delta).token
-
-
 def dipmark_q(P: NtpDistribution, perm: np.ndarray, alpha_dip: float) -> np.ndarray:
     """Token-indexed reweighted distribution: with S_i the cumulative mass
     along the reversed permutation, position i gets F_i - F_{i-1} where
@@ -365,12 +366,17 @@ def dipmark_q(P: NtpDistribution, perm: np.ndarray, alpha_dip: float) -> np.ndar
     which is the green set the green-count detector looks for.
     """
     order = perm[::-1]
-    s = np.cumsum(P.probs[order])
-    f = np.maximum(s - alpha_dip, 0.0) + np.maximum(s - (1.0 - alpha_dip), 0.0)
-    q_order = np.clip(np.diff(f, prepend=0.0), 0.0, None)
-    q = np.zeros_like(q_order)
-    q[order] = q_order
+    q = np.zeros(len(order))
+    q[order] = _dipmark_reweight(P.probs[order], alpha_dip)
     return q
+
+
+def _dipmark_reweight(p_order: np.ndarray, alpha_dip: float) -> np.ndarray:
+    """DiPmark masses in ordering space: rows of P along reversed keyed
+    permutations in, rows of F_i - F_{i-1} out (see :func:`dipmark_q`)."""
+    s = np.cumsum(p_order, axis=-1)
+    f = np.maximum(s - alpha_dip, 0.0) + np.maximum(s - (1.0 - alpha_dip), 0.0)
+    return np.clip(np.diff(f, axis=-1, prepend=0.0), 0.0, None)
 
 
 def dipmark_step_full(
@@ -385,32 +391,14 @@ def dipmark_step_full(
     :func:`dipmark_q` for the construction."""
     if _ledger_skips(ledger, ctx):
         return StepResult(token=_sample_plain(P, aux), masked=True)
-    vocab = len(P)
-    perm = keyed_permutation(key, ctx, vocab)
+    perm = keyed_permutation(key, ctx, len(P))
     # Draw in ordering space (not token space) so the batch sampler can
     # reproduce the exact same inverse-CDF lookup.
     order = perm[::-1]
-    s = np.cumsum(P.probs[order])
-    f = np.maximum(s - alpha_dip, 0.0) + np.maximum(s - (1.0 - alpha_dip), 0.0)
-    q_order = np.clip(np.diff(f, prepend=0.0), 0.0, None)
+    q_order = _dipmark_reweight(P.probs[order], alpha_dip)
     token = int(order[categorical_from_uniform(q_order, aux.next_uniform())])
-    mass = float(P.probs[perm[: int(key.gamma * vocab)]].sum())
+    mass = float(P.probs[perm_head(perm, key.gamma)].sum())
     return StepResult(token=token, masked=False, green_mass=mass)
-
-
-def dipmark_step(P, key, ctx, ledger, aux, alpha_dip) -> int:
-    return dipmark_step_full(P, key, ctx, ledger, aux, alpha_dip).token
-
-
-def context_window(history: Sequence[int], k: int) -> tuple[int, ...]:
-    """Trailing k tokens of the history, left-padded with token 0 when the
-    history is shorter than k."""
-    if k == 0:
-        return ()
-    tail = tuple(int(t) for t in history[-k:])
-    if len(tail) < k:
-        tail = (0,) * (k - len(tail)) + tail
-    return tail
 
 
 def generate(
@@ -492,7 +480,7 @@ def sample_mc_batch(
     P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray
 ) -> np.ndarray:
     """Vectorized hard-list coupling over (n, k) contexts with one aux
-    uniform per row; matches :func:`mc_step` token-for-token."""
+    uniform per row; matches :func:`mc_step_full` token-for-token."""
     green = green_mask_batch(key, ctxs, len(P))
     zeta = derive_zeta_batch(key, ctxs)
     pw = np.broadcast_to(P.probs, green.shape)
@@ -506,15 +494,8 @@ def sample_mc_batch(
 
 
 def sample_gumbel_batch(P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
-    """Vectorized Gumbel-max decoding; matches :func:`gumbel_max_step`."""
-    seeds = derive_seed_batch(key, ctxs, ZETA_TAG)
-    counters = np.arange(1, len(P) + 1, dtype=np.uint64)
-    z = mix64_array(seeds[:, None] + counters[None, :] * np.uint64(GOLDEN))
-    u = (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    scores = np.full(u.shape, -np.inf)
-    pos = P.probs > 0.0
-    scores[:, pos] = np.log(u[:, pos]) / P.probs[pos]
-    return scores.argmax(axis=1).astype(np.int64)
+    """Vectorized Gumbel-max decoding; matches :func:`gumbel_max_step_full`."""
+    return _gumbel_argmax(P, derive_seed_batch(key, ctxs, ZETA_TAG))
 
 
 def sample_soft_batch(
@@ -524,7 +505,7 @@ def sample_soft_batch(
     u_aux: np.ndarray,
     delta: float,
 ) -> np.ndarray:
-    """Vectorized soft green/red sampling; matches :func:`soft_step`."""
+    """Vectorized soft green/red sampling; matches :func:`soft_step_full`."""
     green = green_mask_batch(key, ctxs, len(P))
     pw = np.broadcast_to(P.probs, green.shape)
     weights = np.where(green, pw * math.exp(delta), pw)
@@ -538,12 +519,8 @@ def sample_dipmark_batch(
     u_aux: np.ndarray,
     alpha_dip: float,
 ) -> np.ndarray:
-    """Vectorized DiPmark sampling; matches :func:`dipmark_step`."""
+    """Vectorized DiPmark sampling; matches :func:`dipmark_step_full`."""
     seeds = derive_seed_batch(key, ctxs, PERM_TAG)
-    perms = keyed_permutation_batch(seeds, len(P))
-    order = perms[:, ::-1]
-    s = np.cumsum(P.probs[order], axis=1)
-    f = np.maximum(s - alpha_dip, 0.0) + np.maximum(s - (1.0 - alpha_dip), 0.0)
-    q = np.clip(np.diff(f, axis=1, prepend=0.0), 0.0, None)
-    idx = _categorical_batch(q, u_aux)
+    order = keyed_permutation_batch(seeds, len(P))[:, ::-1]
+    idx = _categorical_batch(_dipmark_reweight(P.probs[order], alpha_dip), u_aux)
     return order[np.arange(order.shape[0]), idx]

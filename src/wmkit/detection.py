@@ -185,8 +185,8 @@ def extract_zeta_primes_batch(
     """Folded pivots for a batch of equal-length texts (rows), with the same
     per-text tuple deduplication as :func:`extract_scores`.
 
-    Only hash and single green modes are vectorized; perm mode falls back
-    to the scalar path.
+    Perm mode builds one keyed permutation per scored position through
+    :func:`is_green_batch`, which needs ``vocab_size``.
     """
     tokens_2d = np.asarray(tokens_2d, dtype=np.int64)
     k = key.k
@@ -347,7 +347,16 @@ def _null_statistics(
     return np.concatenate(vals)
 
 
-def _cache_lookup(path: Path, statistic, n, alpha, reps, seed) -> float | None:
+def _cache_statistic(statistic: Statistic, denom: HcDenom) -> str:
+    # The statistic field of a cache row.  Only the HC nulls depend on the
+    # denominator, so HC rows carry it ("hc+:sqrt"); an HC row written
+    # without one ("hc+") never matches and is never reused.
+    if statistic in (Statistic.HC_PLUS, Statistic.HC_STAR):
+        return f"{statistic.value}:{denom.value}"
+    return statistic.value
+
+
+def _cache_lookup(path: Path, statistic, n, alpha, reps, seed, denom) -> float | None:
     if not path.exists():
         return None
     for line in path.read_text().splitlines()[1:]:
@@ -355,7 +364,7 @@ def _cache_lookup(path: Path, statistic, n, alpha, reps, seed) -> float | None:
         if len(parts) != 6:
             continue
         if (
-            parts[0] == statistic.value
+            parts[0] == _cache_statistic(statistic, denom)
             and int(parts[1]) == n
             and float(parts[2]) == alpha
             and int(parts[3]) == reps
@@ -365,9 +374,10 @@ def _cache_lookup(path: Path, statistic, n, alpha, reps, seed) -> float | None:
     return None
 
 
-def _cache_append(path: Path, statistic, n, alpha, reps, seed, critical_value) -> None:
+def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_value) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = f"{statistic.value},{n},{alpha!r},{reps},{seed},{critical_value!r}\n"
+    stat = _cache_statistic(statistic, denom)
+    line = f"{stat},{n},{alpha!r},{reps},{seed},{critical_value!r}\n"
     if not path.exists():
         path.write_text(_CACHE_HEADER + "\n" + line)
     else:
@@ -389,11 +399,11 @@ def calibrate_null(
     of n i.i.d. U[0,1] scores: the (1-alpha) quantile for upper-tail
     statistics (HC) and the alpha quantile for lower-tail ones (SUM, MAX).
 
-    Results are cached in a CSV keyed by (statistic, n, alpha, reps, seed).
-    The HC denominator choice is part of the simulation but not the cache
-    key, so ablation runs should use a separate cache directory.
+    Results are cached in a CSV keyed by (statistic, n, alpha, reps, seed)
+    and, for HC, the denominator.
     """
     statistic = Statistic(statistic)
+    denom = HcDenom(denom)
     if statistic not in _CALIBRATABLE:
         raise ValueError(f"no simulated null for statistic {statistic}")
     if reps < 1000:
@@ -401,14 +411,14 @@ def calibrate_null(
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
     if use_cache:
-        hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed)
+        hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
         if hit is not None:
             return NullCalibration(statistic, n, alpha, hit, reps, seed)
     vals = _null_statistics(statistic, n, reps, seed, denom)
     q = alpha if statistic in _LOWER_TAIL else 1.0 - alpha
     critical = float(np.quantile(vals, q))
     if use_cache:
-        _cache_append(cache_path, statistic, n, alpha, reps, seed, critical)
+        _cache_append(cache_path, statistic, n, alpha, reps, seed, denom, critical)
     return NullCalibration(statistic, n, alpha, critical, reps, seed)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GOLDEN, MASK64, RngStream, fold64, mix64, mix64_array
+from .core import GOLDEN, MASK64, RngStream, counter_uniforms, fold64, mix64, mix64_array
 
 __all__ = [
     "GREEN_TAG",
@@ -33,7 +33,7 @@ __all__ = [
     "is_green_batch",
     "keyed_permutation",
     "keyed_permutation_batch",
-    "green_set_exact",
+    "perm_head",
     "gumbel_uniform",
     "format_key",
     "parse_key",
@@ -49,10 +49,6 @@ PERM_TAG = 0x33
 # single: one context-independent membership hash shared by every step
 # perm:   per-context keyed permutation, exactly floor(gamma * V) green tokens
 GREEN_MODES = ("hash", "single", "perm")
-
-ContextTuple = tuple[int, ...]
-
-_INV_2_53 = 2.0**-53
 
 
 class ContextLengthMismatch(ValueError):
@@ -142,10 +138,9 @@ def _token_hash(token: int) -> int:
     return mix64(((int(token) + 1) * GOLDEN) & MASK64)
 
 
-def _first_uniform_array(states: np.ndarray) -> np.ndarray:
-    # First stream draw for each state, i.e. the value at counter 1.
-    z = mix64_array(states + np.uint64(GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+def _token_hashes(tokens: np.ndarray) -> np.ndarray:
+    # Vectorized _token_hash; over np.arange(V) it is the vocabulary hash row.
+    return mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
 
 
 def _green_seed(key: WatermarkKey, ctx) -> int:
@@ -153,6 +148,27 @@ def _green_seed(key: WatermarkKey, ctx) -> int:
         # Context-independent: the membership hash is shared by every step.
         return mix64(key.master ^ GREEN_TAG)
     return derive_seed(key, ctx, GREEN_TAG)
+
+
+def perm_head(perms: np.ndarray, gamma: float) -> np.ndarray:
+    """Green tokens of keyed permutation rows: the first floor(gamma * V)."""
+    return perms[..., : int(gamma * perms.shape[-1])]
+
+
+def _perm_mask(perms: np.ndarray, gamma: float) -> np.ndarray:
+    mask = np.zeros(perms.shape, dtype=bool)
+    mask[np.arange(perms.shape[0])[:, None], perm_head(perms, gamma)] = True
+    return mask
+
+
+def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(n, vocab_size) membership, one row per seed: a GREEN seed (hash and
+    single modes) against the vocabulary hash row, or the permutation head
+    of a PERM seed (perm mode)."""
+    if key.green_mode == "perm":
+        return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
+    hashes = _token_hashes(np.arange(vocab_size))
+    return counter_uniforms(seeds[:, None] ^ hashes[None, :], 1) < key.gamma
 
 
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
@@ -168,84 +184,64 @@ def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) 
 def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
     """Boolean membership vector over the whole vocabulary."""
     if key.green_mode == "perm":
-        perm = keyed_permutation(key, ctx, vocab_size)
-        mask = np.zeros(vocab_size, dtype=bool)
-        mask[perm[: int(key.gamma * vocab_size)]] = True
-        return mask
-    seed = np.uint64(_green_seed(key, ctx))
-    hashes = mix64_array(np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(GOLDEN))
-    return _first_uniform_array(seed ^ hashes) < key.gamma
+        return _perm_mask(keyed_permutation(key, ctx, vocab_size)[None, :], key.gamma)[0]
+    seed = np.array([_green_seed(key, ctx)], dtype=np.uint64)
+    return _green_rows(key, seed, vocab_size)[0]
+
+
+def _green_seeds(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
+    # The seed of each context's green row, as _green_rows takes it.
+    if key.green_mode == "perm":
+        return derive_seed_batch(key, ctxs, PERM_TAG)
+    if key.green_mode == "single":
+        return np.full(np.asarray(ctxs).shape[0], _green_seed(key, ()), dtype=np.uint64)
+    return derive_seed_batch(key, ctxs, GREEN_TAG)
 
 
 def green_mask_batch(key: WatermarkKey, ctxs: np.ndarray, vocab_size: int) -> np.ndarray:
     """(n, vocab_size) membership matrix for an (n, k) array of contexts."""
-    if key.green_mode == "perm":
-        perms = keyed_permutation_batch(derive_seed_batch(key, ctxs, PERM_TAG), vocab_size)
-        mask = np.zeros(perms.shape, dtype=bool)
-        rows = np.arange(perms.shape[0])[:, None]
-        mask[rows, perms[:, : int(key.gamma * vocab_size)]] = True
-        return mask
-    if key.green_mode == "single":
-        row = green_mask(key, (), vocab_size)
-        return np.broadcast_to(row, (np.asarray(ctxs).shape[0], vocab_size)).copy()
-    seeds = derive_seed_batch(key, ctxs, GREEN_TAG)
-    hashes = mix64_array(np.arange(1, vocab_size + 1, dtype=np.uint64) * np.uint64(GOLDEN))
-    return _first_uniform_array(seeds[:, None] ^ hashes[None, :]) < key.gamma
+    return _green_rows(key, _green_seeds(key, ctxs), vocab_size)
 
 
 def is_green_batch(
     key: WatermarkKey, ctxs: np.ndarray, tokens: np.ndarray, vocab_size: int | None = None
 ) -> np.ndarray:
     """Vectorized :func:`is_green` for paired (n, k) contexts and (n,) tokens."""
-    ctxs = np.asarray(ctxs)
     tokens = np.asarray(tokens, dtype=np.int64)
     if key.green_mode == "perm":
         if vocab_size is None:
             raise ValueError("perm mode needs vocab_size for membership queries")
         mask = green_mask_batch(key, ctxs, vocab_size)
         return mask[np.arange(len(tokens)), tokens]
-    if key.green_mode == "single":
-        seeds = np.full(len(tokens), mix64(key.master ^ GREEN_TAG), dtype=np.uint64)
-    else:
-        seeds = derive_seed_batch(key, ctxs, GREEN_TAG)
-    hashes = mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
-    return _first_uniform_array(seeds ^ hashes) < key.gamma
+    return counter_uniforms(_green_seeds(key, ctxs) ^ _token_hashes(tokens), 1) < key.gamma
 
 
 def keyed_permutation(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
     """Fisher-Yates permutation of [0, vocab_size) driven by the keyed stream."""
-    stream = RngStream(derive_seed(key, ctx, PERM_TAG))
-    perm = np.arange(vocab_size, dtype=np.int64)
-    for i in range(vocab_size - 1, 0, -1):
-        j = int(stream.next_uniform() * (i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    seed = np.array([derive_seed(key, ctx, PERM_TAG)], dtype=np.uint64)
+    return keyed_permutation_batch(seed, vocab_size)[0]
 
 
 def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Vectorized Fisher-Yates: one permutation row per seed.
+    """Fisher-Yates permutation of [0, vocab_size), one row per seed.
 
-    Matches :func:`keyed_permutation` draw-for-draw so scalar and batch
-    paths produce identical permutations for the same seed.
+    Step i, for i from vocab_size - 1 down to 1, swaps slot i with slot
+    floor(u * (i + 1)), where u is the next draw of the seed's stream.  The
+    draws of all rows come from one vectorized pass; the swaps run on a
+    Python list per row.
     """
-    n = seeds.shape[0]
-    counters = np.arange(1, vocab_size, dtype=np.uint64)
-    z = mix64_array(seeds[:, None].astype(np.uint64) + counters[None, :] * np.uint64(GOLDEN))
-    u = (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    perm = np.tile(np.arange(vocab_size, dtype=np.int64), (n, 1))
-    rows = np.arange(n)
-    for idx, i in enumerate(range(vocab_size - 1, 0, -1)):
-        j = (u[:, idx] * (i + 1)).astype(np.int64)
-        pi = perm[rows, i].copy()
-        perm[rows, i] = perm[rows, j]
-        perm[rows, j] = pi
-    return perm
-
-
-def green_set_exact(key: WatermarkKey, ctx, vocab_size: int) -> frozenset[int]:
-    """Exactly floor(gamma * vocab_size) green tokens from the keyed permutation."""
-    perm = keyed_permutation(key, ctx, vocab_size)
-    return frozenset(int(t) for t in perm[: int(key.gamma * vocab_size)])
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    slots = range(vocab_size - 1, 0, -1)
+    u = counter_uniforms(seeds[:, None], np.arange(1, vocab_size, dtype=np.uint64)[None, :])
+    swaps = (u * np.arange(vocab_size, 1, -1)).astype(np.int64)
+    identity = list(range(vocab_size))
+    perms = np.empty((seeds.shape[0], vocab_size), dtype=np.int64)
+    for row, js in enumerate(swaps):
+        perm = identity.copy()
+        for i, j in zip(slots, js.tolist()):
+            perm[i], perm[j] = perm[j], perm[i]
+        perms[row] = perm
+    return perms
 
 
 def derive_zeta(key: WatermarkKey, ctx) -> float:
@@ -255,7 +251,7 @@ def derive_zeta(key: WatermarkKey, ctx) -> float:
 
 def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_zeta` for an (n, k) array of contexts."""
-    return _first_uniform_array(derive_seed_batch(key, ctxs, ZETA_TAG))
+    return counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), 1)
 
 
 def gumbel_uniform(key: WatermarkKey, ctx, token: int) -> float:

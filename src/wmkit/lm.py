@@ -20,17 +20,24 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import MASK64, NotNormalized, NtpDistribution, RngStream, fold64, make_ntp, mix64
+from .core import (
+    MASK64,
+    NotNormalized,
+    NtpDistribution,
+    RngStream,
+    context_window,
+    fold64,
+    make_ntp,
+    mix64,
+)
 
 __all__ = [
     "NtpSource",
     "MarkovSource",
     "NtpTrace",
     "TraceSource",
-    "markov_next",
     "save_trace",
     "load_trace",
-    "replay_next",
     "parse_model_spec",
     "MalformedTrace",
     "EndOfTrace",
@@ -110,14 +117,6 @@ class MarkovSource:
         if not self.temperature > 0.0:
             raise ValueError("temperature must be > 0")
 
-    def _context(self, history: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 0:
-            return ()
-        tail = tuple(int(t) for t in history[-self.order :])
-        if len(tail) < self.order:
-            tail = (0,) * (self.order - len(tail)) + tail
-        return tail
-
     def _row(self, ctx: tuple[int, ...]) -> NtpDistribution:
         cached = self._cache.get(ctx)
         if cached is not None:
@@ -139,12 +138,7 @@ class MarkovSource:
         return dist
 
     def next(self, history: Sequence[int]) -> NtpDistribution:
-        return self._row(self._context(history))
-
-
-def markov_next(src: MarkovSource, history: Sequence[int]) -> NtpDistribution:
-    """Row for the last ``src.order`` tokens of the history."""
-    return src.next(history)
+        return self._row(context_window(history, self.order))
 
 
 @dataclass
@@ -209,13 +203,6 @@ def load_trace(path: Path | str) -> NtpTrace:
     return NtpTrace(vocab_size=vocab_size, steps=steps, tokens_taken=tokens or None)
 
 
-def replay_next(trace: NtpTrace, t: int) -> NtpDistribution:
-    """Distribution recorded at step t; past the horizon raises EndOfTrace."""
-    if not 0 <= t < len(trace.steps):
-        raise EndOfTrace(f"trace has {len(trace.steps)} steps, asked for t={t}")
-    return trace.steps[t]
-
-
 @dataclass
 class TraceSource:
     """Cursor-based source replaying a trace step by step; the history
@@ -229,9 +216,13 @@ class TraceSource:
         return self.trace.vocab_size
 
     def next(self, history: Sequence[int]) -> NtpDistribution:
-        dist = replay_next(self.trace, self.cursor)
+        """Distribution recorded at the cursor; past the horizon (or at a
+        negative cursor) raises EndOfTrace."""
+        t, steps = self.cursor, self.trace.steps
+        if not 0 <= t < len(steps):
+            raise EndOfTrace(f"trace has {len(steps)} steps, asked for t={t}")
         self.cursor += 1
-        return dist
+        return steps[t]
 
     def reset(self) -> None:
         self.cursor = 0

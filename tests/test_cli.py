@@ -1,6 +1,7 @@
 """Command-line workflows: generate, detect, attack, specdec, simulate,
 calibrate."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -100,6 +101,50 @@ class TestGenerate:
         assert rc == 0
         line = capsys.readouterr().out.strip()
         assert json.loads(line)["text_id"] == 0
+
+
+# sha256 of `wmkit generate` output (V=32, order 2, 3 texts of 40 tokens,
+# seed 5), captured before the keyed kernels were merged.  Gumbel and DiPmark
+# ignore the green mode, so their hash and perm digests agree.
+GOLDEN_GENERATE = {
+    ("hash", "mc"): "eb1a684991a2f913a6ae3e615ef0c387d364e61ebff77c45541178cd655064a8",
+    ("hash", "mc-soft"): "7ef2e74ee97838c9268e14f8d39f584d813eced2df7da3924bfc39e3959b8036",
+    ("hash", "gumbel"): "1d1a9ad216dfe375f1df081481beb7929dde429f3baf31615bc9f0c3b8802b68",
+    ("hash", "soft"): "f1f93773942e1ed9558cb9971d7a754039d04462793d0ee6f3431280ee7d9cba",
+    ("hash", "dipmark"): "0aae3d1d3a1f1a3c869853d7c4f872913f5a078a190ae2661069255c284a293c",
+    ("perm", "mc"): "43c223456af5bc90d4041e99c3a2e19e774ecb4c2c0c275fbd4dd3307a2d6391",
+    ("perm", "mc-soft"): "e01b88ec1eddad4c5d593e4fafe32924f4c241b0938051c0d1f60886377ee59e",
+    ("perm", "gumbel"): "1d1a9ad216dfe375f1df081481beb7929dde429f3baf31615bc9f0c3b8802b68",
+    ("perm", "soft"): "c5e1677d602624ac27cd8590cc9a136bde7393d4e27c8357f86835aa420fcba3",
+    ("perm", "dipmark"): "0aae3d1d3a1f1a3c869853d7c4f872913f5a078a190ae2661069255c284a293c",
+}
+SCHEME_FLAGS = {
+    "mc": (),
+    "mc-soft": ("--delta", "1.0"),
+    "gumbel": (),
+    "soft": ("--delta", "1.5"),
+    "dipmark": ("--alpha-dip", "0.45"),
+}
+
+
+@pytest.mark.parametrize("mode,scheme", sorted(GOLDEN_GENERATE))
+def test_generate_golden(tmp_path, mode, scheme):
+    out = tmp_path / "golden.jsonl"
+    rc = main(
+        [
+            "generate",
+            "--model", "markov:seed=11,vocab=32,order=2",
+            "--key", f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}",
+            "--scheme", scheme,
+            "--n", "40",
+            "--texts", "3",
+            "--seed", "5",
+            "--out", str(out),
+            *SCHEME_FLAGS[scheme],
+        ]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE[(mode, scheme)]
 
 
 class TestDetect:

@@ -14,6 +14,8 @@ from wmkit.core import (
     NegativeEntry,
     NotNormalized,
     RngStream,
+    context_window,
+    counter_uniforms,
     fold64,
     make_ntp,
     mix64,
@@ -81,6 +83,15 @@ class TestRngStream:
         expected = (_SPLITMIX_OUTPUTS[0] >> 11) * 2.0**-53
         assert stream.next_uniform() == expected
         assert stream.counter == 1
+
+    def test_counter_uniforms_match_value_at(self):
+        states = np.array([0, 99, MASK64, 1234567], dtype=np.uint64)
+        counters = np.array([0, 1, 2, 1000, MASK64], dtype=np.uint64)
+        grid = counter_uniforms(states[:, None], counters[None, :])
+        assert grid.shape == (4, 5)
+        for i, state in enumerate(states.tolist()):
+            for j, counter in enumerate(counters.tolist()):
+                assert grid[i, j] == RngStream(state).value_at(counter)
 
     def test_uniforms_match_scalar_draws(self):
         a, b = RngStream(99), RngStream(99)
@@ -185,3 +196,10 @@ class TestGeneratedText:
 
     def test_empty_allowed(self):
         assert GeneratedText(tokens=(), prompt_len=0).continuation == ()
+
+
+def test_context_window_pads_and_trims():
+    assert context_window([5, 6, 7], 2) == (6, 7)
+    assert context_window([7], 3) == (0, 0, 7)
+    assert context_window([], 2) == (0, 0)
+    assert context_window([1, 2], 0) == ()

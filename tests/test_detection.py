@@ -221,6 +221,34 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_null(Statistic.GUMBEL_SUM, 10, 0.01, cache_dir=tmp_path)
 
+    def test_hc_denominator_is_part_of_the_key(self, tmp_path):
+        # A sqrt calibration must not answer a linear request (3.94 vs 49.95
+        # at n=300, alpha=0.01): the two nulls differ by an order of magnitude.
+        sqrt = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="sqrt", cache_dir=tmp_path)
+        linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
+        fresh = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", use_cache=False)
+        assert linear.critical_value == fresh.critical_value
+        assert linear.critical_value > 5 * sqrt.critical_value
+        again = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="sqrt", cache_dir=tmp_path)
+        assert again.critical_value == sqrt.critical_value
+        assert len((tmp_path / "calibrations.csv").read_text().splitlines()) == 3
+
+    def test_hc_row_without_denominator_not_reused(self, tmp_path):
+        # Rows written before the denominator joined the key carry a bare
+        # "hc+"; reusing one could hand a linear request a sqrt value.
+        (tmp_path / "calibrations.csv").write_text(
+            "statistic,n,alpha,reps,seed,critical_value\n"
+            "hc+,300,0.01,2000,0,3.936\n"
+            "sum,30,0.05,1000,0,12.5\n"
+        )
+        linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
+        assert linear.critical_value != 3.936
+        sqrt = calibrate_null(Statistic.HC_PLUS, 300, 0.01, cache_dir=tmp_path)
+        assert sqrt.critical_value != 3.936
+        # The sum null has no denominator, so its rows stay valid.
+        kept = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, cache_dir=tmp_path)
+        assert kept.critical_value == 12.5
+
 
 def _random_text(rng, length=120, vocab=64):
     return GeneratedText(tokens=tuple(int(t) for t in rng.integers(0, vocab, length)))

@@ -1,5 +1,7 @@
 """Key material: seed derivation, green lists, pivots, and serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from wmkit.keying import (
     format_key,
     green_mask,
     green_mask_batch,
-    green_set_exact,
     gumbel_uniform,
     is_green,
     is_green_batch,
@@ -159,12 +160,25 @@ class TestGreenLists:
         key = WatermarkKey(master=7, k=2, gamma=0.25, green_mode="perm")
         mask = green_mask(key, (4, 5), 64)
         assert int(mask.sum()) == 16
-        assert green_set_exact(key, (4, 5), 64) == frozenset(np.flatnonzero(mask))
+        head = keyed_permutation(key, (4, 5), 64)[:16]
+        assert np.array_equal(np.flatnonzero(mask), np.sort(head))
+        ctxs = np.array([[4, 5], [6, 7]])
+        assert np.array_equal(green_mask_batch(key, ctxs, 64)[0], mask)
 
     def test_perm_mode_needs_vocab(self):
         key = WatermarkKey(master=7, k=2, gamma=0.25, green_mode="perm")
         with pytest.raises(ValueError):
             is_green(key, (4, 5), 3)
+
+
+def _reference_permutation(seed, vocab_size):
+    # The textbook keyed shuffle: one stream draw per swap, slot V-1 first.
+    stream = RngStream(seed)
+    perm = list(range(vocab_size))
+    for i in range(vocab_size - 1, 0, -1):
+        j = int(stream.next_uniform() * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 class TestPermutations:
@@ -179,6 +193,27 @@ class TestPermutations:
         for i in range(40):
             scalar = keyed_permutation(KEY, tuple(ctxs[i]), 33)
             assert batch[i].tolist() == scalar.tolist()
+
+    def test_matches_reference_loop(self):
+        seeds = derive_seed_batch(KEY, _random_contexts(30, KEY.k, seed=7), PERM_TAG)
+        for vocab in (0, 1, 2, 33, 500):
+            perms = keyed_permutation_batch(seeds, vocab)
+            assert perms.shape == (30, vocab)
+            for row, seed in zip(perms, seeds.tolist()):
+                assert row.tolist() == _reference_permutation(seed, vocab)
+
+    def test_golden_v32000(self):
+        # sha256 of the little-endian int64 permutation, captured before the
+        # scalar and batch shuffles were merged into one kernel.
+        perm = keyed_permutation(KEY, (3, 4), 32000)
+        digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
+        assert digest == "58febfef3fcd66672aaec504ecb0e46b371d2c8eb9f3eb4e194dd372ea5a5fcb"
+
+    def test_golden_batch_v64(self):
+        ctxs = np.stack([np.arange(200), np.full(200, 7)], axis=1)
+        perms = keyed_permutation_batch(derive_seed_batch(KEY, ctxs, PERM_TAG), 64)
+        digest = hashlib.sha256(perms.astype("<i8").tobytes()).hexdigest()
+        assert digest == "318e8fa7ec21fd52cf8425d525be6fc6b46882ce6825fe14589b6f9d4323d5b5"
 
     def test_near_uniform_first_element(self):
         # The first permutation slot should be close to uniform over tokens.

@@ -15,9 +15,7 @@ from wmkit.lm import (
     NtpTrace,
     TraceSource,
     load_trace,
-    markov_next,
     parse_model_spec,
-    replay_next,
     save_trace,
 )
 
@@ -84,10 +82,6 @@ class TestMarkovSource:
         for i in range(5):
             src.next([i + 3, i + 3])
         assert np.array_equal(src.next([1, 2]).probs, first)
-
-    def test_markov_next_helper(self):
-        src = MarkovSource(order=2, vocab_size=16, seed=1)
-        assert np.array_equal(markov_next(src, [1, 2]).probs, src.next([1, 2]).probs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -218,18 +212,18 @@ class TestTraceValidation:
 
 
 class TestReplay:
-    def test_replay_next_bounds(self):
+    def test_next_bounds(self):
         trace = _make_trace(n=3)
-        assert np.array_equal(replay_next(trace, 0).probs, trace.steps[0].probs)
+        assert np.array_equal(TraceSource(trace).next([]).probs, trace.steps[0].probs)
         with pytest.raises(EndOfTrace):
-            replay_next(trace, 3)
+            TraceSource(trace, cursor=3).next([])
         with pytest.raises(EndOfTrace):
-            replay_next(trace, -1)
+            TraceSource(trace, cursor=-1).next([])
 
     def test_empty_trace_raises_immediately(self):
         trace = NtpTrace(vocab_size=4, steps=[])
         with pytest.raises(EndOfTrace):
-            replay_next(trace, 0)
+            TraceSource(trace).next([])
 
     def test_cursor_semantics(self):
         trace = _make_trace(n=3)
