@@ -79,7 +79,6 @@ from .attacks import (
     AttackConfig,
     AttackKind,
     SpecDecStats,
-    specdec_one_step,
     specdec_postprocess,
     substitute,
 )

@@ -19,11 +19,10 @@ from .core import GeneratedText, NtpDistribution, RngStream, context_window
 from .decoders import (
     Scheme,
     VocabMismatch,
+    _mc_weights,
     accept_or_resample,
     categorical_from_uniform,
     gumbel_max_step_full,
-    hard_list_q,
-    sample_rejection_coupling,
 )
 from .keying import WatermarkKey, derive_zeta, green_mask
 
@@ -32,7 +31,6 @@ __all__ = [
     "AttackConfig",
     "SpecDecStats",
     "substitute",
-    "specdec_one_step",
     "specdec_postprocess",
     "merge_specdec_stats",
 ]
@@ -120,26 +118,6 @@ def substitute(
     )
 
 
-def specdec_one_step(
-    P: NtpDistribution,
-    Q: NtpDistribution,
-    zeta: float,
-    aux: RngStream,
-    accept_scale: float = 1.0,
-) -> tuple[int, bool]:
-    """One speculative-sampling step: draw w ~ Q, accept iff
-    accept_scale * zeta * Q_w <= P_w, else resample from the normalized
-    excess max(0, P - Q).
-
-    At accept_scale = 1 the token marginal is exactly P and the acceptance
-    probability is sum(min(P, Q)); smaller scales accept more draft tokens
-    at the cost of biasing the marginal toward Q.
-    """
-    if not 0.0 < accept_scale <= 1.0:
-        raise ValueError("accept_scale must lie in (0, 1]")
-    return sample_rejection_coupling(P, Q, zeta, aux, accept_scale)
-
-
 def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> NtpDistribution:
     """Watermarked next-token law of the draft decoder at this step, as an
     explicit vector usable in the target's accept test."""
@@ -148,16 +126,13 @@ def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> Nt
     vocab = len(P)
     if scheme is Scheme.GUMBEL:
         # Deterministic argmax given key material: Q is one-hot.
-        token = gumbel_max_step_full(P, key, ctx, None, None).token
+        token = gumbel_max_step_full(P, key, ctx).token
         q = np.zeros(vocab)
         q[token] = 1.0
         return NtpDistribution(q)
     if scheme is Scheme.MC:
-        green = green_mask(key, ctx, vocab)
-        mass = float(P.probs[green].sum())
-        if mass <= 0.0:
-            return P
-        return hard_list_q(P, green) if derive_zeta(key, ctx) <= mass else hard_list_q(P, ~green)
+        weights, _ = _mc_weights(P.probs, green_mask(key, ctx, vocab), derive_zeta(key, ctx))
+        return NtpDistribution(weights / weights.sum())
     raise ValueError(f"specdec drafts support mc and gumbel schemes, got {scheme.value}")
 
 

@@ -22,7 +22,6 @@ from .core import MASK64, GeneratedText, RngStream, fold64, mix64
 from .decoders import (
     DecoderConfig,
     Scheme,
-    categorical_from_uniform,
     generate,
     text_from_record,
     to_record,
@@ -96,6 +95,7 @@ def cmd_generate(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.texts < 1:
         raise UsageError("--texts must be >= 1")
+    config = None
     if not args.plain:
         try:
             config = DecoderConfig(
@@ -110,24 +110,8 @@ def cmd_generate(args) -> int:
     for i in range(args.texts):
         aux = _text_stream(args.seed, i, _GEN_ROLE)
         prompt = _random_prompt(aux, key.k, model.vocab_size)
-        if args.plain:
-            history = list(prompt.tokens)
-            for _ in range(args.n):
-                p = model.next(history)
-                history.append(categorical_from_uniform(p.probs, aux.next_uniform()))
-            record = {
-                "text_id": i,
-                "tokens": [int(t) for t in history],
-                "prompt_len": prompt.prompt_len,
-                "scheme": "plain",
-                "vocab_size": model.vocab_size,
-                "watermarked": False,
-                "diagnostics": [],
-            }
-        else:
-            result = generate(model, key, config, prompt, args.n, aux)
-            record = {"text_id": i, **to_record(result, model.vocab_size, watermarked=True)}
-        lines.append(json.dumps(record))
+        result = generate(model, key, config, prompt, args.n, aux)
+        lines.append(json.dumps({"text_id": i, **to_record(result, model.vocab_size)}))
     _emit_lines(lines, args.out)
     return 0
 

@@ -9,10 +9,14 @@ green/red-list reweighting (biased), and DiPmark reweighting over a keyed
 permutation.  A soft variant of the coupling decoder keeps a small
 probability of red tokens via rejection sampling against the soft Q.
 
-Batch samplers (``*_batch``) reproduce the scalar step functions
-draw-for-draw over arrays of contexts; they exist so statistical tests on
-1e5 samples run in seconds.  The Gumbel argmax and the DiPmark reweight
-are each one kernel that both forms call.
+Each token law is written once, as a kernel over one row or many: the
+hard-list coupling weights (:func:`_mc_weights`), the soft reweight, the
+Gumbel argmax and the DiPmark reweight.  The step functions run a kernel on
+one context; the batch samplers (``*_batch``) run it on an array of
+contexts, so statistical tests on 1e5 samples take seconds, and the
+speculative-decoding draft reads its law from the same kernels.  Plain
+draws, both for unwatermarked texts and for repeated contexts under
+masking, are made only in :func:`generate`.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ __all__ = [
     "mc_soft_q",
     "dipmark_q",
     "generate",
-    "context_window",
     "to_record",
     "text_from_record",
     "sample_mc_batch",
@@ -138,7 +141,7 @@ class StepResult:
 class GenerationResult:
     text: GeneratedText
     steps: tuple[StepResult, ...]
-    scheme: Scheme
+    scheme: Scheme | None
 
 
 def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
@@ -242,59 +245,51 @@ def hard_list_q(P: NtpDistribution, green: np.ndarray) -> NtpDistribution:
 def mc_soft_q(P: NtpDistribution, green: np.ndarray, delta: float) -> NtpDistribution:
     """Soft green/red reweighting Q_w = e^delta P_w / C on green, P_w / C on
     red, with C = 1 + (e^delta - 1) P_green."""
-    boost = math.exp(delta)
-    mass = float(P.probs[green].sum())
-    c = 1.0 + (boost - 1.0) * mass
-    q = np.where(green, P.probs * boost, P.probs) / c
+    c = 1.0 + (math.exp(delta) - 1.0) * float(P.probs[green].sum())
+    q = _soft_weights(P.probs, green, delta) / c
     q.setflags(write=False)
     return NtpDistribution(q)
 
 
-def _sample_plain(P: NtpDistribution, aux: RngStream) -> int:
-    return categorical_from_uniform(P.probs, aux.next_uniform())
+def _soft_weights(probs: np.ndarray, green: np.ndarray, delta: float) -> np.ndarray:
+    """Unnormalized soft reweight e^delta P_w on green, P_w on red, for one
+    membership row or an (n, V) matrix of them."""
+    return np.where(green, probs * math.exp(delta), probs)
 
 
-def _ledger_skips(ledger: MaskLedger | None, ctx) -> bool:
-    return ledger is not None and not ledger.check_and_record(ctx)
+def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the hard-list maximal coupling, for one membership row
+    and pivot or an (n, V) matrix and (n,) pivots.
+
+    Returns the unnormalized token weights and the green mass
+    P_green = sum(P on green): P on green when zeta <= P_green (the overlap
+    branch of :func:`sample_maximal_coupling` against :func:`hard_list_q`),
+    P on red otherwise (its excess branch), and P itself when P_green = 0.
+    """
+    mass = np.where(green, probs, 0.0).sum(axis=-1)
+    side = np.where(np.asarray(zeta <= mass)[..., None], green, ~green)
+    keep = side | np.asarray(mass == 0.0)[..., None]
+    return np.where(keep, probs, 0.0), mass
 
 
-def mc_step_full(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctx,
-    ledger: MaskLedger | None,
-    aux: RngStream,
-) -> StepResult:
-    """Hard-list coupling step.  Equivalent closed form: the token is
-    green-conditional when zeta <= P_green and red-conditional otherwise."""
-    if _ledger_skips(ledger, ctx):
-        return StepResult(token=_sample_plain(P, aux), masked=True)
-    green = green_mask(key, ctx, len(P))
+def mc_step_full(P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream) -> StepResult:
+    """Hard-list coupling step: the token is green-conditional when
+    zeta <= P_green and red-conditional otherwise (see :func:`_mc_weights`);
+    with no green mass it is a plain draw flagged ``zero_green``."""
     zeta = derive_zeta(key, ctx)
-    try:
-        Q = hard_list_q(P, green)
-    except ZeroGreenMass:
-        return StepResult(
-            token=_sample_plain(P, aux), masked=False, green_mass=0.0, zero_green=True
-        )
-    out = sample_maximal_coupling(P, Q, zeta, aux)
-    return StepResult(
-        token=out.token, masked=False, branch=out.branch, green_mass=out.overlap_mass
-    )
+    weights, mass = _mc_weights(P.probs, green_mask(key, ctx, len(P)), zeta)
+    token = categorical_from_uniform(weights, aux.next_uniform())
+    if mass == 0.0:
+        return StepResult(token=token, masked=False, green_mass=0.0, zero_green=True)
+    branch = Branch.OVERLAP if zeta <= mass else Branch.EXCESS
+    return StepResult(token=token, masked=False, branch=branch, green_mass=float(mass))
 
 
 def mc_soft_step_full(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctx,
-    ledger: MaskLedger | None,
-    aux: RngStream,
-    delta: float,
+    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, delta: float
 ) -> StepResult:
     """Coupling against the soft Q via rejection: conditioned on a green
     token, the pivot is uniform on [0, P_green + (1 - P_green) e^-delta]."""
-    if _ledger_skips(ledger, ctx):
-        return StepResult(token=_sample_plain(P, aux), masked=True)
     green = green_mask(key, ctx, len(P))
     mass = float(P.probs[green].sum())
     zeta = derive_zeta(key, ctx)
@@ -309,20 +304,10 @@ def mc_soft_step_full(
     )
 
 
-def gumbel_max_step_full(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctx,
-    ledger: MaskLedger | None,
-    aux: RngStream | None = None,
-) -> StepResult:
+def gumbel_max_step_full(P: NtpDistribution, key: WatermarkKey, ctx) -> StepResult:
     """Deterministic Gumbel-max decoder: argmax_w log(U_w) / P_w with U from
     the context-seeded stream, ordered by token index.  Zero-probability
     tokens are excluded from the argmax."""
-    if _ledger_skips(ledger, ctx):
-        if aux is None:
-            raise ValueError("masked Gumbel step needs an aux stream to sample from P")
-        return StepResult(token=_sample_plain(P, aux), masked=True)
     seed = np.array([derive_seed(key, ctx, ZETA_TAG)], dtype=np.uint64)
     return StepResult(token=int(_gumbel_argmax(P, seed)[0]), masked=False)
 
@@ -338,22 +323,13 @@ def _gumbel_argmax(P: NtpDistribution, seeds: np.ndarray) -> np.ndarray:
 
 
 def soft_step_full(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctx,
-    ledger: MaskLedger | None,
-    aux: RngStream,
-    delta: float,
+    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, delta: float
 ) -> StepResult:
     """Plain soft green/red watermark: sample from the reweighted Q.  This
     scheme is biased; the marginal does not equal P for delta > 0."""
-    if _ledger_skips(ledger, ctx):
-        return StepResult(token=_sample_plain(P, aux), masked=True)
     green = green_mask(key, ctx, len(P))
-    mass = float(P.probs[green].sum())
-    weights = np.where(green, P.probs * math.exp(delta), P.probs)
-    token = categorical_from_uniform(weights, aux.next_uniform())
-    return StepResult(token=token, masked=False, green_mass=mass)
+    token = categorical_from_uniform(_soft_weights(P.probs, green, delta), aux.next_uniform())
+    return StepResult(token=token, masked=False, green_mass=float(P.probs[green].sum()))
 
 
 def dipmark_q(P: NtpDistribution, perm: np.ndarray, alpha_dip: float) -> np.ndarray:
@@ -380,17 +356,10 @@ def _dipmark_reweight(p_order: np.ndarray, alpha_dip: float) -> np.ndarray:
 
 
 def dipmark_step_full(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctx,
-    ledger: MaskLedger | None,
-    aux: RngStream,
-    alpha_dip: float,
+    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, alpha_dip: float
 ) -> StepResult:
     """Distribution-preserving reweighting over the keyed permutation; see
     :func:`dipmark_q` for the construction."""
-    if _ledger_skips(ledger, ctx):
-        return StepResult(token=_sample_plain(P, aux), masked=True)
     perm = keyed_permutation(key, ctx, len(P))
     # Draw in ordering space (not token space) so the batch sampler can
     # reproduce the exact same inverse-CDF lookup.
@@ -404,48 +373,56 @@ def dipmark_step_full(
 def generate(
     model,
     key: WatermarkKey,
-    config: DecoderConfig,
+    config: DecoderConfig | None,
     prompt: GeneratedText,
     n: int,
     aux: RngStream,
 ) -> GenerationResult:
     """Autoregressively append ``n`` tokens to the prompt with the configured
-    scheme, recording per-step diagnostics."""
+    scheme, recording per-step diagnostics.
+
+    Under masking, a context already seen in this text gets a plain draw
+    from P (one ``aux`` uniform), recorded as a masked step.  With
+    ``config=None`` every token is a plain draw and no step is recorded.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     history: list[int] = list(prompt.tokens)
-    ledger = MaskLedger() if config.masking else None
+    ledger = MaskLedger()
     steps: list[StepResult] = []
     for _ in range(n):
         ctx = context_window(history, key.k)
         P = model.next(history)
-        scheme = config.scheme
-        if scheme is Scheme.MC:
-            step = mc_step_full(P, key, ctx, ledger, aux)
-        elif scheme is Scheme.MC_SOFT:
-            step = mc_soft_step_full(P, key, ctx, ledger, aux, config.delta)
-        elif scheme is Scheme.GUMBEL:
-            step = gumbel_max_step_full(P, key, ctx, ledger, aux)
-        elif scheme is Scheme.SOFT:
-            step = soft_step_full(P, key, ctx, ledger, aux, config.delta)
-        elif scheme is Scheme.DIPMARK:
-            step = dipmark_step_full(P, key, ctx, ledger, aux, config.alpha_dip)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown scheme {scheme!r}")
+        if config is None or (config.masking and not ledger.check_and_record(ctx)):
+            token = categorical_from_uniform(P.probs, aux.next_uniform())
+            step = StepResult(token=token, masked=True)
+        elif config.scheme is Scheme.MC:
+            step = mc_step_full(P, key, ctx, aux)
+        elif config.scheme is Scheme.MC_SOFT:
+            step = mc_soft_step_full(P, key, ctx, aux, config.delta)
+        elif config.scheme is Scheme.GUMBEL:
+            step = gumbel_max_step_full(P, key, ctx)
+        elif config.scheme is Scheme.SOFT:
+            step = soft_step_full(P, key, ctx, aux, config.delta)
+        else:
+            step = dipmark_step_full(P, key, ctx, aux, config.alpha_dip)
         steps.append(step)
         history.append(step.token)
     text = GeneratedText(tokens=tuple(history), prompt_len=len(prompt.tokens))
+    if config is None:
+        return GenerationResult(text=text, steps=(), scheme=None)
     return GenerationResult(text=text, steps=tuple(steps), scheme=config.scheme)
 
 
-def to_record(result: GenerationResult, vocab_size: int, watermarked: bool = True) -> dict:
-    """JSON-serializable record for one generated text."""
+def to_record(result: GenerationResult, vocab_size: int) -> dict:
+    """JSON-serializable record for one generated text; a text without a
+    scheme is recorded as unwatermarked ``plain``."""
     return {
         "tokens": list(result.text.tokens),
         "prompt_len": result.text.prompt_len,
-        "scheme": result.scheme.value,
+        "scheme": "plain" if result.scheme is None else result.scheme.value,
         "vocab_size": vocab_size,
-        "watermarked": watermarked,
+        "watermarked": result.scheme is not None,
         "diagnostics": [
             {
                 "masked": s.masked,
@@ -482,14 +459,7 @@ def sample_mc_batch(
     """Vectorized hard-list coupling over (n, k) contexts with one aux
     uniform per row; matches :func:`mc_step_full` token-for-token."""
     green = green_mask_batch(key, ctxs, len(P))
-    zeta = derive_zeta_batch(key, ctxs)
-    pw = np.broadcast_to(P.probs, green.shape)
-    mass = np.where(green, pw, 0.0).sum(axis=1)
-    take_green = zeta <= mass
-    weights = np.where(take_green[:, None], np.where(green, pw, 0.0), np.where(green, 0.0, pw))
-    fallback = mass == 0.0
-    if fallback.any():
-        weights[fallback] = P.probs
+    weights, _ = _mc_weights(P.probs, green, derive_zeta_batch(key, ctxs))
     return _categorical_batch(weights, u_aux)
 
 
@@ -499,25 +469,15 @@ def sample_gumbel_batch(P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray)
 
 
 def sample_soft_batch(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctxs: np.ndarray,
-    u_aux: np.ndarray,
-    delta: float,
+    P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, delta: float
 ) -> np.ndarray:
     """Vectorized soft green/red sampling; matches :func:`soft_step_full`."""
-    green = green_mask_batch(key, ctxs, len(P))
-    pw = np.broadcast_to(P.probs, green.shape)
-    weights = np.where(green, pw * math.exp(delta), pw)
+    weights = _soft_weights(P.probs, green_mask_batch(key, ctxs, len(P)), delta)
     return _categorical_batch(weights, u_aux)
 
 
 def sample_dipmark_batch(
-    P: NtpDistribution,
-    key: WatermarkKey,
-    ctxs: np.ndarray,
-    u_aux: np.ndarray,
-    alpha_dip: float,
+    P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, alpha_dip: float
 ) -> np.ndarray:
     """Vectorized DiPmark sampling; matches :func:`dipmark_step_full`."""
     seeds = derive_seed_batch(key, ctxs, PERM_TAG)

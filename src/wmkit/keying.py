@@ -174,9 +174,8 @@ def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.nda
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
     """Green-list membership of one token under the keyed partition."""
     if key.green_mode == "perm":
-        if vocab_size is None:
-            raise ValueError("perm mode needs vocab_size for membership queries")
-        return bool(green_mask(key, ctx, vocab_size)[int(token)])
+        seed = np.array([derive_seed(key, ctx, PERM_TAG)], dtype=np.uint64)
+        return bool(_perm_green(key, seed, np.array([token]), vocab_size)[0])
     state = _green_seed(key, ctx) ^ _token_hash(token)
     return RngStream(state).next_uniform() < key.gamma
 
@@ -209,11 +208,41 @@ def is_green_batch(
     """Vectorized :func:`is_green` for paired (n, k) contexts and (n,) tokens."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if key.green_mode == "perm":
-        if vocab_size is None:
-            raise ValueError("perm mode needs vocab_size for membership queries")
-        mask = green_mask_batch(key, ctxs, vocab_size)
-        return mask[np.arange(len(tokens)), tokens]
+        return _perm_green(key, _green_seeds(key, ctxs), tokens, vocab_size)
     return counter_uniforms(_green_seeds(key, ctxs) ^ _token_hashes(tokens), 1) < key.gamma
+
+
+def _perm_green(
+    key: WatermarkKey, seeds: np.ndarray, tokens: np.ndarray, vocab_size: int | None
+) -> np.ndarray:
+    """Perm-mode membership of one token per PERM seed, without building the
+    permutation: follow the token's slot through the Fisher-Yates swaps of
+    :func:`keyed_permutation_batch` and test the final slot against the head.
+
+    Step i moves the token only if it sits in slot i (to slot j_i <= i) or in
+    slot j_i (to slot i, which no later step touches).  So from slot s the
+    first later step with j_i = s, if any, fixes the token at slot i;
+    otherwise step s sends it to j_s and the search repeats below s.
+    """
+    if vocab_size is None:
+        raise ValueError("perm mode needs vocab_size for membership queries")
+    head = int(key.gamma * vocab_size)
+    out = np.empty(len(tokens), dtype=bool)
+    for row, (seed, slot) in enumerate(zip(seeds, tokens.tolist())):
+        # jumps[i] is j_i, the slot that step i swaps with slot i.
+        jumps = np.zeros(vocab_size, dtype=np.int64)
+        jumps[1:] = _fisher_yates_swaps(seed[None], vocab_size)[0, ::-1]
+        top = vocab_size - 1
+        while True:
+            hits = np.flatnonzero(jumps[slot + 1 : top + 1] == slot)
+            if hits.size:
+                slot += 1 + int(hits[-1])
+                break
+            if jumps[slot] == slot:
+                break
+            top, slot = slot - 1, int(jumps[slot])
+        out[row] = slot < head
+    return out
 
 
 def keyed_permutation(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
@@ -232,16 +261,21 @@ def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     slots = range(vocab_size - 1, 0, -1)
-    u = counter_uniforms(seeds[:, None], np.arange(1, vocab_size, dtype=np.uint64)[None, :])
-    swaps = (u * np.arange(vocab_size, 1, -1)).astype(np.int64)
     identity = list(range(vocab_size))
     perms = np.empty((seeds.shape[0], vocab_size), dtype=np.int64)
-    for row, js in enumerate(swaps):
+    for row, js in enumerate(_fisher_yates_swaps(seeds, vocab_size)):
         perm = identity.copy()
         for i, j in zip(slots, js.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
         perms[row] = perm
     return perms
+
+
+def _fisher_yates_swaps(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(n, vocab_size - 1) swap targets j of the steps i = vocab_size - 1,
+    ..., 1 in that order: j = floor(u * (i + 1)) with u the seed's next draw."""
+    u = counter_uniforms(seeds[:, None], np.arange(1, vocab_size, dtype=np.uint64)[None, :])
+    return (u * np.arange(vocab_size, 1, -1)).astype(np.int64)
 
 
 def derive_zeta(key: WatermarkKey, ctx) -> float:

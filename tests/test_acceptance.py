@@ -145,7 +145,7 @@ def _interval_midpoint(probs, w):
 
 
 def test_criterion_04_specdec_matches_coupling():
-    from wmkit.attacks import specdec_one_step
+    from wmkit.decoders import sample_rejection_coupling
 
     rng = np.random.default_rng(2025)
     grid = (np.arange(2000) + 0.5) / 2000
@@ -161,7 +161,7 @@ def test_criterion_04_specdec_matches_coupling():
                 continue
             u_w = _interval_midpoint(Q.probs, w)
             for z in grid:
-                token, accepted = specdec_one_step(P, Q, float(z), FixedStream([u_w, 0.5]))
+                token, accepted = sample_rejection_coupling(P, Q, float(z), FixedStream([u_w, 0.5]))
                 if accepted:
                     marginal[w] += Q.probs[w] / len(grid)
                 else:
@@ -181,7 +181,7 @@ def test_criterion_04_specdec_matches_coupling():
     expected = float(np.minimum(P.probs, Q.probs).sum())
     n = 100_000
     stream = RngStream(99)
-    hits = sum(specdec_one_step(P, Q, float(z), stream)[1] for z in rng.random(n))
+    hits = sum(sample_rejection_coupling(P, Q, float(z), stream)[1] for z in rng.random(n))
     dev = abs(hits / n - expected)
     sigma = np.sqrt(expected * (1 - expected) / n)
     ok = worst_tv < 2e-3 and dev < 3 * sigma

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from wmkit.core import GeneratedText, RngStream, make_ntp
-from wmkit.decoders import Scheme
+from wmkit.decoders import Scheme, sample_rejection_coupling
 from wmkit.attacks import (
     AttackConfig,
     AttackKind,
     SpecDecStats,
     merge_specdec_stats,
-    specdec_one_step,
     specdec_postprocess,
     substitute,
 )
@@ -120,15 +119,10 @@ def _interval_midpoint(probs, w):
 
 
 class TestOneStep:
-    def test_scale_validation(self):
-        P = make_ntp(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            specdec_one_step(P, P, 0.5, FixedStream([0.3]), accept_scale=0.0)
-
     def test_identical_always_accepts(self):
         P = make_ntp(np.array([0.3, 0.7]))
         for zeta in (0.01, 0.5, 0.999):
-            token, accepted = specdec_one_step(P, P, zeta, FixedStream([0.6]))
+            token, accepted = sample_rejection_coupling(P, P, zeta, FixedStream([0.6]))
             assert accepted and token == 1
 
     def test_marginal_is_target_semi_exact(self):
@@ -147,7 +141,9 @@ class TestOneStep:
                     continue
                 u_w = _interval_midpoint(Q.probs, w)
                 for zeta in grid:
-                    token, accepted = specdec_one_step(P, Q, float(zeta), FixedStream([u_w, 0.5]))
+                    token, accepted = sample_rejection_coupling(
+                        P, Q, float(zeta), FixedStream([u_w, 0.5])
+                    )
                     if accepted:
                         assert token == w
                         marginal[w] += Q.probs[w] / len(grid)
@@ -168,7 +164,7 @@ class TestOneStep:
         counts = np.zeros(3)
         grid = (np.arange(200) + 0.5) / 200
         for u2 in grid:
-            token, accepted = specdec_one_step(P, Q, 0.99, FixedStream([u_w, float(u2)]))
+            token, accepted = sample_rejection_coupling(P, Q, 0.99, FixedStream([u_w, float(u2)]))
             assert not accepted
             counts[token] += 1
         assert counts[1] == 0
@@ -181,7 +177,7 @@ class TestOneStep:
         stream = RngStream(99)
         n = 100_000
         zetas = rng.random(n)
-        hits = sum(specdec_one_step(P, Q, float(z), stream)[1] for z in zetas)
+        hits = sum(sample_rejection_coupling(P, Q, float(z), stream)[1] for z in zetas)
         assert abs(hits / n - expected) < 3 * np.sqrt(expected * (1 - expected) / n)
 
     def test_smaller_scale_accepts_more(self):
@@ -189,10 +185,12 @@ class TestOneStep:
         P, Q = _random_pq(rng, 6)
         zetas = rng.random(20_000)
         full = sum(
-            specdec_one_step(P, Q, float(z), RngStream(i), 1.0)[1] for i, z in enumerate(zetas)
+            sample_rejection_coupling(P, Q, float(z), RngStream(i), 1.0)[1]
+            for i, z in enumerate(zetas)
         )
         half = sum(
-            specdec_one_step(P, Q, float(z), RngStream(i), 0.5)[1] for i, z in enumerate(zetas)
+            sample_rejection_coupling(P, Q, float(z), RngStream(i), 0.5)[1]
+            for i, z in enumerate(zetas)
         )
         assert half > full
 

@@ -104,9 +104,11 @@ class TestGenerate:
 
 
 # sha256 of `wmkit generate` output (V=32, order 2, 3 texts of 40 tokens,
-# seed 5), captured before the keyed kernels were merged.  Gumbel and DiPmark
-# ignore the green mode, so their hash and perm digests agree.
+# seed 5), captured before the keyed kernels were merged; the `--plain`
+# digest was captured before plain sampling moved into `generate`.  Gumbel
+# and DiPmark ignore the green mode, so their hash and perm digests agree.
 GOLDEN_GENERATE = {
+    ("hash", "plain"): "502a192b8f06070b4ed6c7dda66f94fe5e01246cb7ecce228cd064c85f7c721f",
     ("hash", "mc"): "eb1a684991a2f913a6ae3e615ef0c387d364e61ebff77c45541178cd655064a8",
     ("hash", "mc-soft"): "7ef2e74ee97838c9268e14f8d39f584d813eced2df7da3924bfc39e3959b8036",
     ("hash", "gumbel"): "1d1a9ad216dfe375f1df081481beb7929dde429f3baf31615bc9f0c3b8802b68",
@@ -127,6 +129,12 @@ SCHEME_FLAGS = {
 }
 
 
+def _scheme_args(scheme):
+    if scheme == "plain":
+        return ("--plain",)
+    return ("--scheme", scheme, *SCHEME_FLAGS[scheme])
+
+
 @pytest.mark.parametrize("mode,scheme", sorted(GOLDEN_GENERATE))
 def test_generate_golden(tmp_path, mode, scheme):
     out = tmp_path / "golden.jsonl"
@@ -135,16 +143,48 @@ def test_generate_golden(tmp_path, mode, scheme):
             "generate",
             "--model", "markov:seed=11,vocab=32,order=2",
             "--key", f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}",
+            "--n", "40",
+            "--texts", "3",
+            "--seed", "5",
+            "--out", str(out),
+            *_scheme_args(scheme),
+        ]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE[(mode, scheme)]
+
+
+# sha256 of `wmkit specdec` output followed by its stats JSON (draft V=32
+# order 2 seed 11, target seed 12, 3 texts of 40 tokens, seed 5), captured
+# before the draft law moved onto the shared coupling kernel.
+GOLDEN_SPECDEC = {
+    ("hash", "mc"): "23dfc589f5632ef66a71d687d60028a5220991c746b386ce90d6be1e0cd15d20",
+    ("hash", "gumbel"): "1859819fa0f3146687882553c461c6556b9d03802e967f67eb966fd54c4db1d9",
+    ("perm", "mc"): "128894a08621df2414ce9bd19e689959781cd49eb25881cce8d0277b06181092",
+    ("perm", "gumbel"): "1859819fa0f3146687882553c461c6556b9d03802e967f67eb966fd54c4db1d9",
+}
+
+
+@pytest.mark.parametrize("mode,scheme", sorted(GOLDEN_SPECDEC))
+def test_specdec_golden(tmp_path, mode, scheme):
+    out, stats = tmp_path / "sd.jsonl", tmp_path / "stats.json"
+    rc = main(
+        [
+            "specdec",
+            "--draft", "markov:seed=11,vocab=32,order=2",
+            "--target", "markov:seed=12,vocab=32,order=2",
+            "--key", f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}",
             "--scheme", scheme,
             "--n", "40",
             "--texts", "3",
             "--seed", "5",
             "--out", str(out),
-            *SCHEME_FLAGS[scheme],
+            "--stats-out", str(stats),
         ]
     )
     assert rc == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE[(mode, scheme)]
+    digest = hashlib.sha256(out.read_bytes() + stats.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SPECDEC[(mode, scheme)]
 
 
 class TestDetect:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from wmkit.core import GeneratedText, RngStream, make_ntp
+from wmkit.attacks import _draft_q
+from wmkit.core import GeneratedText, RngStream, context_window, make_ntp
 from wmkit.decoders import (
     Branch,
     DecoderConfig,
     Scheme,
     ZeroGreenMass,
     categorical_from_uniform,
-    context_window,
     dipmark_q,
     dipmark_step_full,
     generate,
@@ -33,7 +33,7 @@ from wmkit.decoders import (
     text_from_record,
     to_record,
 )
-from wmkit.keying import MaskLedger, WatermarkKey, derive_zeta, green_mask, is_green
+from wmkit.keying import WatermarkKey, derive_zeta, green_mask, is_green
 from wmkit.lm import MarkovSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
@@ -48,6 +48,17 @@ class FixedStream:
 
     def next_uniform(self):
         return self.values.pop(0)
+
+
+class FixedModel:
+    """Model stand-in: the same next-token law after every history."""
+
+    def __init__(self, probs):
+        self.P = make_ntp(probs)
+        self.vocab_size = len(self.P)
+
+    def next(self, history):
+        return self.P
 
 
 def _contexts(n, seed=0):
@@ -250,7 +261,7 @@ class TestStepFunctions:
         counts = np.zeros(8)
         aux = RngStream(77)
         for i in range(n):
-            step = mc_soft_step_full(P, KEY, (i, 5), None, aux, 1.0)
+            step = mc_soft_step_full(P, KEY, (i, 5), aux, 1.0)
             counts[step.token] += 1
         assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
 
@@ -310,29 +321,53 @@ class TestStepFunctions:
                 ctx = (c, c)
                 break
         assert ctx is not None
-        step = mc_step_full(P, KEY, ctx, None, RngStream(1))
+        step = mc_step_full(P, KEY, ctx, RngStream(1))
         assert step.zero_green and step.token == 0 and step.green_mass == 0.0
-
-    def test_masked_step_samples_plain(self):
-        P = make_ntp([0.5, 0.5])
-        ledger = MaskLedger()
-        ledger.check_and_record((1, 2))
-        step = mc_step_full(P, KEY, (1, 2), ledger, FixedStream([0.7]))
-        assert step.masked and step.branch is None and step.token == 1
-
-    def test_gumbel_masked_requires_aux(self):
-        P = make_ntp([0.5, 0.5])
-        ledger = MaskLedger()
-        ledger.check_and_record((1, 2))
-        with pytest.raises(ValueError):
-            gumbel_max_step_full(P, KEY, (1, 2), ledger, None)
 
     def test_gumbel_deterministic_and_skips_zero_prob(self):
         P = make_ntp([0.5, 0.5, 0.0])
         for c in range(200):
-            step = gumbel_max_step_full(P, KEY, (c, 1), None, None)
+            step = gumbel_max_step_full(P, KEY, (c, 1))
             assert step.token != 2
-            assert step.token == gumbel_max_step_full(P, KEY, (c, 1), None, None).token
+            assert step.token == gumbel_max_step_full(P, KEY, (c, 1)).token
+
+
+class TestMcOracle:
+    def test_closed_form_matches_reference_coupling(self):
+        # The one hard-list kernel, as the step and as the specdec draft law,
+        # against sample_maximal_coupling over hard_list_q.  Sparse rows make
+        # zero green mass common.
+        rng = np.random.default_rng(41)
+        zero_green = 0
+        for trial in range(400):
+            vocab = int(rng.integers(2, 10))
+            probs = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.5)
+            probs[rng.integers(vocab)] += 0.1
+            P = make_ntp(probs)
+            ctx = tuple(int(t) for t in rng.integers(0, 2**20, size=KEY.k))
+            green = green_mask(KEY, ctx, vocab)
+            zeta = derive_zeta(KEY, ctx)
+            step = mc_step_full(P, KEY, ctx, RngStream(trial))
+            draft = _draft_q(FixedModel(P.probs), KEY, list(ctx), Scheme.MC).probs
+            try:
+                Q = hard_list_q(P, green)
+            except ZeroGreenMass:
+                zero_green += 1
+                plain = categorical_from_uniform(P.probs, RngStream(trial).next_uniform())
+                assert (step.token, step.branch, step.green_mass) == (plain, None, 0.0)
+                assert step.zero_green
+                assert np.allclose(draft, P.probs, rtol=1e-12, atol=0.0)
+                continue
+            out = sample_maximal_coupling(P, Q, zeta, RngStream(trial))
+            assert (step.token, step.branch, step.green_mass) == (
+                out.token, out.branch, out.overlap_mass
+            )
+            assert not step.zero_green
+            side = green if out.branch is Branch.OVERLAP else ~green
+            ref = hard_list_q(P, side).probs
+            assert np.array_equal(draft > 0, ref > 0)
+            assert np.allclose(draft, ref, rtol=1e-12, atol=0.0)
+        assert 20 <= zero_green <= 380
 
 
 class TestBatchAgreement:
@@ -345,7 +380,7 @@ class TestBatchAgreement:
         u_aux = np.array([RngStream(1000 + i).value_at(1) for i in range(self.N)])
         batch = sample_mc_batch(P, KEY, ctxs, u_aux)
         for i in range(self.N):
-            step = mc_step_full(P, KEY, tuple(ctxs[i]), None, RngStream(1000 + i))
+            step = mc_step_full(P, KEY, tuple(ctxs[i]), RngStream(1000 + i))
             assert step.token == batch[i]
 
     def test_gumbel(self):
@@ -354,7 +389,7 @@ class TestBatchAgreement:
         ctxs = _contexts(self.N, seed=32)
         batch = sample_gumbel_batch(P, KEY, ctxs)
         for i in range(self.N):
-            assert gumbel_max_step_full(P, KEY, tuple(ctxs[i]), None, None).token == batch[i]
+            assert gumbel_max_step_full(P, KEY, tuple(ctxs[i])).token == batch[i]
 
     def test_soft(self):
         rng = np.random.default_rng(33)
@@ -363,7 +398,7 @@ class TestBatchAgreement:
         u_aux = np.array([RngStream(2000 + i).value_at(1) for i in range(self.N)])
         batch = sample_soft_batch(P, KEY, ctxs, u_aux, 1.5)
         for i in range(self.N):
-            step = soft_step_full(P, KEY, tuple(ctxs[i]), None, RngStream(2000 + i), 1.5)
+            step = soft_step_full(P, KEY, tuple(ctxs[i]), RngStream(2000 + i), 1.5)
             assert step.token == batch[i]
 
     def test_dipmark(self):
@@ -373,7 +408,7 @@ class TestBatchAgreement:
         u_aux = np.array([RngStream(3000 + i).value_at(1) for i in range(self.N)])
         batch = sample_dipmark_batch(P, PERM_KEY, ctxs, u_aux, 0.45)
         for i in range(self.N):
-            step = dipmark_step_full(P, PERM_KEY, tuple(ctxs[i]), None, RngStream(3000 + i), 0.45)
+            step = dipmark_step_full(P, PERM_KEY, tuple(ctxs[i]), RngStream(3000 + i), 0.45)
             assert step.token == batch[i]
 
 
@@ -430,6 +465,25 @@ class TestGeneration:
         assert res.steps[0].masked is False
         assert all(s.masked for s in res.steps[1:])
 
+    def test_masked_step_samples_plain(self):
+        # k = 0: every step after the first repeats the empty context, so it
+        # takes one plain draw from P and has no branch.
+        key0 = WatermarkKey(master=77, k=0, gamma=0.5, green_mode="hash")
+        model = FixedModel([0.5, 0.5])
+        res = generate(model, key0, DecoderConfig(scheme="mc"), GeneratedText((), 0), 2,
+                       FixedStream([0.1, 0.7]))
+        assert not res.steps[0].masked
+        step = res.steps[1]
+        assert step.masked and step.branch is None and step.token == 1
+
+    def test_plain_without_config(self):
+        model = FixedModel([0.25, 0.25, 0.5])
+        res = generate(model, KEY, None, GeneratedText((1, 2), 2), 3, FixedStream([0.9, 0.3, 0.1]))
+        assert res.text.tokens == (1, 2, 2, 1, 0)
+        assert res.steps == () and res.scheme is None
+        rec = to_record(res, model.vocab_size)
+        assert (rec["scheme"], rec["watermarked"], rec["diagnostics"]) == ("plain", False, [])
+
     def test_masking_off_never_masks(self):
         key0 = WatermarkKey(master=77, k=0, gamma=0.5, green_mode="hash")
         model = MarkovSource(order=1, vocab_size=8, seed=2)
@@ -442,8 +496,8 @@ class TestGeneration:
         cfg = DecoderConfig(scheme="dipmark", alpha_dip=0.45)
         prompt = GeneratedText(tokens=(0, 1), prompt_len=2)
         res = generate(model, PERM_KEY, cfg, prompt, 15, RngStream(4))
-        rec = to_record(res, model.vocab_size, watermarked=True)
-        assert rec["scheme"] == "dipmark"
+        rec = to_record(res, model.vocab_size)
+        assert rec["scheme"] == "dipmark" and rec["watermarked"] is True
         assert len(rec["diagnostics"]) == 15
         text = text_from_record(rec)
         assert text.tokens == res.text.tokens

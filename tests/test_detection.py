@@ -290,6 +290,22 @@ class TestExtractScores:
                 ]
                 assert batch[i].tolist() == scalar
 
+    def test_perm_extraction_memory_bounded(self):
+        # Perm-mode membership must not build a V-wide permutation and mask
+        # per scored position: 200 positions at V=32000 stay under 16 MiB.
+        import tracemalloc
+
+        key = WatermarkKey(master=99, k=2, gamma=0.5, green_mode="perm")
+        tokens = np.random.default_rng(9).integers(0, 32_000, size=(1, 202))
+        tracemalloc.start()
+        try:
+            scores = extract_zeta_primes_batch(tokens, key, vocab_size=32_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scores[0]) == 200
+        assert peak < 16 * 2**20
+
     def test_null_scores_uniform(self):
         rng = np.random.default_rng(8)
         tokens = rng.integers(0, 64, size=(100, 102))

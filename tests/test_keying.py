@@ -165,6 +165,20 @@ class TestGreenLists:
         ctxs = np.array([[4, 5], [6, 7]])
         assert np.array_equal(green_mask_batch(key, ctxs, 64)[0], mask)
 
+    @pytest.mark.parametrize("vocab", [2, 3, 17, 64, 1000])
+    def test_perm_membership_matches_mask(self, vocab):
+        # One token's slot tracked through the shuffle agrees with the head
+        # of the whole permutation.
+        key = WatermarkKey(master=0xC0FFEE, k=2, gamma=0.5, green_mode="perm")
+        ctxs = _random_contexts(1000, key.k, seed=vocab)
+        toks = np.random.default_rng(vocab).integers(0, vocab, size=1000)
+        masks = green_mask_batch(key, ctxs, vocab)
+        expected = masks[np.arange(1000), toks]
+        assert np.array_equal(is_green_batch(key, ctxs, toks, vocab), expected)
+        for i in range(0, 1000, 25):
+            assert is_green(key, tuple(ctxs[i]), int(toks[i]), vocab) == expected[i]
+            assert green_mask(key, tuple(ctxs[i]), vocab)[toks[i]] == expected[i]
+
     def test_perm_mode_needs_vocab(self):
         key = WatermarkKey(master=7, k=2, gamma=0.25, green_mode="perm")
         with pytest.raises(ValueError):
