@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -356,22 +357,37 @@ def _cache_statistic(statistic: Statistic, denom: HcDenom) -> str:
     return statistic.value
 
 
+def _parse_cache_row(line: str) -> tuple | None:
+    # (statistic, n, alpha, reps, seed, critical_value), or None for a row
+    # that does not parse or whose critical value is not finite.
+    parts = line.split(",")
+    if len(parts) != 6:
+        return None
+    try:
+        n, alpha, reps, seed, critical = (
+            int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]), float(parts[5])
+        )
+    except ValueError:
+        return None
+    return (parts[0], n, alpha, reps, seed, critical) if math.isfinite(critical) else None
+
+
 def _cache_lookup(path: Path, statistic, n, alpha, reps, seed, denom) -> float | None:
     if not path.exists():
         return None
+    key = (_cache_statistic(statistic, denom), n, alpha, reps, seed)
+    hit, malformed = None, False
     for line in path.read_text().splitlines()[1:]:
-        parts = line.split(",")
-        if len(parts) != 6:
-            continue
-        if (
-            parts[0] == _cache_statistic(statistic, denom)
-            and int(parts[1]) == n
-            and float(parts[2]) == alpha
-            and int(parts[3]) == reps
-            and int(parts[4]) == seed
-        ):
-            return float(parts[5])
-    return None
+        row = _parse_cache_row(line)
+        if row is None:
+            malformed = malformed or bool(line.strip())
+        elif row[:5] == key:
+            hit = row[5]
+            break
+    if malformed:
+        # The default warning filter prints this once per cache file.
+        warnings.warn(f"ignoring malformed rows in calibration cache {path}", stacklevel=2)
+    return hit
 
 
 def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_value) -> None:

@@ -15,8 +15,9 @@ import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .core import (
     MASK64,
     NotNormalized,
     NtpDistribution,
-    RngStream,
     context_window,
+    counter_uniforms,
     fold64,
     make_ntp,
     mix64,
@@ -45,6 +46,10 @@ __all__ = [
 
 # Domain tag separating row-synthesis streams from watermark key streams.
 _ROW_TAG = 0x5A
+# Most uniforms one row-synthesis block holds (128 KiB of float64).
+_BLOCK_CAP = 1 << 14
+# Default byte budget of a MarkovSource row cache.
+_CACHE_BYTES = 1 << 28
 
 
 class MalformedTrace(ValueError):
@@ -64,29 +69,47 @@ class NtpSource(Protocol):
     def next(self, history: Sequence[int]) -> NtpDistribution: ...
 
 
-def _standard_normal(stream: RngStream) -> float:
-    # Box-Muller; 1 - u keeps the log argument in (0, 1].
-    u1 = 1.0 - stream.next_uniform()
-    u2 = stream.next_uniform()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def _gamma_draw(stream: RngStream, shape: float) -> float:
-    """Marsaglia-Tsang gamma sampler driven by the keyed stream."""
-    if shape < 1.0:
-        # Boost: Gamma(a) = Gamma(a + 1) * U^(1/a).
-        u = 1.0 - stream.next_uniform()
-        return _gamma_draw(stream, shape + 1.0) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
+def _uniform_blocks(state: int, size: int) -> Iterator[list[float]]:
+    # Draws 1, 2, ... of RngStream(state), ``size`` per block.
+    drawn = 0
     while True:
-        x = _standard_normal(stream)
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = 1.0 - stream.next_uniform()
-        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v
+        counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
+        yield counter_uniforms(state, counters).tolist()
+        drawn += size
+
+
+def _gamma_row(state: int, n: int, shape: float) -> list[float]:
+    """``n`` Marsaglia-Tsang Gamma(shape) variates, bit-equal to drawing
+    each in turn from ``RngStream(state).next_uniform()``.
+
+    The uniforms are computed in blocks; the arithmetic stays on Python
+    floats and ``math`` because numpy's log and power differ from them in
+    the last bit on some inputs.  For shape < 1 each variate takes its
+    boost draw U first: Gamma(a) = Gamma(a + 1) * U^(1/a).  Each attempt
+    takes a Box-Muller normal (1 - u keeps the log argument in (0, 1]) and,
+    unless ``v <= 0`` rejects it, one more draw.
+    """
+    boost = shape < 1.0
+    inv_shape = 1.0 / shape
+    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    two_pi = 2.0 * math.pi
+    log, sqrt, cos = math.log, math.sqrt, math.cos
+    # About 4.2 draws per variate with the boost and 3.1 without.
+    size = min((5 if boost else 4) * n + 16, _BLOCK_CAP)
+    draw = chain.from_iterable(_uniform_blocks(state, size)).__next__
+    scale = 1.0
+    out: list[float] = []
+    for _ in range(n):
+        if boost:
+            scale = (1.0 - draw()) ** inv_shape
+        while True:
+            x = sqrt(-2.0 * log(1.0 - draw())) * cos(two_pi * draw())
+            v = (1.0 + c * x) ** 3
+            if v > 0.0 and log(1.0 - draw()) < 0.5 * x * x + d - d * v + d * log(v):
+                break
+        out.append(d * v * scale)
+    return out
 
 
 @dataclass
@@ -96,7 +119,8 @@ class MarkovSource:
     (seed, context), then tempered by exponent 1/temperature.
 
     Rows are cached (bounded LRU) so long generations stay memory-stable
-    and repeated contexts cost one synthesis.
+    and repeated contexts cost one synthesis.  ``cache_size`` counts rows;
+    by default it is as many float64 rows as fit in 256 MiB.
     """
 
     order: int
@@ -104,7 +128,7 @@ class MarkovSource:
     concentration: float = 0.3
     seed: int = 0
     temperature: float = 1.0
-    cache_size: int = 1 << 20
+    cache_size: int | None = None
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,16 +140,16 @@ class MarkovSource:
             raise ValueError("concentration must be > 0")
         if not self.temperature > 0.0:
             raise ValueError("temperature must be > 0")
+        if self.cache_size is None:
+            self.cache_size = max(1, _CACHE_BYTES // (8 * self.vocab_size))
 
     def _row(self, ctx: tuple[int, ...]) -> NtpDistribution:
         cached = self._cache.get(ctx)
         if cached is not None:
             self._cache.move_to_end(ctx)
             return cached
-        stream = RngStream(mix64(fold64((self.seed ^ _ROW_TAG) & MASK64, ctx)))
-        raw = np.array(
-            [_gamma_draw(stream, self.concentration) for _ in range(self.vocab_size)]
-        )
+        state = mix64(fold64((self.seed ^ _ROW_TAG) & MASK64, ctx))
+        raw = np.array(_gamma_row(state, self.vocab_size, self.concentration))
         if raw.sum() <= 0.0:
             raw = np.ones(self.vocab_size)
         row = raw / raw.sum()

@@ -215,6 +215,27 @@ class TestDetect:
         assert rc == 0
         assert "error" in _records(out)[0]
 
+    def test_malformed_calibration_rows_keep_stdout(self, tmp_path, capsys, monkeypatch):
+        # A corrupt row in the calibration cache, even one carrying the
+        # requested key, is ignored: the printed reports stay byte-identical.
+        src = _generate(tmp_path, texts=1, n=120)
+        args = ["detect", "--in", str(src), "--key", KEY_ARG, "--stat", "hc+",
+                "--calib-reps", "1000"]
+        clean, corrupt = tmp_path / "clean", tmp_path / "corrupt"
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(clean))
+        capsys.readouterr()
+        assert main(args) == 0
+        want = capsys.readouterr().out
+        header, row = (clean / "calibrations.csv").read_text().splitlines()
+        corrupt.mkdir()
+        (corrupt / "calibrations.csv").write_text(
+            f"{header}\nhc+:sqrt,abc,0.01,1000,0,1.0\n{row.rsplit(',', 1)[0]},banana\n"
+        )
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(corrupt))
+        with pytest.warns(UserWarning, match="malformed rows"):
+            assert main(args) == 0
+        assert capsys.readouterr().out == want
+
     def test_hc_statistic_runs(self, tmp_path):
         src = _generate(tmp_path, texts=1, n=120)
         out = tmp_path / "r.jsonl"

@@ -3,6 +3,7 @@ calibrated thresholds."""
 
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,40 @@ class TestCalibration:
         # The sum null has no denominator, so its rows stay valid.
         kept = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, cache_dir=tmp_path)
         assert kept.critical_value == 12.5
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "sum,abc,0.01,2000,0,1.0",
+            "sum,30,0.01,2000,0,banana",
+            "sum,30,0.01,2000,0,nan",
+            "sum,30,0.01,2000,0,inf",
+            "sum,30,0.01",
+        ],
+    )
+    def test_malformed_row_skipped_and_recomputed(self, tmp_path, row):
+        # A row that does not parse, or whose critical value is not finite,
+        # is ignored with a warning; the lookup then recomputes.
+        path = tmp_path / "calibrations.csv"
+        path.write_text("statistic,n,alpha,reps,seed,critical_value\n" + row + "\n")
+        fresh = calibrate_null(Statistic.SUM, 30, 0.01, use_cache=False)
+        with pytest.warns(UserWarning, match="malformed rows"):
+            got = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
+        assert got.critical_value == fresh.critical_value
+        assert path.read_text().splitlines()[-1].endswith(repr(fresh.critical_value))
+
+    def test_malformed_rows_warn_once(self, tmp_path):
+        (tmp_path / "calibrations.csv").write_text(
+            "statistic,n,alpha,reps,seed,critical_value\n"
+            "sum,abc,0.01,2000,0,1.0\n"
+            "sum,30,0.01,2000,0,banana\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            a = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
+            b = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
+        assert a.critical_value == b.critical_value
+        assert len(caught) == 1
 
 
 def _random_text(rng, length=120, vocab=64):

@@ -1,14 +1,17 @@
 """Synthetic sources: keyed-row Markov models and recorded-trace replay."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from wmkit.core import GeneratedText, RngStream
+from wmkit.core import GeneratedText, RngStream, mix64
 from wmkit.decoders import DecoderConfig, generate
 from wmkit.keying import WatermarkKey
 from wmkit.lm import (
+    _BLOCK_CAP,
     EndOfTrace,
     MalformedTrace,
     MarkovSource,
@@ -16,10 +19,87 @@ from wmkit.lm import (
     TraceSource,
     load_trace,
     parse_model_spec,
+    _gamma_row,
     save_trace,
 )
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
+
+# sha256 over the rows of six MarkovSource configurations (seed 11), each
+# row at history [ctx % V, (ctx * 7) % V]; captured from the per-draw
+# Marsaglia-Tsang sampler before rows were drawn from uniform blocks.
+ROW_CONFIGS = (
+    (dict(vocab_size=64, concentration=0.3, order=2), 300),
+    (dict(vocab_size=64, concentration=1.5, order=2), 300),
+    (dict(vocab_size=1000, concentration=0.3, temperature=0.5, order=1), 20),
+    (dict(vocab_size=32000, concentration=0.3, order=0), 1),
+    (dict(vocab_size=7, concentration=1.0, temperature=2.0, order=1), 300),
+    (dict(vocab_size=64, concentration=0.05, order=1), 300),
+)
+GOLDEN_ROWS = "41a7595420a7e35952e23f790d1648d77c4fb9c9cd5b689ddc9c83c05508c0dd"
+
+
+def _reference_gamma_row(state, n, shape):
+    """The per-draw sampler: each uniform from ``RngStream.next_uniform``.
+
+    Returns the variates, the number of draws taken and the number of
+    attempts rejected for ``v <= 0``.
+    """
+    stream = RngStream(state)
+    nonpositive = 0
+
+    def normal():
+        u1 = 1.0 - stream.next_uniform()
+        u2 = stream.next_uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def gamma(a):
+        nonlocal nonpositive
+        if a < 1.0:
+            u = 1.0 - stream.next_uniform()
+            return gamma(a + 1.0) * u ** (1.0 / a)
+        d = a - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        while True:
+            x = normal()
+            v = (1.0 + c * x) ** 3
+            if v <= 0.0:
+                nonpositive += 1
+                continue
+            u = 1.0 - stream.next_uniform()
+            if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+                return d * v
+
+    values = [gamma(shape) for _ in range(n)]
+    return values, stream.counter, nonpositive
+
+
+class TestGammaRow:
+    def test_golden_rows(self):
+        h = hashlib.sha256()
+        for kwargs, n_ctx in ROW_CONFIGS:
+            src = MarkovSource(seed=11, **kwargs)
+            v = kwargs["vocab_size"]
+            for ctx in range(n_ctx):
+                h.update(src.next([ctx % v, (ctx * 7) % v]).probs.tobytes())
+        assert h.hexdigest() == GOLDEN_ROWS
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+    def test_matches_reference_across_block_refills(self, shape):
+        state = mix64(12345)
+        want, draws, nonpositive = _reference_gamma_row(state, 6000, shape)
+        # More draws than one capped block holds, so the row crosses refills.
+        assert draws > _BLOCK_CAP
+        if shape <= 1.0:
+            assert nonpositive > 0
+        assert _gamma_row(state, 6000, shape) == want
+
+    @pytest.mark.parametrize("shape", [0.05, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_matches_reference_on_short_rows(self, shape, n):
+        for seed in range(20):
+            state = mix64(seed)
+            assert _gamma_row(state, n, shape) == _reference_gamma_row(state, n, shape)[0]
 
 
 class TestMarkovSource:
@@ -75,6 +155,15 @@ class TestMarkovSource:
         for i in range(10):
             src.next([i, i])
         assert len(src._cache) <= 4
+
+    def test_default_cache_bounded_by_bytes(self):
+        # 256 MiB of float64 rows: 1,048 rows at V=32000, not 2**20 (256 GiB).
+        big = MarkovSource(order=1, vocab_size=32000, seed=1)
+        assert big.cache_size == 2**28 // (8 * 32000) == 1048
+        assert MarkovSource(order=0, vocab_size=2**30, seed=1).cache_size == 1
+        # A V=64 corpus of a few thousand contexts never evicts.
+        assert MarkovSource(order=2, vocab_size=64, seed=1).cache_size > 4096
+        assert MarkovSource(order=2, vocab_size=64, seed=1, cache_size=3).cache_size == 3
 
     def test_cache_eviction_keeps_determinism(self):
         src = MarkovSource(order=2, vocab_size=16, seed=1, cache_size=2)
