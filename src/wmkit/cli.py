@@ -40,7 +40,6 @@ from .simulation import (
     Regime,
     RegimeConfig,
     histogram_to_csv,
-    null_histogram,
     run_power,
 )
 
@@ -281,15 +280,7 @@ def cmd_simulate(args) -> int:
     else:
         Path(args.out).write_text(csv)
     if args.histogram is not None:
-        m = config.m_grid[-1]
-        rows = []
-        for stat in (Statistic.SUM, Statistic.HC_PLUS):
-            rows.extend(
-                null_histogram(
-                    stat, m, reps=config.reps, bins=args.hist_bins, config=config
-                )
-            )
-        Path(args.histogram).write_text(histogram_to_csv(rows))
+        Path(args.histogram).write_text(histogram_to_csv(curve.histogram(args.hist_bins)))
     return 0
 
 

@@ -17,11 +17,11 @@ import enum
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .core import GeneratedText
 from .keying import (
@@ -227,7 +227,11 @@ def sum_pvalue(s: float, n: int) -> float:
     normal approximation with matching moments for n >= 15."""
     if n < 15:
         return irwin_hall_cdf(s, n)
-    return float(sstats.norm.cdf((s - n / 2.0) / math.sqrt(n / 12.0)))
+    # Imported here so that importing wmkit loads no scipy; ndtr is the
+    # standard normal CDF that scipy.stats.norm.cdf evaluates.
+    from scipy.special import ndtr
+
+    return float(ndtr((s - n / 2.0) / math.sqrt(n / 12.0)))
 
 
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
@@ -250,17 +254,66 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     )
 
 
-def _hc_matrix(sorted_rows: np.ndarray, variant: Statistic, denom: HcDenom) -> np.ndarray:
-    reps, m = sorted_rows.shape
+# Rows per HC block: about 2**20 scores, so each of a block's three float64
+# buffers takes about 8 MiB whatever m is.
+_HC_BLOCK_ELEMENTS = 1 << 20
+
+
+def _hc_variant(variant) -> Statistic:
+    variant = Statistic(variant)
+    if variant not in (Statistic.HC_PLUS, Statistic.HC_STAR):
+        raise ValueError(f"variant must be hc+ or hc*, got {variant.value}")
+    return variant
+
+
+def _hc_blocks(rows: np.ndarray, variant: Statistic, denom: HcDenom) -> np.ndarray:
+    """HC of each row of a (reps, m) score matrix, one block of rows at a time.
+
+    Each block is copied to float64, sorted and scored in place in three
+    block-sized buffers, with the same elementwise steps in every block, so
+    a row's value depends on that row alone: not on the block size, nor on
+    how many threads run the blocks.  Blocks are shared out over the CPUs
+    this process may use (numpy releases the GIL in sort and in ufuncs); a
+    call of one block runs inline.
+    """
+    reps, m = rows.shape
+    if m < 1:
+        raise TooFewScores("higher criticism needs at least one score per row")
+    out = np.empty(reps)
+    block = max(1, min(reps, _HC_BLOCK_ELEMENTS // m))
+    starts = range(0, reps, block)
     t = np.arange(1, m + 1, dtype=np.float64) / m
-    x = np.clip(sorted_rows, 1e-12, 1.0 - 1e-12)
-    d = x * (1.0 - x)
-    if denom is HcDenom.STANDARD_SQRT:
-        d = np.sqrt(d)
-    hc = math.sqrt(m) * (t[None, :] - sorted_rows) / d
-    if variant is Statistic.HC_PLUS:
-        hc = np.where(sorted_rows >= 1.0 / m, hc, -np.inf)
-    return hc.max(axis=1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(len(starts), cpus))
+
+    def run(first: int) -> None:
+        # Blocks first, first + workers, ...; each writes its own slice of out.
+        s_buf, x_buf, hc_buf = (np.empty((block, m)) for _ in range(3))
+        for lo in starts[first::workers]:
+            hi = min(lo + block, reps)
+            s, x, hc = s_buf[: hi - lo], x_buf[: hi - lo], hc_buf[: hi - lo]
+            np.copyto(s, rows[lo:hi])
+            s.sort(axis=1)
+            np.clip(s, 1e-12, 1.0 - 1e-12, out=x)
+            np.subtract(1.0, x, out=hc)
+            np.multiply(x, hc, out=x)
+            if denom is HcDenom.STANDARD_SQRT:
+                np.sqrt(x, out=x)
+            np.subtract(t, s, out=hc)
+            np.multiply(hc, math.sqrt(m), out=hc)
+            np.divide(hc, x, out=hc)
+            if variant is Statistic.HC_PLUS:
+                # The + restriction is on the unclipped scores; a NaN score
+                # fails it, as it fails s >= 1/m.
+                np.copyto(hc, -np.inf, where=~(s >= 1.0 / m))
+            hc.max(axis=1, out=out[lo:hi])
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+    return out
 
 
 def hc_statistic(
@@ -275,12 +328,11 @@ def hc_statistic(
     the heavy null tail; with no eligible order statistic it returns -inf
     (never rejects).
     """
-    if variant not in (Statistic.HC_PLUS, Statistic.HC_STAR):
-        raise ValueError(f"variant must be hc+ or hc*, got {variant}")
+    variant = _hc_variant(variant)
     values = _score_values(scores)
     if len(values) < 2:
         raise TooFewScores("higher criticism needs at least two scores")
-    return float(_hc_matrix(np.sort(values)[None, :], variant, HcDenom(denom))[0])
+    return float(_hc_blocks(values[None, :], variant, HcDenom(denom))[0])
 
 
 def hc_batch(
@@ -288,8 +340,9 @@ def hc_batch(
     variant: Statistic = Statistic.HC_PLUS,
     denom: HcDenom = HcDenom.STANDARD_SQRT,
 ) -> np.ndarray:
-    """Row-wise :func:`hc_statistic` for a (reps, m) matrix of scores."""
-    return _hc_matrix(np.sort(rows, axis=1), variant, HcDenom(denom))
+    """Row-wise :func:`hc_statistic` for a (reps, m) matrix of scores,
+    computed in float64; ``rows`` is not modified."""
+    return _hc_blocks(np.asarray(rows), _hc_variant(variant), HcDenom(denom))
 
 
 def max_test(scores, alpha: float = 0.01) -> DetectionReport:
@@ -508,7 +561,10 @@ def detect_baseline(
             n += 1
         if n < 1:
             raise EmptyScores("no scorable tuples")
-        p = float(sstats.gamma.sf(stat, a=n))
+        # The Gamma(n, 1) upper tail, as scipy.stats.gamma.sf evaluates it.
+        from scipy.special import gammaincc
+
+        p = float(gammaincc(n, stat))
         return DetectionReport(
             statistic=Statistic.GUMBEL_SUM,
             value=stat,
@@ -524,7 +580,11 @@ def detect_baseline(
         if n < 1:
             raise EmptyScores("no scorable tuples")
         g = sum(1 for s in scores if s.is_green)
-        p = float(sstats.binom.sf(g - 1, n, key.gamma))
+        # No scipy.special function matches binom.sf bit for bit, so this
+        # path alone pays for importing scipy.stats.
+        from scipy.stats import binom
+
+        p = float(binom.sf(g - 1, n, key.gamma))
         return DetectionReport(
             statistic=Statistic.GREEN_COUNT,
             value=float(g),

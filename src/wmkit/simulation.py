@@ -13,7 +13,7 @@ mirroring the analytic detection boundaries p + q = 1/2 (sum test) and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class PowerRow:
 class PowerCurve:
     config: RegimeConfig
     rows: tuple[PowerRow, ...]
+    # Null and alternative values of each statistic at the largest m, kept
+    # so that :meth:`histogram` bins them instead of drawing them again.
+    largest_cell: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     def to_csv(self) -> str:
         c = self.config
@@ -106,6 +109,18 @@ class PowerCurve:
                 f"{c.reps},{c.alpha!r},{row.critical_value!r},{row.power!r},{c.seed}"
             )
         return "\n".join(lines) + "\n"
+
+    def histogram(self, bins: int = 50) -> list[dict]:
+        """Binned null and alternative counts of each statistic at the
+        largest m: the rows :func:`null_histogram` gives for that cell with
+        this curve's config, without drawing the cell again."""
+        if self.largest_cell is None:
+            raise ValueError("this curve keeps no draws to bin")
+        null_stats, alt_stats = self.largest_cell
+        rows = []
+        for stat in _STATISTICS:
+            rows.extend(_histogram_rows(stat, null_stats[stat], alt_stats[stat], bins))
+        return rows
 
 
 def signal_count(config: RegimeConfig, m: int) -> int:
@@ -173,7 +188,7 @@ def run_power(config: RegimeConfig) -> PowerCurve:
                 crit = float(np.quantile(null_stats[stat], 1.0 - config.alpha))
                 power = float(np.mean(alt_stats[stat] > crit))
             rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
-    return PowerCurve(config=config, rows=tuple(rows))
+    return PowerCurve(config=config, rows=tuple(rows), largest_cell=(null_stats, alt_stats))
 
 
 def _classify(p: float, q: float) -> str:
@@ -238,6 +253,12 @@ def null_histogram(
     )
     null_vals = _stats_over_draws(probe, m, 0)[statistic]
     alt_vals = _stats_over_draws(probe, m, 1)[statistic] if config is not None else None
+    return _histogram_rows(statistic, null_vals, alt_vals, bins)
+
+
+def _histogram_rows(
+    statistic: Statistic, null_vals: np.ndarray, alt_vals: np.ndarray | None, bins: int
+) -> list[dict]:
     pool = null_vals if alt_vals is None else np.concatenate([null_vals, alt_vals])
     finite = pool[np.isfinite(pool)]
     edges = np.histogram_bin_edges(finite, bins=bins)

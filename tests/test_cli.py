@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from wmkit import simulation
 from wmkit.cli import main
 from wmkit.simulation import POWER_CSV_HEADER
 
@@ -395,7 +396,15 @@ class TestSimulate:
         assert main([*args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_histogram_output(self, tmp_path):
+    def test_histogram_output(self, tmp_path, monkeypatch):
+        # The histogram bins the draws run_power made at the largest m, so
+        # each (m, role) cell is drawn once.
+        drawn = []
+        draw = simulation._stats_over_draws
+        monkeypatch.setattr(
+            simulation, "_stats_over_draws",
+            lambda config, m, role: drawn.append((m, role)) or draw(config, m, role),
+        )
         hist = tmp_path / "hist.csv"
         rc = main(
             [
@@ -403,7 +412,7 @@ class TestSimulate:
                 "--regime", "weak",
                 "--p", "0.2",
                 "--q", "0.4",
-                "--m", "100",
+                "--m", "50,100",
                 "--reps", "1000",
                 "--out", str(tmp_path / "p.csv"),
                 "--histogram", str(hist),
@@ -414,6 +423,64 @@ class TestSimulate:
         lines = hist.read_text().splitlines()
         assert lines[0].startswith("statistic,bin_lo,bin_hi,null_count")
         assert len(lines) > 20
+        assert sorted(drawn) == [(50, 0), (50, 1), (100, 0), (100, 1)]
+
+
+# sha256 of `wmkit simulate` output, captured before HC moved onto the row
+# block kernel and before the histogram reused run_power's draws: the power
+# CSV, and for the --histogram run the power CSV then the histogram CSV.
+GOLDEN_SIMULATE = {
+    ("weak", "--p", "0.2", "--q", "0.5", "--m", "1000,10000"):
+        ("71dca491cf7d562fed15dcd2e729dbdf28cd9c49bb162610ff43e4e3aa55cc1a",),
+    ("strong", "--p", "0.3", "--r", "0.5", "--m", "3000"):
+        ("ec0921c5949013e8520087bda047019594529f79de3180024c6eabd11cf47025",),
+    ("weak", "--p", "0.2", "--q", "0.4", "--m", "300,3000", "--hist-bins", "30"): (
+        "f87dcde21678433be5e5afa77dc435db58079a541960cb09bc7142ac55b7fc80",
+        "db48eab8afc8a74d6c099931970f550d88d8d75e610a50c94a23a04d844634f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_SIMULATE))
+def test_simulate_golden(tmp_path, cell):
+    power, hist = tmp_path / "power.csv", tmp_path / "hist.csv"
+    extra = ("--histogram", str(hist)) if "--hist-bins" in cell else ()
+    regime, *flags = cell
+    rc = main(
+        ["simulate", "--regime", regime, *flags, "--reps", "1000", "--out", str(power), *extra]
+    )
+    assert rc == 0
+    outputs = (power, hist) if extra else (power,)
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in outputs)
+    assert digests == GOLDEN_SIMULATE[cell]
+
+
+# sha256 of `wmkit calibrate` JSON without its cache_dir (alpha 0.01, 2000
+# reps, seed 0), captured before HC moved onto the row block kernel.  n = 300
+# is one HC block; n = 5000 is ten, shared over the allowed CPUs.
+GOLDEN_CALIBRATE = {
+    ("hc+", "sqrt", 300): "e28d347fdf0088b7065ef250cd66dcfa1873795830c6ebc79a9d17e28a5cdc44",
+    ("hc+", "linear", 300): "dc06d9b090d5b08c4ea64dfb758c8fa186bcfd20a7facbd2e3b8c8f8f3b97145",
+    ("hc*", "sqrt", 300): "24c12e54953c05a0b39602f80a5c47b01631d67ab136ca2dd27c693c04ea8482",
+    ("hc*", "linear", 300): "77f3a0320008c6ede4ea527c471e60fddaf0f3e54626fee608240f13cb4a9236",
+    ("hc+", "sqrt", 5000): "06bb8dad4b0339d5f4b630524dbaba1c6995a312df51272144414fe89ec41f69",
+    ("hc+", "linear", 5000): "b8d6104f7aa5d5c30ac6dccc68374575f293e713b1645c9df6d082628641cb94",
+    ("hc*", "sqrt", 5000): "0ec202daec478e363f37910303355503b9c22474d84573bc248905ee00b04f2f",
+    ("hc*", "linear", 5000): "7ffeac81adfb669fafa12e42dd20ba729220f138fb0147b70d4ae8d35635191f",
+}
+
+
+@pytest.mark.parametrize("stat,denom,n", sorted(GOLDEN_CALIBRATE))
+def test_calibrate_golden(tmp_path, capsys, stat, denom, n):
+    rc = main(
+        ["calibrate", "--stat", stat, "--n", str(n), "--hc-denom", denom,
+         "--cache-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("cache_dir")
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == GOLDEN_CALIBRATE[(stat, denom, n)]
 
 
 class TestCalibrate:
@@ -446,6 +513,23 @@ class TestTopLevel:
 
     def test_no_args(self):
         assert main([]) == 2
+
+    def test_no_scipy_stats_on_import_or_sum_detect(self, tmp_path):
+        # scipy.stats costs about a second to import; only the green-count
+        # baseline needs it.
+        src = _generate(tmp_path, texts=1, n=40)
+        detect_argv = ["detect", "--in", str(src), "--key", KEY_ARG, "--stat", "sum",
+                       "--out", str(tmp_path / "r.jsonl")]
+        code = (
+            "import sys\n"
+            "import wmkit.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'loaded by import'\n"
+            f"assert wmkit.cli.main({detect_argv!r}) == 0\n"
+            "assert 'scipy.stats' not in sys.modules, 'loaded by detect'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert _records(tmp_path / "r.jsonl")[0]["n_scored"] >= 15
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "e.jsonl"

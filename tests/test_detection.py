@@ -3,13 +3,16 @@ calibrated thresholds."""
 
 import math
 import os
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from wmkit import detection
 from wmkit.core import GeneratedText, RngStream, make_ntp
 from wmkit.decoders import DecoderConfig, generate
 from wmkit.detection import (
@@ -81,9 +84,11 @@ class TestIrwinHall:
 
     def test_sum_pvalue_dispatch(self):
         assert sum_pvalue(7.0, 14) == irwin_hall_cdf(7.0, 14)
-        assert sum_pvalue(7.5, 15) == pytest.approx(
-            float(sstats.norm.cdf(0.0 / math.sqrt(15 / 12.0)))
-        )
+        # The normal branch is scipy.stats.norm.cdf bit for bit.
+        for n in (15, 40, 300, 3000):
+            for s in np.linspace(0.0, n, 61):
+                z = (s - n / 2.0) / math.sqrt(n / 12.0)
+                assert sum_pvalue(s, n) == float(sstats.norm.cdf(z))
 
 
 class TestSumTest:
@@ -141,9 +146,10 @@ class TestHigherCriticism:
         rng = np.random.default_rng(3)
         rows = rng.random((64, 40))
         for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
-            batch = hc_batch(rows, variant)
-            singles = [hc_statistic(r, variant) for r in rows]
-            assert np.allclose(batch, singles)
+            for denom in HcDenom:
+                batch = hc_batch(rows, variant, denom)
+                singles = np.array([hc_statistic(r, variant, denom) for r in rows])
+                assert batch.tobytes() == singles.tobytes()
 
     def test_signal_raises_statistic(self):
         rng = np.random.default_rng(4)
@@ -151,6 +157,93 @@ class TestHigherCriticism:
         alt = null.copy()
         alt[:100] *= 0.05
         assert hc_statistic(alt) > hc_statistic(null)
+
+    def test_variant_given_by_name(self):
+        x = np.random.default_rng(5).random((3, 200))
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            assert hc_statistic(x[0], variant.value) == hc_statistic(x[0], variant)
+            assert np.array_equal(hc_batch(x, variant.value), hc_batch(x, variant))
+        with pytest.raises(ValueError):
+            hc_batch(x, Statistic.SUM)
+
+
+def _hc_oracle(rows, variant, denom):
+    # The whole-matrix HC that the block kernel replaced, kept as its oracle.
+    sorted_rows = np.sort(rows, axis=1)
+    m = sorted_rows.shape[1]
+    t = np.arange(1, m + 1, dtype=np.float64) / m
+    x = np.clip(sorted_rows, 1e-12, 1.0 - 1e-12)
+    d = x * (1.0 - x)
+    if denom is HcDenom.STANDARD_SQRT:
+        d = np.sqrt(d)
+    hc = math.sqrt(m) * (t[None, :] - sorted_rows) / d
+    if variant is Statistic.HC_PLUS:
+        hc = np.where(sorted_rows >= 1.0 / m, hc, -np.inf)
+    return hc.max(axis=1)
+
+
+def _hc_rows(reps, m, seed):
+    # Uniform rows with the edge cases the kernel must keep: exact 0 and 1,
+    # scores below 1/m, ties, and scores equal to some t = i/m.
+    x = np.random.default_rng(seed).random((reps, m))
+    x[0, :2] = (0.0, 1.0)
+    if reps > 1:
+        x[1, : max(1, m // 2)] = 0.4 / m
+    if reps > 2:
+        x[2] = np.round(x[2], 1)
+    if reps > 3:
+        x[3] = np.arange(1, m + 1) / m
+    return x
+
+
+class TestHcKernel:
+    # (reps, m): the smallest m; one block; three blocks, the last one
+    # partial, shared over the allowed CPUs; one row per block.
+    @pytest.mark.parametrize("reps,m", [(7, 2), (50, 300), (1000, 3000), (2, 2**20 + 1)])
+    def test_bytes_match_whole_matrix_oracle(self, reps, m):
+        rows = _hc_rows(reps, m, seed=reps + m)
+        before = rows.copy()
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            for denom in HcDenom:
+                got = hc_batch(rows, variant, denom)
+                assert got.tobytes() == _hc_oracle(rows, variant, denom).tobytes()
+        assert np.array_equal(rows, before)
+
+    def test_threads_only_for_more_than_one_block(self, monkeypatch):
+        pools = []
+
+        def recording_pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(detection, "ThreadPoolExecutor", recording_pool)
+        one_block = np.random.default_rng(12).random((2000, 300))
+        hc_batch(one_block)
+        hc_statistic(one_block[0])
+        assert pools == []
+        hc_batch(np.random.default_rng(13).random((1000, 3000)))
+        cpus = len(os.sched_getaffinity(0))
+        assert pools == ([] if cpus == 1 else [min(3, cpus)])
+
+    def test_scalar_does_not_mutate(self):
+        x = np.random.default_rng(10).random(500)
+        before = x.copy()
+        hc_statistic(x)
+        assert np.array_equal(x, before)
+
+    def test_peak_memory_bounded_by_blocks(self):
+        # Ten blocks of 10 rows; each thread holds three (10, 1e5) float64
+        # buffers (about 23 MiB), where the whole-matrix kernel held about
+        # 390 MiB of (100, 1e5) temporaries.
+        rows = np.random.default_rng(11).random((100, 100_000))
+        workers = min(10, len(os.sched_getaffinity(0)))
+        tracemalloc.start()
+        try:
+            hc_batch(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 32 * workers) * 2**20
 
 
 class TestMaxTest:
@@ -402,13 +495,14 @@ class TestBaselines:
         report = detect_baseline(text, KEY, "gumbel", alpha=0.01)
         assert report.statistic is Statistic.GUMBEL_SUM
         assert report.reject
+        assert report.p_value == float(sstats.gamma.sf(report.value, a=report.n_scored))
 
     def test_gumbel_baseline_null_calibrated(self):
         rng = np.random.default_rng(10)
-        pvals = [
-            detect_baseline(_random_text(rng), KEY, "gumbel").p_value for _ in range(200)
-        ]
-        assert sstats.kstest(pvals, "uniform").pvalue > 1e-3
+        reports = [detect_baseline(_random_text(rng), KEY, "gumbel") for _ in range(200)]
+        for r in reports:
+            assert r.p_value == float(sstats.gamma.sf(r.value, a=r.n_scored))
+        assert sstats.kstest([r.p_value for r in reports], "uniform").pvalue > 1e-3
 
     def test_green_count_all_green_pvalue(self):
         # Ten of ten green tokens under gamma = 0.5: upper tail is 2**-10.
