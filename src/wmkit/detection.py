@@ -47,6 +47,7 @@ __all__ = [
     "sum_test",
     "hc_statistic",
     "hc_batch",
+    "RowStream",
     "max_test",
     "calibrate_null",
     "default_cache_dir",
@@ -254,9 +255,9 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     )
 
 
-# Rows per HC block: about 2**20 scores, so each of a block's three float64
-# buffers takes about 8 MiB whatever m is.
-_HC_BLOCK_ELEMENTS = 1 << 20
+# Rows per block of drawn or scored rows: about 2**20 scores, so each of an
+# HC block's three float64 buffers takes about 8 MiB whatever m is.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _hc_variant(variant) -> Statistic:
@@ -266,21 +267,85 @@ def _hc_variant(variant) -> Statistic:
     return variant
 
 
-def _hc_blocks(rows: np.ndarray, variant: Statistic, denom: HcDenom) -> np.ndarray:
-    """HC of each row of a (reps, m) score matrix, one block of rows at a time.
+class RowStream:
+    """A (reps, m) matrix of U[0,1) scores that is drawn block by block, so
+    that :func:`hc_batch` draws, sorts and scores each block in its own
+    buffer instead of holding the whole matrix.
 
-    Each block is copied to float64, sorted and scored in place in three
-    block-sized buffers, with the same elementwise steps in every block, so
-    a row's value depends on that row alone: not on the block size, nor on
-    how many threads run the blocks.  Blocks are shared out over the CPUs
-    this process may use (numpy releases the GIL in sort and in ufuncs); a
-    call of one block runs inline.
+    The draws come from the PCG64 stream seeded with ``entropy`` (the stream
+    of ``np.random.default_rng(entropy)``), read at offsets: rows are laid out
+    in chunks of ``chunk_rows`` rows (default: one chunk), each holding its
+    rows' m uniforms and then their ``extra`` uniforms, so chunk j starts at
+    draw j * chunk_rows * (m + extra).  With no extra draws, row r starts at
+    draw r * m.  ``transform(x, u)``, when given, changes rows x in place
+    given their extra uniforms u (None when there are none).  With a
+    ``reduce`` ufunc, each filled row's reduction (``np.add``: its sum) is
+    written to ``reduced`` before anything sorts the row.
+    """
+
+    def __init__(self, entropy, shape, *, extra=0, chunk_rows=None, transform=None, reduce=None):
+        self.entropy = [int(e) for e in entropy]
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.size = self.shape[0] * self.shape[1]
+        self.extra = int(extra)
+        self.chunk_rows = int(chunk_rows or max(1, self.shape[0]))
+        self.transform = transform
+        self.reduce = reduce
+        self.reduced = None if reduce is None else np.empty(self.shape[0])
+
+    def _draws(self, offset: int) -> np.random.Generator:
+        # A fresh generator at the given draw of the stream: each block is
+        # drawn on its own, in any thread.
+        return np.random.Generator(np.random.PCG64(self.entropy).advance(offset))
+
+    def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Draw rows lo..hi-1 into ``out``, a C-contiguous (hi - lo, m)
+        float64 array, one chunk segment at a time."""
+        reps, m = self.shape
+        k, rows_per_chunk = self.extra, self.chunk_rows
+        a = lo
+        while a < hi:
+            first = a - a % rows_per_chunk
+            c = min(rows_per_chunk, reps - first)
+            b = min(hi, first + c)
+            x = out[a - lo : b - lo]
+            base = first * (m + k)
+            self._draws(base + (a - first) * m).random(out=x)
+            if self.transform is not None:
+                u = self._draws(base + c * m + (a - first) * k).random((b - a, k)) if k else None
+                self.transform(x, u)
+            a = b
+        if self.reduce is not None:
+            self.reduce.reduce(out, axis=1, out=self.reduced[lo:hi])
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape)
+        self.fill(0, self.shape[0], out)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
+    """HC of each row of a (reps, m) score matrix or :class:`RowStream`, one
+    block of rows at a time.
+
+    Each block is copied (or drawn) into a float64 buffer, sorted and scored
+    in place in three block-sized buffers, with the same elementwise steps
+    in every block, so a row's value depends on that row alone: not on the
+    block size, nor on how many threads run the blocks.  Blocks are shared
+    out over the CPUs this process may use (numpy releases the GIL in
+    drawing, sort and ufuncs); a call of one block runs inline.
     """
     reps, m = rows.shape
     if m < 1:
         raise TooFewScores("higher criticism needs at least one score per row")
+    if isinstance(rows, RowStream):
+        fill = rows.fill
+    else:
+        def fill(lo: int, hi: int, out: np.ndarray) -> None:
+            np.copyto(out, rows[lo:hi])
+
     out = np.empty(reps)
-    block = max(1, min(reps, _HC_BLOCK_ELEMENTS // m))
+    block = max(1, min(reps, _BLOCK_ELEMENTS // m))
     starts = range(0, reps, block)
     t = np.arange(1, m + 1, dtype=np.float64) / m
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -292,7 +357,7 @@ def _hc_blocks(rows: np.ndarray, variant: Statistic, denom: HcDenom) -> np.ndarr
         for lo in starts[first::workers]:
             hi = min(lo + block, reps)
             s, x, hc = s_buf[: hi - lo], x_buf[: hi - lo], hc_buf[: hi - lo]
-            np.copyto(s, rows[lo:hi])
+            fill(lo, hi, s)
             s.sort(axis=1)
             np.clip(s, 1e-12, 1.0 - 1e-12, out=x)
             np.subtract(1.0, x, out=hc)
@@ -341,8 +406,11 @@ def hc_batch(
     denom: HcDenom = HcDenom.STANDARD_SQRT,
 ) -> np.ndarray:
     """Row-wise :func:`hc_statistic` for a (reps, m) matrix of scores,
-    computed in float64; ``rows`` is not modified."""
-    return _hc_blocks(np.asarray(rows), _hc_variant(variant), HcDenom(denom))
+    computed in float64; ``rows`` is not modified.  A :class:`RowStream` is
+    drawn block by block inside the kernel and never held whole."""
+    if not isinstance(rows, RowStream):
+        rows = np.asarray(rows)
+    return _hc_blocks(rows, _hc_variant(variant), HcDenom(denom))
 
 
 def max_test(scores, alpha: float = 0.01) -> DetectionReport:
@@ -384,21 +452,19 @@ def default_cache_dir() -> Path:
 def _null_statistics(
     statistic: Statistic, n: int, reps: int, seed: int, denom: HcDenom
 ) -> np.ndarray:
-    rng = np.random.default_rng([_STAT_CODE[statistic], n, reps, seed])
-    chunk = max(1, int(2e7) // max(n, 1))
-    vals = []
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        x = rng.random((c, n))
-        if statistic is Statistic.SUM:
-            vals.append(x.sum(axis=1))
-        elif statistic is Statistic.MAX:
-            vals.append(x.max(axis=1))
-        else:
-            vals.append(hc_batch(x, statistic, denom))
-        done += c
-    return np.concatenate(vals)
+    rows = RowStream(
+        (_STAT_CODE[statistic], n, reps, seed),
+        (reps, n),
+        reduce={Statistic.SUM: np.add, Statistic.MAX: np.maximum}.get(statistic),
+    )
+    if rows.reduce is None:
+        return hc_batch(rows, statistic, denom)
+    # Sum and max: blocks of about 2**20 scores on this thread, reduced by fill.
+    buf = np.empty((max(1, min(reps, _BLOCK_ELEMENTS // max(n, 1))), n))
+    for lo in range(0, reps, len(buf)):
+        hi = min(lo + len(buf), reps)
+        rows.fill(lo, hi, buf[: hi - lo])
+    return rows.reduced
 
 
 def _cache_statistic(statistic: Statistic, denom: HcDenom) -> str:
@@ -444,14 +510,30 @@ def _cache_lookup(path: Path, statistic, n, alpha, reps, seed, denom) -> float |
 
 
 def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_value) -> None:
+    # Safe across processes: a new file appears with its header and first
+    # row already in it (a hard link to a finished temporary file, which
+    # fails if another process made the file first), and every other row is
+    # one O_APPEND write, so concurrent writers never interleave or
+    # overwrite rows.
     path.parent.mkdir(parents=True, exist_ok=True)
     stat = _cache_statistic(statistic, denom)
     line = f"{stat},{n},{alpha!r},{reps},{seed},{critical_value!r}\n"
     if not path.exists():
-        path.write_text(_CACHE_HEADER + "\n" + line)
-    else:
-        with path.open("a") as fh:
-            fh.write(line)
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+        with open(tmp, "x") as fh:
+            fh.write(_CACHE_HEADER + "\n" + line)
+        try:
+            os.link(tmp, path)
+            return
+        except FileExistsError:
+            pass  # another process made the file first
+        finally:
+            os.unlink(tmp)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        os.write(fd, line.encode())
+    finally:
+        os.close(fd)
 
 
 def calibrate_null(

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .detection import HcDenom, Statistic, hc_batch
+from .detection import HcDenom, RowStream, Statistic, hc_batch
 
 __all__ = [
     "Regime",
@@ -34,7 +35,9 @@ __all__ = [
 
 POWER_CSV_HEADER = "regime,p,q_or_r,m,statistic,reps,alpha,critical_value,power,seed"
 
-# Keep per-chunk draw matrices under ~80 MB.
+# The STRONG alternative's stream layout: chunks of max(1, 1e7 // m) rows,
+# each with its rows' m scores and then their P_G draws, as whole chunks of
+# about 1e7 scores were once drawn.
 _CHUNK_ELEMENTS = int(1e7)
 
 _STATISTICS = (Statistic.SUM, Statistic.HC_PLUS)
@@ -128,23 +131,24 @@ def signal_count(config: RegimeConfig, m: int) -> int:
     return int(m * m ** (-config.p) + 0.5)
 
 
-def _alt_block(config: RegimeConfig, m: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """(reps, m) alternative scores with signals in the leading columns.
+def _signal_draws(config: RegimeConfig, m: int) -> int:
+    """Extra uniforms an alternative row draws after its m scores: one P_G
+    per signal under STRONG, none under WEAK."""
+    return signal_count(config, m) if config.regime is Regime.STRONG else 0
 
-    The tests are permutation-invariant, so block sampling skips the
-    per-replication shuffle that :func:`sample_alternative` performs.
-    """
+
+def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, u: np.ndarray | None) -> None:
+    """Turn rows x of null uniforms into alternative scores in place, with
+    the signals in the leading columns: STRONG scales them by P_G, uniform
+    on [m**(-r), 1] from the rows' extra uniforms u; WEAK by 1 - m**(-q)."""
     n_sig = signal_count(config, m)
-    x = rng.random((reps, m))
     if n_sig == 0:
-        return x
+        return
     if config.regime is Regime.STRONG:
         lo = m ** (-config.r)
-        pg = lo + (1.0 - lo) * rng.random((reps, n_sig))
-        x[:, :n_sig] *= pg
+        x[:, :n_sig] *= lo + (1.0 - lo) * u
     else:
         x[:, :n_sig] *= 1.0 - m ** (-config.q)
-    return x
 
 
 def sample_alternative(config: RegimeConfig, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,25 +156,34 @@ def sample_alternative(config: RegimeConfig, m: int, rng: np.random.Generator) -
     positions, null uniforms elsewhere, in shuffled order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    row = _alt_block(config, m, 1, rng)[0]
-    return row[rng.permutation(m)]
+    x = rng.random((1, m))
+    k = _signal_draws(config, m)
+    _add_signal(config, m, x, rng.random((1, k)) if k else None)
+    return x[0][rng.permutation(m)]
+
+
+def _cell_rows(config: RegimeConfig, m: int, role: int) -> RowStream:
+    """The (reps, m) scores of one (m, role) cell, drawn lazily with their
+    row sums; role 0 = null, role 1 = alternative, which needs no per-row
+    shuffle because the tests are permutation-invariant.  Streams are
+    derived from (seed, m, role) so the two roles never share draws."""
+    alt = role == 1
+    return RowStream(
+        (config.seed, m, role),
+        (config.reps, m),
+        extra=_signal_draws(config, m) if alt else 0,
+        chunk_rows=max(1, _CHUNK_ELEMENTS // m),
+        transform=partial(_add_signal, config, m) if alt else None,
+        reduce=np.add,
+    )
 
 
 def _stats_over_draws(config: RegimeConfig, m: int, role: int) -> dict[Statistic, np.ndarray]:
-    """All reps of each statistic for one (m, role) cell; role 0 = null,
-    role 1 = alternative.  Streams are derived from (seed, m, role) so the
-    two roles never share draws."""
-    rng = np.random.default_rng([config.seed, m, role])
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // m)
-    out: dict[Statistic, list[np.ndarray]] = {s: [] for s in _STATISTICS}
-    done = 0
-    while done < config.reps:
-        c = min(rows_per_chunk, config.reps - done)
-        x = rng.random((c, m)) if role == 0 else _alt_block(config, m, c, rng)
-        out[Statistic.SUM].append(x.sum(axis=1))
-        out[Statistic.HC_PLUS].append(hc_batch(x, Statistic.HC_PLUS, HcDenom.STANDARD_SQRT))
-        done += c
-    return {s: np.concatenate(v) for s, v in out.items()}
+    """All reps of each statistic for one (m, role) cell; :func:`hc_batch`
+    draws, sums and scores the rows block by block."""
+    rows = _cell_rows(config, m, role)
+    hc = hc_batch(rows, Statistic.HC_PLUS, HcDenom.STANDARD_SQRT)
+    return {Statistic.SUM: rows.reduced, Statistic.HC_PLUS: hc}
 
 
 def run_power(config: RegimeConfig) -> PowerCurve:

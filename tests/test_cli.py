@@ -438,6 +438,14 @@ GOLDEN_SIMULATE = {
         "f87dcde21678433be5e5afa77dc435db58079a541960cb09bc7142ac55b7fc80",
         "db48eab8afc8a74d6c099931970f550d88d8d75e610a50c94a23a04d844634f5",
     ),
+    # Captured before the cells were drawn inside the HC kernel from offsets
+    # in their streams; each spans more than one of the old draw chunks of
+    # about 1e7 scores: two STRONG chunks (x draws, then P_G draws, per
+    # chunk) and four WEAK ones.
+    ("strong", "--p", "0.3", "--r", "0.5", "--m", "20000"):
+        ("09ab641defb0a55a539d7be245e926a381407a10493abad7c092928853249678",),
+    ("weak", "--p", "0.2", "--q", "0.5", "--m", "30000"):
+        ("6f41901e8e4f8437c2930bd61f75a8e7dbb1ff531c412cff4f4ae6c7545a3ded",),
 }
 
 
@@ -467,6 +475,11 @@ GOLDEN_CALIBRATE = {
     ("hc+", "linear", 5000): "b8d6104f7aa5d5c30ac6dccc68374575f293e713b1645c9df6d082628641cb94",
     ("hc*", "sqrt", 5000): "0ec202daec478e363f37910303355503b9c22474d84573bc248905ee00b04f2f",
     ("hc*", "linear", 5000): "7ffeac81adfb669fafa12e42dd20ba729220f138fb0147b70d4ae8d35635191f",
+    # Captured before the nulls were drawn from offsets in their streams:
+    # n = 20000 spans two of the old draw chunks of 1000 rows.
+    ("sum", "sqrt", 20000): "85cc924c4eb51dfff47be3dc57094e7ead3aaf872aa6bd3caf227c75b8f21f91",
+    ("max", "sqrt", 20000): "bad183cf0f35c97660062a64a82cdeb26278072fd31318eb5090b250e2ba4899",
+    ("hc+", "sqrt", 20000): "66f19100a9d17ec99e9da9a85ddea355a43f832f74b3dac9b30e792031752f0c",
 }
 
 

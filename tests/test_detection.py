@@ -3,6 +3,10 @@ calibrated thresholds."""
 
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +23,7 @@ from wmkit.detection import (
     EmptyScores,
     HcDenom,
     OutOfRange,
+    RowStream,
     Side,
     Statistic,
     TooFewScores,
@@ -245,6 +250,34 @@ class TestHcKernel:
             tracemalloc.stop()
         assert peak < (16 + 32 * workers) * 2**20
 
+    @pytest.mark.parametrize("reps,m", [(7, 2), (1000, 3000)])
+    def test_stream_matches_its_materialized_matrix(self, reps, m):
+        rows = RowStream((4, m, reps), (reps, m))
+        whole = np.asarray(rows)
+        assert whole.tobytes() == np.random.default_rng([4, m, reps]).random((reps, m)).tobytes()
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            for denom in HcDenom:
+                got = hc_batch(rows, variant, denom)
+                assert got.tobytes() == hc_batch(whole, variant, denom).tobytes()
+
+    def test_fill_covers_every_row_once(self):
+        # 1000 rows of 3000 scores: three blocks, shared over the threads.
+        rows = RowStream((5,), (1000, 3000), reduce=np.add)
+        spans, lock, fill = [], threading.Lock(), rows.fill
+
+        def recording_fill(lo, hi, out):
+            with lock:
+                spans.append((lo, hi))
+            fill(lo, hi, out)
+
+        rows.fill = recording_fill
+        hc_batch(rows)
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == 1000 and len(spans) == 3
+        assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(spans, spans[1:]))
+        sums = np.random.default_rng([5]).random((1000, 3000)).sum(axis=1)
+        assert rows.reduced.tobytes() == sums.tobytes()
+
 
 class TestMaxTest:
     def test_single_score(self):
@@ -363,6 +396,53 @@ class TestCalibration:
             got = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
         assert got.critical_value == fresh.critical_value
         assert path.read_text().splitlines()[-1].endswith(repr(fresh.critical_value))
+
+    @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
+    def test_cold_calibration_memory_bounded(self, statistic, n):
+        # The null is drawn in blocks of about 2**20 scores (8 MiB): on this
+        # thread for the sum, and in the HC kernel's three buffers per thread
+        # for HC.  A draw chunk of 2e7 scores (153 MiB) breaks the bound.
+        threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))
+        tracemalloc.start()
+        try:
+            calibrate_null(statistic, n, 0.01, use_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 24 * threads) * 2**20
+
+    def test_concurrent_appends_keep_one_header_and_every_row(self, tmp_path):
+        # Two processes append 25 rows each to the same 20 new cache files.
+        code = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from wmkit.detection import HcDenom, Statistic, _cache_append\n"
+            "root, who, start = Path(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])\n"
+            "time.sleep(max(0.0, start - time.time()))\n"
+            "for f in range(20):\n"
+            "    for n in range(25):\n"
+            "        _cache_append(root / str(f) / 'calibrations.csv', Statistic.SUM, n,\n"
+            "                      0.01, 1000, who, HcDenom.STANDARD_SQRT, 0.5)\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        start = str(time.time() + 2.0)
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code, str(tmp_path), str(who), start], env=env)
+            for who in (1, 2)
+        ]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        header = "statistic,n,alpha,reps,seed,critical_value"
+        want = sorted(f"sum,{n},0.01,1000,{who},0.5" for who in (1, 2) for n in range(25))
+        for f in range(20):
+            lines = (tmp_path / str(f) / "calibrations.csv").read_text().splitlines()
+            assert lines[0] == header
+            assert sorted(lines[1:]) == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(str(f) for f in range(20))
+        assert all(p.name == "calibrations.csv" for d in tmp_path.iterdir() for p in d.iterdir())
 
     def test_malformed_rows_warn_once(self, tmp_path):
         (tmp_path / "calibrations.csv").write_text(

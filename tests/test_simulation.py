@@ -1,10 +1,14 @@
 """Sparse-mixture power study: regimes, boundary classification, and CSV
 reporting."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wmkit.detection import Statistic
+from wmkit import simulation
+from wmkit.detection import HcDenom, Statistic, hc_batch
 from wmkit.simulation import (
     POWER_CSV_HEADER,
     PowerCurve,
@@ -155,6 +159,68 @@ class TestRunPower:
         assert any(
             x.critical_value != y.critical_value for x, y in zip(a.rows, b.rows)
         )
+
+
+def _chunked_draws(config, m, role):
+    # A cell as it was drawn before its rows came from stream offsets: whole
+    # chunks of max(1, _CHUNK_ELEMENTS // m) rows from one generator, the
+    # STRONG alternative drawing each chunk's P_G after its scores.
+    rng = np.random.default_rng([config.seed, m, role])
+    rows_per_chunk = max(1, simulation._CHUNK_ELEMENTS // m)
+    n_sig = signal_count(config, m)
+    chunks = []
+    for lo in range(0, config.reps, rows_per_chunk):
+        x = rng.random((min(rows_per_chunk, config.reps - lo), m))
+        if role == 1 and config.regime is Regime.STRONG:
+            floor = m ** (-config.r)
+            x[:, :n_sig] *= floor + (1.0 - floor) * rng.random((len(x), n_sig))
+        elif role == 1:
+            x[:, :n_sig] *= 1.0 - m ** (-config.q)
+        chunks.append(x)
+    return np.concatenate(chunks)
+
+
+class TestDrawnCells:
+    @pytest.mark.parametrize(
+        "config,role", [(_weak(), 0), (_weak(), 1), (_strong(), 1)], ids=["null", "weak", "strong"]
+    )
+    def test_blocks_match_chunked_draws(self, monkeypatch, config, role):
+        # Chunks of 33 rows at m = 300; blocks of 7 and 50 rows cross them.
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 10_000)
+        m = 300
+        want = _chunked_draws(config, m, role)
+        for block in (7, 50):
+            rows = simulation._cell_rows(config, m, role)
+            got = np.empty_like(want)
+            for lo in range(0, config.reps, block):
+                rows.fill(lo, min(lo + block, config.reps), got[lo : lo + block])
+            assert got.tobytes() == want.tobytes()
+            assert rows.reduced.tobytes() == want.sum(axis=1).tobytes()
+        stats = simulation._stats_over_draws(config, m, role)
+        assert stats[Statistic.SUM].tobytes() == want.sum(axis=1).tobytes()
+        hc = hc_batch(want, Statistic.HC_PLUS, HcDenom.STANDARD_SQRT)
+        assert stats[Statistic.HC_PLUS].tobytes() == hc.tobytes()
+
+    @pytest.mark.parametrize("config", [_weak(), _strong()], ids=["weak", "strong"])
+    def test_stream_matches_its_materialized_matrix(self, config):
+        # Three HC blocks of the m = 3000 alternative, scored in threads.
+        rows = simulation._cell_rows(config, 3000, 1)
+        whole = np.asarray(rows)
+        assert hc_batch(rows).tobytes() == hc_batch(whole).tobytes()
+        assert rows.reduced.tobytes() == whole.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("role", [0, 1])
+    def test_peak_memory_bounded_by_blocks(self, role):
+        # Each thread draws and scores blocks of 10 rows in three (10, 1e5)
+        # float64 buffers; no (reps, m) chunk is held.
+        workers = min(100, len(os.sched_getaffinity(0)))
+        tracemalloc.start()
+        try:
+            simulation._stats_over_draws(_weak(m_grid=(100_000,)), 100_000, role)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 24 * workers) * 2**20
 
 
 class TestBoundaryScan:
