@@ -87,9 +87,7 @@ from .simulation import (
     Regime,
     RegimeConfig,
     boundary_scan,
-    null_histogram,
     run_power,
-    sample_alternative,
 )
 
 __version__ = "0.1.0"

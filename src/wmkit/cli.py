@@ -273,6 +273,8 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.hist_bins < 1:
+        raise UsageError("--hist-bins must be >= 1")
     curve = run_power(config)
     csv = curve.to_csv()
     if args.out is None:

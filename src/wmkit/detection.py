@@ -460,7 +460,7 @@ def _null_statistics(
     if rows.reduce is None:
         return hc_batch(rows, statistic, denom)
     # Sum and max: blocks of about 2**20 scores on this thread, reduced by fill.
-    buf = np.empty((max(1, min(reps, _BLOCK_ELEMENTS // max(n, 1))), n))
+    buf = np.empty((max(1, min(reps, _BLOCK_ELEMENTS // n)), n))
     for lo in range(0, reps, len(buf)):
         hi = min(lo + len(buf), reps)
         rows.fill(lo, hi, buf[: hi - lo])
@@ -559,6 +559,8 @@ def calibrate_null(
         raise ValueError(f"no simulated null for statistic {statistic}")
     if reps < 1000:
         raise ValueError("calibration needs reps >= 1000")
+    if n < 1:
+        raise OutOfRange(f"calibration needs n >= 1, got {n}")
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
     if use_cache:

@@ -25,10 +25,8 @@ __all__ = [
     "RegimeConfig",
     "PowerRow",
     "PowerCurve",
-    "sample_alternative",
     "run_power",
     "boundary_scan",
-    "null_histogram",
     "histogram_to_csv",
     "POWER_CSV_HEADER",
 ]
@@ -67,10 +65,10 @@ class RegimeConfig:
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if self.regime is Regime.STRONG and self.r is None:
-            raise ValueError("STRONG regime requires r")
-        if self.regime is Regime.WEAK and self.q is None:
-            raise ValueError("WEAK regime requires q")
+        if self.regime is Regime.STRONG and (self.r is None or not self.r > 0.0):
+            raise ValueError("STRONG regime requires r > 0")
+        if self.regime is Regime.WEAK and (self.q is None or not self.q > 0.0):
+            raise ValueError("WEAK regime requires q > 0")
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")
         if any(m < 1 for m in self.m_grid):
@@ -115,8 +113,8 @@ class PowerCurve:
 
     def histogram(self, bins: int = 50) -> list[dict]:
         """Binned null and alternative counts of each statistic at the
-        largest m: the rows :func:`null_histogram` gives for that cell with
-        this curve's config, without drawing the cell again."""
+        largest m, from the draws :func:`run_power` made there.  Bins cover
+        the pooled finite values."""
         if self.largest_cell is None:
             raise ValueError("this curve keeps no draws to bin")
         null_stats, alt_stats = self.largest_cell
@@ -151,17 +149,6 @@ def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, u: np.ndarray | Non
         x[:, :n_sig] *= 1.0 - m ** (-config.q)
 
 
-def sample_alternative(config: RegimeConfig, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One alternative replication: signal draws for a m**(-p) fraction of
-    positions, null uniforms elsewhere, in shuffled order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = rng.random((1, m))
-    k = _signal_draws(config, m)
-    _add_signal(config, m, x, rng.random((1, k)) if k else None)
-    return x[0][rng.permutation(m)]
-
-
 def _cell_rows(config: RegimeConfig, m: int, role: int) -> RowStream:
     """The (reps, m) scores of one (m, role) cell, drawn lazily with their
     row sums; role 0 = null, role 1 = alternative, which needs no per-row
@@ -186,6 +173,21 @@ def _stats_over_draws(config: RegimeConfig, m: int, role: int) -> dict[Statistic
     return {Statistic.SUM: rows.reduced, Statistic.HC_PLUS: hc}
 
 
+def _power_rows(config: RegimeConfig, m: int, null_stats: dict, alt_stats: dict) -> list[PowerRow]:
+    """Each statistic's critical value, the null quantile at level alpha
+    in its rejection tail, and its rejection rate over the alternative."""
+    rows = []
+    for stat in _STATISTICS:
+        if stat is Statistic.SUM:
+            crit = float(np.quantile(null_stats[stat], config.alpha))
+            power = float(np.mean(alt_stats[stat] < crit))
+        else:
+            crit = float(np.quantile(null_stats[stat], 1.0 - config.alpha))
+            power = float(np.mean(alt_stats[stat] > crit))
+        rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
+    return rows
+
+
 def run_power(config: RegimeConfig) -> PowerCurve:
     """Calibrate each statistic on null draws and measure rejection rates on
     alternative draws, for every m in the grid."""
@@ -193,14 +195,7 @@ def run_power(config: RegimeConfig) -> PowerCurve:
     for m in config.m_grid:
         null_stats = _stats_over_draws(config, m, 0)
         alt_stats = _stats_over_draws(config, m, 1)
-        for stat in _STATISTICS:
-            if stat is Statistic.SUM:
-                crit = float(np.quantile(null_stats[stat], config.alpha))
-                power = float(np.mean(alt_stats[stat] < crit))
-            else:
-                crit = float(np.quantile(null_stats[stat], 1.0 - config.alpha))
-                power = float(np.mean(alt_stats[stat] > crit))
-            rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
+        rows.extend(_power_rows(config, m, null_stats, alt_stats))
     return PowerCurve(config=config, rows=tuple(rows), largest_cell=(null_stats, alt_stats))
 
 
@@ -217,78 +212,50 @@ def boundary_scan(
 ) -> list[dict]:
     """WEAK-regime power at a fixed m over a (p, q) grid, with each cell
     labeled by its side of the analytic boundaries 2p + q = 1 and
-    p + q = 1/2."""
+    p + q = 1/2.  The null cell depends only on (seed, m, reps), so it is
+    drawn once for the whole grid."""
+    configs = [
+        RegimeConfig(regime=Regime.WEAK, p=p, q=q, m_grid=(m,), reps=reps, alpha=alpha, seed=seed)
+        for p in p_list
+        for q in q_list
+    ]
+    if not configs:
+        return []
+    null_stats = _stats_over_draws(configs[0], m, 0)
     table = []
-    for p in p_list:
-        for q in q_list:
-            config = RegimeConfig(
-                regime=Regime.WEAK, p=p, q=q, m_grid=(m,), reps=reps, alpha=alpha, seed=seed
+    for config in configs:
+        alt_stats = _stats_over_draws(config, m, 1)
+        for row in _power_rows(config, m, null_stats, alt_stats):
+            table.append(
+                {
+                    "p": config.p,
+                    "q": config.q,
+                    "m": m,
+                    "statistic": row.statistic.value,
+                    "power": row.power,
+                    "region": _classify(config.p, config.q),
+                }
             )
-            curve = run_power(config)
-            for row in curve.rows:
-                table.append(
-                    {
-                        "p": p,
-                        "q": q,
-                        "m": m,
-                        "statistic": row.statistic.value,
-                        "power": row.power,
-                        "region": _classify(p, q),
-                    }
-                )
     return table
 
 
-def null_histogram(
-    statistic: Statistic,
-    m: int,
-    reps: int = 2000,
-    bins: int = 50,
-    config: RegimeConfig | None = None,
-    seed: int = 0,
-) -> list[dict]:
-    """Binned counts of one statistic under the null and, when a config is
-    given, under its alternative at the same m.  Bins cover the pooled
-    observed range so no draw falls outside."""
-    statistic = Statistic(statistic)
-    if statistic not in _STATISTICS:
-        raise ValueError(f"histogram supports {[s.value for s in _STATISTICS]}")
-    probe = config or RegimeConfig(regime=Regime.WEAK, p=0.5, q=0.5, m_grid=(m,), seed=seed)
-    probe = RegimeConfig(
-        regime=probe.regime,
-        p=probe.p,
-        r=probe.r,
-        q=probe.q,
-        m_grid=(m,),
-        reps=reps,
-        alpha=probe.alpha,
-        seed=probe.seed if config is not None else seed,
-    )
-    null_vals = _stats_over_draws(probe, m, 0)[statistic]
-    alt_vals = _stats_over_draws(probe, m, 1)[statistic] if config is not None else None
-    return _histogram_rows(statistic, null_vals, alt_vals, bins)
-
-
 def _histogram_rows(
-    statistic: Statistic, null_vals: np.ndarray, alt_vals: np.ndarray | None, bins: int
+    statistic: Statistic, null_vals: np.ndarray, alt_vals: np.ndarray, bins: int
 ) -> list[dict]:
-    pool = null_vals if alt_vals is None else np.concatenate([null_vals, alt_vals])
-    finite = pool[np.isfinite(pool)]
-    edges = np.histogram_bin_edges(finite, bins=bins)
+    pool = np.concatenate([null_vals, alt_vals])
+    edges = np.histogram_bin_edges(pool[np.isfinite(pool)], bins=bins)
     null_counts, _ = np.histogram(null_vals, bins=edges)
-    alt_counts = None if alt_vals is None else np.histogram(alt_vals, bins=edges)[0]
-    rows = []
-    for i in range(len(edges) - 1):
-        row = {
+    alt_counts, _ = np.histogram(alt_vals, bins=edges)
+    return [
+        {
             "statistic": statistic.value,
             "bin_lo": float(edges[i]),
             "bin_hi": float(edges[i + 1]),
             "null_count": int(null_counts[i]),
+            "alt_count": int(alt_counts[i]),
         }
-        if alt_counts is not None:
-            row["alt_count"] = int(alt_counts[i])
-        rows.append(row)
-    return rows
+        for i in range(len(edges) - 1)
+    ]
 
 
 def histogram_to_csv(rows: list[dict]) -> str:

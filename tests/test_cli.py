@@ -382,6 +382,50 @@ class TestSimulate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "regime_args",
+        [("weak", "--q", "-0.5"), ("weak", "--q", "0"), ("strong", "--r", "-1")],
+        ids=["weak-q-negative", "weak-q-zero", "strong-r-negative"],
+    )
+    def test_nonpositive_signal_exponent_is_usage_error(self, tmp_path, regime_args):
+        regime, flag, value = regime_args
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "simulate",
+                "--regime", regime,
+                "--p", "0.3",
+                flag, value,
+                "--m", "100",
+                "--reps", "1000",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+
+    def test_hist_bins_checked_before_drawing(self, tmp_path, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            simulation, "_stats_over_draws", lambda config, m, role: drawn.append(role)
+        )
+        rc = main(
+            [
+                "simulate",
+                "--regime", "weak",
+                "--p", "0.2",
+                "--q", "0.4",
+                "--m", "100",
+                "--reps", "1000",
+                "--out", str(tmp_path / "p.csv"),
+                "--histogram", str(tmp_path / "hist.csv"),
+                "--hist-bins", "0",
+            ]
+        )
+        assert rc == 2
+        assert drawn == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_csv(self, tmp_path):
         args = [
             "simulate",
@@ -515,6 +559,16 @@ class TestCalibrate:
         assert "critical_value" in payload
         assert payload["cache_dir"] == str(tmp_path)
         assert (tmp_path / "calibrations.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_usage_error(self, tmp_path, capsys, n):
+        cache = tmp_path / "cache"
+        rc = main(
+            ["calibrate", "--stat", "sum", "--n", n, "--reps", "1000", "--cache-dir", str(cache)]
+        )
+        assert rc == 2
+        assert "n >= 1" in capsys.readouterr().err
+        assert not cache.exists()
 
 
 class TestTopLevel:

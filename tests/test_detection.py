@@ -328,6 +328,16 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_null(Statistic.SUM, 30, 0.05, reps=500, cache_dir=tmp_path)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_floor_checked_before_cache(self, tmp_path, n):
+        # A row for n = 0, as an unchecked call once appended, is not served.
+        cache = tmp_path / "calibrations.csv"
+        cache.write_text(f"statistic,n,alpha,reps,seed,critical_value\nsum,{n},0.01,1000,0,0.0\n")
+        before = cache.read_bytes()
+        with pytest.raises(OutOfRange):
+            calibrate_null(Statistic.SUM, n, 0.01, reps=1000, cache_dir=tmp_path)
+        assert cache.read_bytes() == before
+
     def test_sum_tail_matches_exact_law(self, tmp_path):
         calib = calibrate_null(Statistic.SUM, 12, 0.05, reps=4000, seed=7, cache_dir=tmp_path)
         assert irwin_hall_cdf(calib.critical_value, 12) == pytest.approx(0.05, abs=0.02)

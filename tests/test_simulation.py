@@ -16,9 +16,7 @@ from wmkit.simulation import (
     RegimeConfig,
     boundary_scan,
     histogram_to_csv,
-    null_histogram,
     run_power,
-    sample_alternative,
     signal_count,
 )
 
@@ -46,6 +44,11 @@ class TestRegimeConfig:
             (_weak, {"m_grid": ()}),
             (_weak, {"m_grid": (1000, 100)}),
             (_weak, {"m_grid": (0,)}),
+            (_weak, {"q": 0.0}),
+            (_weak, {"q": -0.5}),
+            (_weak, {"q": float("nan")}),
+            (_strong, {"r": 0.0}),
+            (_strong, {"r": -1.0}),
         ],
     )
     def test_validation(self, factory, kwargs):
@@ -68,42 +71,27 @@ class TestSampling:
     def test_weak_alternative_mean(self):
         config = _weak(p=0.1, q=0.3)
         m = 2000
-        rng = np.random.default_rng(0)
-        rows = np.stack([sample_alternative(config, m, rng) for _ in range(50)])
+        rows = np.asarray(simulation._cell_rows(config, m, 1))
         n_sig = signal_count(config, m)
         shrink = 1.0 - m ** (-0.3)
         expected = 0.5 * (n_sig * shrink + (m - n_sig)) / m
-        se = np.sqrt(1.0 / (12 * m * 50))
+        se = np.sqrt(1.0 / (12 * rows.size))
         assert abs(rows.mean() - expected) < 4 * se
 
     def test_strong_alternative_mean(self):
         config = _strong(p=0.1, r=0.5)
         m = 2000
-        rng = np.random.default_rng(1)
-        rows = np.stack([sample_alternative(config, m, rng) for _ in range(50)])
+        rows = np.asarray(simulation._cell_rows(config, m, 1))
         n_sig = signal_count(config, m)
         lo = m ** (-0.5)
         expected = ((lo + 1.0) / 4.0 * n_sig + 0.5 * (m - n_sig)) / m
         assert abs(rows.mean() - expected) < 0.005
 
     def test_alternative_in_unit_interval(self):
-        rng = np.random.default_rng(2)
         for config in (_weak(), _strong()):
-            row = sample_alternative(config, 500, rng)
-            assert row.shape == (500,)
-            assert np.all((row >= 0) & (row <= 1))
-
-    def test_shuffle_spreads_signals(self):
-        # Nearly all positions carry signal at p = 0.05; after shuffling the
-        # second half of the row must not look like pure nulls.
-        config = _weak(p=0.05, q=0.9)
-        rng = np.random.default_rng(3)
-        row = sample_alternative(config, 1000, rng)
-        assert row[500:].mean() < 0.5
-
-    def test_m_floor(self):
-        with pytest.raises(ValueError):
-            sample_alternative(_weak(), 0, np.random.default_rng(0))
+            rows = np.asarray(simulation._cell_rows(config, 500, 1))
+            assert rows.shape == (config.reps, 500)
+            assert np.all((rows >= 0) & (rows <= 1))
 
 
 class TestRunPower:
@@ -238,53 +226,60 @@ class TestBoundaryScan:
             assert row["statistic"] in ("sum", "hc+")
             assert 0.0 <= row["power"] <= 1.0
 
+    def test_null_drawn_once(self, monkeypatch):
+        # A null cell depends only on (seed, m, reps): one draw serves the
+        # whole grid, and each (p, q) draws its own alternative.
+        drawn = []
+        draw = simulation._stats_over_draws
+        monkeypatch.setattr(
+            simulation, "_stats_over_draws",
+            lambda config, m, role: drawn.append(role) or draw(config, m, role),
+        )
+        boundary_scan([0.1, 0.3, 0.6], [0.2, 0.5], m=200, reps=1000)
+        assert sorted(drawn) == [0] + [1] * 6
+
+
+def _histogram(config, bins, statistic):
+    # run_power's histogram rows of one statistic at the largest m, with the
+    # bin midpoints and the null and alternative counts as arrays.
+    rows = [r for r in run_power(config).histogram(bins) if r["statistic"] == statistic.value]
+    mids = np.array([(r["bin_lo"] + r["bin_hi"]) / 2 for r in rows])
+    null = np.array([r["null_count"] for r in rows], dtype=float)
+    alt = np.array([r["alt_count"] for r in rows], dtype=float)
+    return rows, mids, null, alt
+
 
 class TestNullHistogram:
     def test_counts_sum_to_reps(self):
-        rows = null_histogram(Statistic.SUM, m=100, reps=2000, bins=40)
-        assert sum(r["null_count"] for r in rows) == 2000
-        assert len(rows) == 40
+        rows = run_power(_weak(m_grid=(100,), reps=2000)).histogram(40)
+        for stat in (Statistic.SUM, Statistic.HC_PLUS):
+            cells = [r for r in rows if r["statistic"] == stat.value]
+            assert len(cells) == 40
+            assert sum(r["null_count"] for r in cells) == 2000
+            assert sum(r["alt_count"] for r in cells) == 2000
 
     def test_sum_histogram_centered(self):
-        rows = null_histogram(Statistic.SUM, m=100, reps=4000, bins=60)
-        mids = np.array([(r["bin_lo"] + r["bin_hi"]) / 2 for r in rows])
-        counts = np.array([r["null_count"] for r in rows], dtype=float)
-        mean = float((mids * counts).sum() / counts.sum())
+        _, mids, null, _ = _histogram(_weak(m_grid=(100,), reps=4000), 60, Statistic.SUM)
+        mean = float((mids * null).sum() / null.sum())
         assert abs(mean - 50.0) < 0.5
 
     def test_hc_histogram_right_skewed(self):
-        rows = null_histogram(Statistic.HC_PLUS, m=500, reps=2000, bins=60)
-        mids = np.array([(r["bin_lo"] + r["bin_hi"]) / 2 for r in rows])
-        counts = np.array([r["null_count"] for r in rows], dtype=float)
-        w = counts / counts.sum()
+        _, mids, null, _ = _histogram(
+            _weak(p=0.6, q=0.5, m_grid=(500,), reps=2000), 60, Statistic.HC_PLUS
+        )
+        w = null / null.sum()
         mean = float((mids * w).sum())
         sd = float(np.sqrt(((mids - mean) ** 2 * w).sum()))
         skew = float(((mids - mean) ** 3 * w).sum() / sd**3)
         assert skew > 0.0
 
     def test_alternative_counts_included(self):
-        rows = null_histogram(
-            Statistic.SUM, m=100, reps=1000, bins=30, config=_weak(p=0.1, q=0.2, m_grid=(100,))
-        )
-        assert sum(r["alt_count"] for r in rows) == 1000
-        null_mean = np.average(
-            [(r["bin_lo"] + r["bin_hi"]) / 2 for r in rows],
-            weights=[r["null_count"] for r in rows],
-        )
-        alt_mean = np.average(
-            [(r["bin_lo"] + r["bin_hi"]) / 2 for r in rows],
-            weights=[r["alt_count"] for r in rows],
-        )
-        assert alt_mean < null_mean
-
-    def test_unsupported_statistic(self):
-        with pytest.raises(ValueError):
-            null_histogram(Statistic.MAX, m=100)
+        _, mids, null, alt = _histogram(_weak(p=0.1, q=0.2, m_grid=(100,)), 30, Statistic.SUM)
+        assert np.average(mids, weights=alt) < np.average(mids, weights=null)
 
     def test_csv_rendering(self):
-        rows = null_histogram(Statistic.SUM, m=50, reps=1000, bins=10)
-        csv = histogram_to_csv(rows)
-        lines = csv.splitlines()
-        assert lines[0] == "statistic,bin_lo,bin_hi,null_count"
-        assert len(lines) == 11
+        rows = run_power(_weak(m_grid=(50,))).histogram(10)
+        lines = histogram_to_csv(rows).splitlines()
+        assert lines[0] == "statistic,bin_lo,bin_hi,null_count,alt_count"
+        assert len(lines) == 1 + 2 * 10
         assert histogram_to_csv([]) == ""
