@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from wmkit.simulation import boundary_scan
+from wmkit.simulation import boundary_scan, csv_text
 
 
 def parse_args(argv=None):
@@ -37,11 +37,7 @@ def main(argv=None) -> int:
     q_list = [float(s) for s in args.q.split(",")]
     t0 = time.time()
     table = boundary_scan(p_list, q_list, args.m, reps=args.reps, alpha=args.alpha, seed=args.seed)
-    cols = ["p", "q", "m", "statistic", "power", "region"]
-    lines = [",".join(cols)]
-    for row in table:
-        lines.append(",".join(str(row[c]) for c in cols))
-    args.out.write_text("\n".join(lines) + "\n")
+    args.out.write_text(csv_text(table))
     for row in table:
         print(
             f"p={row['p']:.2f} q={row['q']:.2f}  {row['statistic']:<4s} "

@@ -45,8 +45,6 @@ from .decoders import (
     generate,
     sample_maximal_coupling,
     sample_rejection_coupling,
-    text_from_record,
-    to_record,
 )
 from .detection import (
     DetectionReport,
@@ -89,5 +87,6 @@ from .simulation import (
     boundary_scan,
     run_power,
 )
+from .cli import text_from_record, text_record
 
 __version__ = "0.1.0"

@@ -19,31 +19,23 @@ import numpy as np
 
 from .attacks import AttackConfig, AttackKind, merge_specdec_stats, specdec_postprocess, substitute
 from .core import MASK64, GeneratedText, RngStream, fold64, mix64
-from .decoders import (
-    DecoderConfig,
-    Scheme,
-    generate,
-    text_from_record,
-    to_record,
-)
+from .decoders import DecoderConfig, Scheme, generate
 from .detection import (
+    _CALIBRATABLE,
     HcDenom,
     Side,
     Statistic,
+    _check_alpha,
+    _check_reps,
     calibrate_null,
     detect,
     default_cache_dir,
 )
 from .keying import KeyFormatError, parse_key
 from .lm import EndOfTrace, MalformedTrace, parse_model_spec
-from .simulation import (
-    Regime,
-    RegimeConfig,
-    histogram_to_csv,
-    run_power,
-)
+from .simulation import Regime, RegimeConfig, csv_text, run_power
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "text_record", "text_from_record"]
 
 # Domain separators for per-text stream derivation.
 _GEN_ROLE = 0xA1
@@ -72,6 +64,19 @@ def _parse_model_arg(spec: str):
         raise
     except ValueError as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
+
+
+def text_record(text_id, text: GeneratedText, scheme, vocab_size, watermarked, **fields) -> str:
+    """One JSON Lines text record: the text and its provenance, then the
+    command's own ``fields`` in the order given."""
+    record = {"text_id": text_id, "tokens": list(text.tokens), "prompt_len": text.prompt_len,
+              "scheme": scheme, "vocab_size": vocab_size, "watermarked": watermarked}
+    return json.dumps({**record, **fields})
+
+
+def text_from_record(record: dict) -> GeneratedText:
+    """The text of a record written by :func:`text_record`."""
+    return GeneratedText(tokens=tuple(record["tokens"]), prompt_len=record.get("prompt_len", 0))
 
 
 def _emit_lines(lines: list[str], out: str | None) -> None:
@@ -110,17 +115,18 @@ def cmd_generate(args) -> int:
         aux = _text_stream(args.seed, i, _GEN_ROLE)
         prompt = _random_prompt(aux, key.k, model.vocab_size)
         result = generate(model, key, config, prompt, args.n, aux)
-        lines.append(json.dumps({"text_id": i, **to_record(result, model.vocab_size)}))
+        scheme = "plain" if result.scheme is None else result.scheme.value
+        lines.append(
+            text_record(
+                i, result.text, scheme, model.vocab_size, result.scheme is not None,
+                diagnostics=[step.to_dict() for step in result.steps],
+            )
+        )
     _emit_lines(lines, args.out)
     return 0
 
 
-_DETECT_STATS = {
-    "sum": Statistic.SUM,
-    "hc+": Statistic.HC_PLUS,
-    "hc*": Statistic.HC_STAR,
-    "max": Statistic.MAX,
-}
+_STAT_CHOICES = sorted(s.value for s in _CALIBRATABLE)
 
 
 def _read_records(path: str) -> list[dict]:
@@ -133,7 +139,12 @@ def _read_records(path: str) -> list[dict]:
 
 def cmd_detect(args) -> int:
     key = _parse_key_arg(args.key)
-    statistic = _DETECT_STATS[args.stat]
+    statistic = Statistic(args.stat)
+    try:
+        _check_alpha(args.alpha)
+        _check_reps(args.calib_reps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     records = _read_records(args.input)
     lines = []
     n_wm = n_plain = rej_wm = rej_plain = 0
@@ -176,10 +187,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if args.kind != AttackKind.SUBSTITUTE.value:
-        raise UsageError(f"unsupported attack kind {args.kind!r}")
     try:
-        config = AttackConfig(kind=AttackKind.SUBSTITUTE, sub_rate=args.rate)
+        config = AttackConfig(kind=AttackKind(args.kind), sub_rate=args.rate)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     records = _read_records(args.input)
@@ -190,16 +199,12 @@ def cmd_attack(args) -> int:
             raise UsageError("records must carry vocab_size for substitution")
         rng = np.random.default_rng([args.seed, idx])
         attacked = substitute(text_from_record(rec), config.sub_rate, rng, vocab_size)
-        out = {
-            "text_id": rec.get("text_id", idx),
-            "tokens": [int(t) for t in attacked.tokens],
-            "prompt_len": attacked.prompt_len,
-            "scheme": rec.get("scheme"),
-            "vocab_size": vocab_size,
-            "watermarked": rec.get("watermarked"),
-            "attack": {"kind": config.kind.value, "rate": config.sub_rate},
-        }
-        lines.append(json.dumps(out))
+        lines.append(
+            text_record(
+                rec.get("text_id", idx), attacked, rec.get("scheme"), vocab_size,
+                rec.get("watermarked"), attack={"kind": config.kind.value, "rate": config.sub_rate},
+            )
+        )
     _emit_lines(lines, args.out)
     return 0
 
@@ -231,22 +236,15 @@ def cmd_specdec(args) -> int:
             draft, target, key, config, scheme, prompt, args.n, aux, accept_rng
         )
         all_stats.append(stats)
+        attack = {
+            "kind": "specdec",
+            "accept_scale": config.accept_scale,
+            "lookahead": config.lookahead,
+        }
         lines.append(
-            json.dumps(
-                {
-                    "text_id": i,
-                    "tokens": [int(t) for t in text.tokens],
-                    "prompt_len": text.prompt_len,
-                    "scheme": scheme.value,
-                    "vocab_size": draft.vocab_size,
-                    "watermarked": True,
-                    "attack": {
-                        "kind": "specdec",
-                        "accept_scale": config.accept_scale,
-                        "lookahead": config.lookahead,
-                    },
-                    "specdec_stats": stats.to_dict(),
-                }
+            text_record(
+                i, text, scheme.value, draft.vocab_size, True,
+                attack=attack, specdec_stats=stats.to_dict(),
             )
         )
     _emit_lines(lines, args.out)
@@ -282,15 +280,14 @@ def cmd_simulate(args) -> int:
     else:
         Path(args.out).write_text(csv)
     if args.histogram is not None:
-        Path(args.histogram).write_text(histogram_to_csv(curve.histogram(args.hist_bins)))
+        Path(args.histogram).write_text(csv_text(curve.histogram(args.hist_bins)))
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    statistic = _DETECT_STATS[args.stat]
     try:
         calib = calibrate_null(
-            statistic,
+            Statistic(args.stat),
             n=args.n,
             alpha=args.alpha,
             reps=args.reps,
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="run a detection test over generated records")
     d.add_argument("--in", dest="input", required=True, help="input JSONL of text records")
     d.add_argument("--key", required=True)
-    d.add_argument("--stat", default="sum", choices=sorted(_DETECT_STATS))
+    d.add_argument("--stat", default="sum", choices=_STAT_CHOICES)
     d.add_argument("--alpha", type=float, default=0.01)
     d.add_argument("--side", default=Side.COMBINED.value, choices=[s.value for s in Side])
     d.add_argument("--hc-denom", default=HcDenom.STANDARD_SQRT.value,
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("calibrate", help="simulate and cache a null critical value")
-    c.add_argument("--stat", required=True, choices=sorted(_DETECT_STATS))
+    c.add_argument("--stat", required=True, choices=_STAT_CHOICES)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--alpha", type=float, default=0.01)
     c.add_argument("--reps", type=int, default=2000)

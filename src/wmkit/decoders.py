@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,8 +61,6 @@ __all__ = [
     "mc_soft_q",
     "dipmark_q",
     "generate",
-    "to_record",
-    "text_from_record",
     "sample_mc_batch",
     "sample_gumbel_batch",
     "sample_soft_batch",
@@ -107,6 +106,11 @@ class CouplingOutcome:
     overlap_mass: float
 
 
+# The largest soft bias whose factor e^delta is a finite float; a NaN bias
+# fails the range check too.
+_MAX_DELTA = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Scheme selection and its hyperparameters."""
@@ -119,8 +123,8 @@ class DecoderConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.scheme in (Scheme.MC_SOFT, Scheme.SOFT):
-            if self.delta is None or self.delta < 0:
-                raise ValueError(f"scheme {self.scheme.value} requires delta >= 0")
+            if self.delta is None or not 0.0 <= self.delta <= _MAX_DELTA:
+                raise ValueError(f"scheme {self.scheme.value} needs delta in [0, {_MAX_DELTA!r}]")
         if self.scheme is Scheme.DIPMARK:
             if self.alpha_dip is None or not 0.0 <= self.alpha_dip < 0.5:
                 raise ValueError("dipmark requires alpha_dip in [0, 0.5)")
@@ -135,6 +139,15 @@ class StepResult:
     branch: Branch | None = None
     green_mass: float | None = None
     zero_green: bool = False
+
+    def to_dict(self) -> dict:
+        """The step's diagnostics, as a text record lists them."""
+        return {
+            "masked": self.masked,
+            "branch": self.branch.value if self.branch is not None else None,
+            "green_mass": self.green_mass,
+            "zero_green": self.zero_green,
+        }
 
 
 @dataclass(frozen=True)
@@ -412,31 +425,6 @@ def generate(
     if config is None:
         return GenerationResult(text=text, steps=(), scheme=None)
     return GenerationResult(text=text, steps=tuple(steps), scheme=config.scheme)
-
-
-def to_record(result: GenerationResult, vocab_size: int) -> dict:
-    """JSON-serializable record for one generated text; a text without a
-    scheme is recorded as unwatermarked ``plain``."""
-    return {
-        "tokens": list(result.text.tokens),
-        "prompt_len": result.text.prompt_len,
-        "scheme": "plain" if result.scheme is None else result.scheme.value,
-        "vocab_size": vocab_size,
-        "watermarked": result.scheme is not None,
-        "diagnostics": [
-            {
-                "masked": s.masked,
-                "branch": s.branch.value if s.branch is not None else None,
-                "green_mass": s.green_mass,
-                "zero_green": s.zero_green,
-            }
-            for s in result.steps
-        ],
-    }
-
-
-def text_from_record(record: dict) -> GeneratedText:
-    return GeneratedText(tokens=tuple(record["tokens"]), prompt_len=record.get("prompt_len", 0))
 
 
 def _categorical_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -23,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GeneratedText
+from .core import GeneratedText, counter_uniforms
 from .keying import (
+    ZETA_TAG,
     WatermarkKey,
+    derive_seed_batch,
     derive_zeta,
     derive_zeta_batch,
-    gumbel_uniform,
     is_green,
     is_green_batch,
 )
@@ -144,20 +145,31 @@ class NullCalibration:
     seed: int
 
 
-def _iter_unique_tuples(text: GeneratedText, k: int):
+def _first_occurrences(tokens: tuple[int, ...], k: int, vocab_size: int | None) -> list[int]:
     """Positions whose (context, token) tuple has not been seen before,
-    walking the received tokens from the first full context window."""
-    tokens = text.tokens
+    walking the received tokens from the first full context window.  Tokens
+    outside [0, vocab_size), or negative ones when vocab_size is unknown,
+    raise :class:`OutOfRange`."""
     if len(tokens) <= k:
         raise TooShort(f"text of length {len(tokens)} has no scorable position for k={k}")
-    seen: set[tuple[int, ...]] = set()
+    lo, hi = min(tokens), max(tokens)
+    if lo < 0 or (vocab_size is not None and hi >= vocab_size):
+        top = "vocab_size" if vocab_size is None else vocab_size
+        raise OutOfRange(f"token {lo if lo < 0 else hi} outside [0, {top})")
+    first: dict[tuple[int, ...], int] = {}
     for t in range(k, len(tokens)):
-        ctx = tokens[t - k : t]
-        tup = tokens[t - k : t + 1]
-        if tup in seen:
-            continue
-        seen.add(tup)
-        yield t, ctx, tokens[t]
+        first.setdefault(tokens[t - k : t + 1], t)
+    return list(first.values())
+
+
+def _first_tuples(
+    tokens: tuple[int, ...], k: int, vocab_size: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, k) contexts and (n,) tokens at the :func:`_first_occurrences`
+    positions."""
+    keep = np.array(_first_occurrences(tokens, k, vocab_size), dtype=np.int64)
+    row = np.array(tokens, dtype=np.int64)
+    return row[keep[:, None] + np.arange(-k, 0)], row[keep]
 
 
 def extract_scores(
@@ -165,8 +177,10 @@ def extract_scores(
 ) -> list[ScoredToken]:
     """Score each first occurrence of a (context, token) tuple: recompute the
     keyed pivot, test green membership, and fold red pivots to 1 - zeta."""
+    tokens, k = text.tokens, key.k
     scores = []
-    for pos, ctx, tok in _iter_unique_tuples(text, key.k):
+    for pos in _first_occurrences(tokens, k, vocab_size):
+        ctx, tok = tokens[pos - k : pos], tokens[pos]
         zeta = derive_zeta(key, ctx)
         green = is_green(key, ctx, tok, vocab_size)
         scores.append(
@@ -184,21 +198,16 @@ def extract_scores(
 def extract_zeta_primes_batch(
     tokens_2d: np.ndarray, key: WatermarkKey, vocab_size: int | None = None
 ) -> list[np.ndarray]:
-    """Folded pivots for a batch of equal-length texts (rows), with the same
-    per-text tuple deduplication as :func:`extract_scores`.
+    """Folded pivots for a batch of equal-length texts (rows), at the
+    positions :func:`extract_scores` scores.
 
-    Perm mode builds one keyed permutation per scored position through
-    :func:`is_green_batch`, which needs ``vocab_size``.
+    Perm-mode membership follows each token's slot through the keyed
+    Fisher-Yates swaps (see :func:`is_green_batch`), which needs
+    ``vocab_size``.
     """
-    tokens_2d = np.asarray(tokens_2d, dtype=np.int64)
-    k = key.k
     out = []
-    for row in tokens_2d:
-        win = np.lib.stride_tricks.sliding_window_view(row, k + 1)
-        _, first = np.unique(win, axis=0, return_index=True)
-        keep = np.sort(first)
-        ctxs = win[keep, :k]
-        toks = win[keep, k]
+    for row in np.asarray(tokens_2d, dtype=np.int64):
+        ctxs, toks = _first_tuples(tuple(row.tolist()), key.k, vocab_size)
         zetas = derive_zeta_batch(key, ctxs)
         green = is_green_batch(key, ctxs, toks, vocab_size)
         out.append(np.where(green, zetas, 1.0 - zetas))
@@ -235,9 +244,21 @@ def sum_pvalue(s: float, n: int) -> float:
     return float(ndtr((s - n / 2.0) / math.sqrt(n / 12.0)))
 
 
+def _check_alpha(alpha: float) -> None:
+    # A NaN level fails the comparison too.
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_reps(reps: int) -> None:
+    if reps < 1000:
+        raise OutOfRange(f"reps must be >= 1000, got {reps}")
+
+
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     """Reject when the score sum is too small: the watermark pulls folded
     pivots toward 0, so the signal sits in the lower tail."""
+    _check_alpha(alpha)
     values = _score_values(scores)
     n = len(values)
     if n < 1:
@@ -417,6 +438,7 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
     """Order-statistic test on green pivots: reject iff max zeta <=
     alpha**(1/n), which has exact size alpha under the null.  The reported
     p-value max**n is informational; the threshold drives the decision."""
+    _check_alpha(alpha)
     values = _score_values(scores)
     n = len(values)
     if n < 1:
@@ -436,6 +458,20 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
 
 _CALIBRATABLE = (Statistic.SUM, Statistic.HC_PLUS, Statistic.HC_STAR, Statistic.MAX)
 _LOWER_TAIL = (Statistic.SUM, Statistic.MAX)
+
+
+def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float) -> float:
+    """The null quantile at level alpha in the statistic's rejection tail:
+    the alpha quantile for SUM and MAX, the 1 - alpha quantile for HC."""
+    return float(np.quantile(null_values, alpha if statistic in _LOWER_TAIL else 1.0 - alpha))
+
+
+def _rejects(statistic: Statistic, values, critical: float):
+    """Rejection, elementwise: strictly beyond the critical value in the
+    statistic's tail."""
+    return values < critical if statistic in _LOWER_TAIL else values > critical
+
+
 _STAT_CODE = {s: i for i, s in enumerate(Statistic)}
 _CACHE_FILE = "calibrations.csv"
 _CACHE_HEADER = "statistic,n,alpha,reps,seed,critical_value"
@@ -557,8 +593,8 @@ def calibrate_null(
     denom = HcDenom(denom)
     if statistic not in _CALIBRATABLE:
         raise ValueError(f"no simulated null for statistic {statistic}")
-    if reps < 1000:
-        raise ValueError("calibration needs reps >= 1000")
+    _check_reps(reps)
+    _check_alpha(alpha)
     if n < 1:
         raise OutOfRange(f"calibration needs n >= 1, got {n}")
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -567,9 +603,7 @@ def calibrate_null(
         hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
         if hit is not None:
             return NullCalibration(statistic, n, alpha, hit, reps, seed)
-    vals = _null_statistics(statistic, n, reps, seed, denom)
-    q = alpha if statistic in _LOWER_TAIL else 1.0 - alpha
-    critical = float(np.quantile(vals, q))
+    critical = _critical_value(statistic, _null_statistics(statistic, n, reps, seed, denom), alpha)
     if use_cache:
         _cache_append(cache_path, statistic, n, alpha, reps, seed, denom, critical)
     return NullCalibration(statistic, n, alpha, critical, reps, seed)
@@ -594,6 +628,8 @@ def detect(
     """
     statistic = Statistic(statistic)
     side = Side(side)
+    _check_alpha(alpha)
+    _check_reps(reps)
     scores = extract_scores(text, key, vocab_size)
     if statistic is Statistic.MAX:
         side = Side.GREEN_ONLY
@@ -615,7 +651,7 @@ def detect(
         p_value=None,
         threshold=calib.critical_value,
         n_scored=len(values),
-        reject=value > calib.critical_value,
+        reject=_rejects(statistic, value, calib.critical_value),
         alpha=alpha,
     )
 
@@ -630,52 +666,36 @@ def detect_baseline(
     """Reference detectors for the baseline schemes.
 
     Gumbel-max: sum of -log(1 - U_token) over deduplicated tuples against
-    the Gamma(n, 1) upper tail.  Soft/DiPmark: green-token count against
-    the exact Binomial(n, gamma) upper tail.
+    the Gamma(n, 1) upper tail.  Every other scheme: green-token count
+    against the exact Binomial(n, gamma) upper tail.
     """
     from .decoders import Scheme
 
-    scheme = Scheme(scheme)
-    if scheme is Scheme.GUMBEL:
-        stat = 0.0
-        n = 0
-        for _, ctx, tok in _iter_unique_tuples(text, key.k):
-            u = gumbel_uniform(key, ctx, tok)
-            stat -= math.log1p(-u)
-            n += 1
-        if n < 1:
-            raise EmptyScores("no scorable tuples")
+    _check_alpha(alpha)
+    ctxs, toks = _first_tuples(text.tokens, key.k, vocab_size)
+    n = len(toks)
+    if Scheme(scheme) is Scheme.GUMBEL:
+        # U_token is draw token + 1 of the context's ZETA stream.
+        value = 0.0
+        for u in counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), toks + 1).tolist():
+            value -= math.log1p(-u)
         # The Gamma(n, 1) upper tail, as scipy.stats.gamma.sf evaluates it.
         from scipy.special import gammaincc
 
-        p = float(gammaincc(n, stat))
-        return DetectionReport(
-            statistic=Statistic.GUMBEL_SUM,
-            value=stat,
-            p_value=p,
-            threshold=None,
-            n_scored=n,
-            reject=p < alpha,
-            alpha=alpha,
-        )
-    if scheme in (Scheme.SOFT, Scheme.DIPMARK, Scheme.MC, Scheme.MC_SOFT):
-        scores = extract_scores(text, key, vocab_size)
-        n = len(scores)
-        if n < 1:
-            raise EmptyScores("no scorable tuples")
-        g = sum(1 for s in scores if s.is_green)
+        statistic, p = Statistic.GUMBEL_SUM, float(gammaincc(n, value))
+    else:
+        g = int(is_green_batch(key, ctxs, toks, vocab_size).sum())
         # No scipy.special function matches binom.sf bit for bit, so this
         # path alone pays for importing scipy.stats.
         from scipy.stats import binom
 
-        p = float(binom.sf(g - 1, n, key.gamma))
-        return DetectionReport(
-            statistic=Statistic.GREEN_COUNT,
-            value=float(g),
-            p_value=p,
-            threshold=None,
-            n_scored=n,
-            reject=p < alpha,
-            alpha=alpha,
-        )
-    raise ValueError(f"no baseline detector for scheme {scheme}")
+        statistic, value, p = Statistic.GREEN_COUNT, float(g), float(binom.sf(g - 1, n, key.gamma))
+    return DetectionReport(
+        statistic=statistic,
+        value=value,
+        p_value=p,
+        threshold=None,
+        n_scored=n,
+        reject=p < alpha,
+        alpha=alpha,
+    )

@@ -34,7 +34,6 @@ __all__ = [
     "keyed_permutation",
     "keyed_permutation_batch",
     "perm_head",
-    "gumbel_uniform",
     "format_key",
     "parse_key",
     "ContextLengthMismatch",
@@ -286,12 +285,6 @@ def derive_zeta(key: WatermarkKey, ctx) -> float:
 def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_zeta` for an (n, k) array of contexts."""
     return counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), 1)
-
-
-def gumbel_uniform(key: WatermarkKey, ctx, token: int) -> float:
-    """Per-token uniform used by the Gumbel-max decoder: draw ``token + 1``
-    of the ZETA-seeded stream, addressed without generating predecessors."""
-    return RngStream(derive_seed(key, ctx, ZETA_TAG)).value_at(int(token) + 1)
 
 
 @dataclass

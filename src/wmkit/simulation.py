@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .detection import HcDenom, RowStream, Statistic, hc_batch
+from .detection import _check_alpha, _check_reps, _critical_value, _rejects
 
 __all__ = [
     "Regime",
@@ -27,7 +28,7 @@ __all__ = [
     "PowerCurve",
     "run_power",
     "boundary_scan",
-    "histogram_to_csv",
+    "csv_text",
     "POWER_CSV_HEADER",
 ]
 
@@ -75,10 +76,8 @@ class RegimeConfig:
             raise ValueError("m_grid entries must be >= 1")
         if list(self.m_grid) != sorted(self.m_grid):
             raise ValueError("m_grid must be ascending")
-        if self.reps < 1000:
-            raise ValueError("reps must be >= 1000")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_reps(self.reps)
+        _check_alpha(self.alpha)
 
     @property
     def q_or_r(self) -> float:
@@ -102,14 +101,12 @@ class PowerCurve:
     largest_cell: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     def to_csv(self) -> str:
-        c = self.config
-        lines = [POWER_CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{c.regime.value},{c.p!r},{c.q_or_r!r},{row.m},{row.statistic.value},"
-                f"{c.reps},{c.alpha!r},{row.critical_value!r},{row.power!r},{c.seed}"
-            )
-        return "\n".join(lines) + "\n"
+        c, names = self.config, POWER_CSV_HEADER.split(",")
+        return csv_text([
+            dict(zip(names, (c.regime.value, c.p, c.q_or_r, row.m, row.statistic.value, c.reps,
+                             c.alpha, row.critical_value, row.power, c.seed)))
+            for row in self.rows
+        ])
 
     def histogram(self, bins: int = 50) -> list[dict]:
         """Binned null and alternative counts of each statistic at the
@@ -178,12 +175,8 @@ def _power_rows(config: RegimeConfig, m: int, null_stats: dict, alt_stats: dict)
     in its rejection tail, and its rejection rate over the alternative."""
     rows = []
     for stat in _STATISTICS:
-        if stat is Statistic.SUM:
-            crit = float(np.quantile(null_stats[stat], config.alpha))
-            power = float(np.mean(alt_stats[stat] < crit))
-        else:
-            crit = float(np.quantile(null_stats[stat], 1.0 - config.alpha))
-            power = float(np.mean(alt_stats[stat] > crit))
+        crit = _critical_value(stat, null_stats[stat], config.alpha)
+        power = float(np.mean(_rejects(stat, alt_stats[stat], crit)))
         rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
     return rows
 
@@ -258,11 +251,13 @@ def _histogram_rows(
     ]
 
 
-def histogram_to_csv(rows: list[dict]) -> str:
+def csv_text(rows: list[dict]) -> str:
+    """CSV text of row dicts that share their keys: a header line of the
+    keys, then one line per row with floats written by repr and every other
+    value by str.  No rows give no text."""
     if not rows:
         return ""
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from wmkit import simulation
+from wmkit import detection, simulation
 from wmkit.cli import main
 from wmkit.simulation import POWER_CSV_HEADER
 
@@ -78,6 +78,15 @@ class TestGenerate:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("scheme", ["soft", "mc-soft"])
+    @pytest.mark.parametrize("delta", ["nan", "inf", "710"])
+    def test_delta_without_finite_factor_is_usage_error(self, tmp_path, scheme, delta):
+        out = tmp_path / "x.jsonl"
+        rc = main(["generate", "--model", MODEL_ARG, "--key", KEY_ARG, "--scheme", scheme,
+                   "--delta", delta, "--n", "10", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_soft_with_delta(self, tmp_path):
         out = _generate(tmp_path, extra=("--scheme", "soft", "--delta", "2.0"), texts=1)
@@ -188,6 +197,74 @@ def test_specdec_golden(tmp_path, mode, scheme):
     assert digest == GOLDEN_SPECDEC[(mode, scheme)]
 
 
+def _golden_key(mode):
+    return f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}"
+
+
+@pytest.fixture(scope="module")
+def golden_corpora(tmp_path_factory):
+    """mc texts (V=32, order 2, 3 texts of 40 tokens, seed 5) under a hash
+    and a perm key, and the hash-key texts after `attack --rate 0.2 --seed 3`."""
+    root = tmp_path_factory.mktemp("corpora")
+    paths = {mode: root / f"{mode}.jsonl" for mode in ("hash", "perm")}
+    for mode, path in paths.items():
+        rc = main(["generate", "--model", "markov:seed=11,vocab=32,order=2",
+                   "--key", _golden_key(mode), "--n", "40", "--texts", "3", "--seed", "5",
+                   "--out", str(path)])
+        assert rc == 0
+    paths["attacked"] = root / "attacked.jsonl"
+    rc = main(["attack", "--in", str(paths["hash"]), "--rate", "0.2", "--seed", "3",
+               "--out", str(paths["attacked"])])
+    assert rc == 0
+    return paths
+
+
+# sha256 of `wmkit attack` output on the hash-key golden corpus, captured
+# before the text record was written by one function.
+GOLDEN_ATTACK = "ee38419c1221da17ce9b57d012863b2261caa95fa7eb2ef9279aae6de68b6288"
+
+
+def test_attack_golden(golden_corpora):
+    digest = hashlib.sha256(golden_corpora["attacked"].read_bytes()).hexdigest()
+    assert digest == GOLDEN_ATTACK
+
+
+# sha256 of `wmkit detect` reports (1000 calibration reps) on each golden
+# corpus, per statistic: the outputs for sides combined and green, each with
+# HC denominators sqrt and linear, concatenated in that order.  The attacked
+# corpus is scored under the hash key.  Captured before the tuple walk and
+# the rejection tail each had one implementation.
+GOLDEN_DETECT = {
+    ("attacked", "hc*"): "b521af996881e3b63356dd1fa5d30afbb6b13f6a4cd82aa5100485589ad2a135",
+    ("attacked", "hc+"): "c6729ea6855f297e652993360850df387fed7857e17094b7bfe7f30a732d9aff",
+    ("attacked", "max"): "2c6b8bfcccbbf63c0877d450058a870e5aabd7f42899ab0ec61a2468ef26f625",
+    ("attacked", "sum"): "3e913bc22f17875a7941927b89c4bd082e330696f2814c688beb107dd6a1715f",
+    ("hash", "hc*"): "a3471a4b598f295abf1b27678d108f762cdfd4ee97b63809337345b2745cbb50",
+    ("hash", "hc+"): "0f11f7848c98d5c74e6e8c49b605aef9faa74172eb5eb1a12aa6f7c50387fbdd",
+    ("hash", "max"): "4739873c17b3e43d6e1d158209319a1f5d89078222f297eb0aa008b828a3aaed",
+    ("hash", "sum"): "07136ea8cbe6649c407989974356542f9a911e0a5a20fe0484655981171bfad0",
+    ("perm", "hc*"): "6d1157eed9166ad7396cbcf55be6d2211e54b893a1efdc568f12303d4deceed9",
+    ("perm", "hc+"): "a6b22372ffdfaca92f3f191caca69c56c3d09c191255ae28c8b6d9646af771e3",
+    ("perm", "max"): "e992927efcdcdaa7777d191102ad5c389baf466f2c09094f762645d9bc02f3c0",
+    ("perm", "sum"): "d24aeea493f2df0adbe308da06a4f4ec905417f48e223bdaf6e49e4432c6fca0",
+}
+
+
+@pytest.mark.parametrize("corpus,stat", sorted(GOLDEN_DETECT))
+def test_detect_golden(tmp_path, monkeypatch, golden_corpora, corpus, stat):
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib"))
+    key = _golden_key("perm" if corpus == "perm" else "hash")
+    out, payload = tmp_path / "r.jsonl", b""
+    for side in ("combined", "green"):
+        for denom in ("sqrt", "linear"):
+            rc = main(["detect", "--in", str(golden_corpora[corpus]), "--key", key,
+                       "--stat", stat, "--side", side, "--hc-denom", denom,
+                       "--calib-reps", "1000", "--out", str(out)])
+            assert rc == 0
+            payload += out.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_DETECT[(corpus, stat)]
+
+
 class TestDetect:
     def test_watermarked_corpus_flagged(self, tmp_path, capsys):
         src = _generate(tmp_path, texts=4, n=120)
@@ -236,6 +313,37 @@ class TestDetect:
         with pytest.warns(UserWarning, match="malformed rows"):
             assert main(args) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--alpha", "1.5"), ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "0"),
+         ("--stat", "hc+", "--calib-reps", "10")],
+    )
+    def test_bad_level_or_reps_is_usage_error_before_reading(self, tmp_path, flags):
+        # The input does not exist: reading it would exit 1.
+        out = tmp_path / "r.jsonl"
+        rc = main(["detect", "--in", str(tmp_path / "missing.jsonl"), "--key", KEY_ARG, *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["hash", "perm"])
+    def test_out_of_vocabulary_token_reports_error_record(self, tmp_path, mode):
+        good = list(range(20))
+        src = tmp_path / "texts.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"tokens": [*good, 32], "vocab_size": 32},
+            {"tokens": [*good, -1]},
+            {"tokens": good, "vocab_size": 32},
+        )))
+        out = tmp_path / "r.jsonl"
+        rc = main(["detect", "--in", str(src), "--key", f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}",
+                   "--out", str(out)])
+        assert rc == 0
+        bad_high, bad_low, ok = _records(out)
+        assert bad_high["error"] == "token 32 outside [0, 32)"
+        assert bad_low["error"] == "token -1 outside [0, vocab_size)"
+        assert ok["n_scored"] == 18
 
     def test_hc_statistic_runs(self, tmp_path):
         src = _generate(tmp_path, texts=1, n=120)
@@ -559,6 +667,19 @@ class TestCalibrate:
         assert "critical_value" in payload
         assert payload["cache_dir"] == str(tmp_path)
         assert (tmp_path / "calibrations.csv").exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-1"])
+    def test_bad_alpha_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch, alpha):
+        def no_draws(*args):
+            raise AssertionError("the null was drawn")
+
+        monkeypatch.setattr(detection, "_null_statistics", no_draws)
+        cache = tmp_path / "cache"
+        rc = main(["calibrate", "--stat", "sum", "--n", "30", "--alpha", alpha, "--reps", "1000",
+                   "--cache-dir", str(cache)])
+        assert rc == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_nonpositive_n_is_usage_error(self, tmp_path, capsys, n):

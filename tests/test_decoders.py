@@ -1,6 +1,7 @@
 """Decoder behavior: coupling branches, marginal preservation, pivot laws,
 and exact scalar/batch agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy import stats as sstats
 
 from wmkit.attacks import _draft_q
+from wmkit.cli import text_from_record, text_record
 from wmkit.core import GeneratedText, RngStream, context_window, make_ntp
 from wmkit.decoders import (
     Branch,
@@ -30,8 +32,6 @@ from wmkit.decoders import (
     sample_rejection_coupling,
     sample_soft_batch,
     soft_step_full,
-    text_from_record,
-    to_record,
 )
 from wmkit.keying import WatermarkKey, derive_zeta, green_mask, is_green
 from wmkit.lm import MarkovSource
@@ -418,7 +418,13 @@ class TestConfig:
             DecoderConfig(scheme="soft")
         with pytest.raises(ValueError):
             DecoderConfig(scheme="mc-soft", delta=-0.5)
+        # e^delta must be a finite float: NaN, infinity and 710 are refused.
+        for scheme in ("soft", "mc-soft"):
+            for delta in (float("nan"), float("inf"), 710.0):
+                with pytest.raises(ValueError):
+                    DecoderConfig(scheme=scheme, delta=delta)
         assert DecoderConfig(scheme="soft", delta=1.0).delta == 1.0
+        assert DecoderConfig(scheme="soft", delta=709.0).delta == 709.0
 
     def test_dipmark_needs_alpha(self):
         with pytest.raises(ValueError):
@@ -481,8 +487,6 @@ class TestGeneration:
         res = generate(model, KEY, None, GeneratedText((1, 2), 2), 3, FixedStream([0.9, 0.3, 0.1]))
         assert res.text.tokens == (1, 2, 2, 1, 0)
         assert res.steps == () and res.scheme is None
-        rec = to_record(res, model.vocab_size)
-        assert (rec["scheme"], rec["watermarked"], rec["diagnostics"]) == ("plain", False, [])
 
     def test_masking_off_never_masks(self):
         key0 = WatermarkKey(master=77, k=0, gamma=0.5, green_mode="hash")
@@ -496,9 +500,16 @@ class TestGeneration:
         cfg = DecoderConfig(scheme="dipmark", alpha_dip=0.45)
         prompt = GeneratedText(tokens=(0, 1), prompt_len=2)
         res = generate(model, PERM_KEY, cfg, prompt, 15, RngStream(4))
-        rec = to_record(res, model.vocab_size)
+        line = text_record(
+            0, res.text, res.scheme.value, model.vocab_size, True,
+            diagnostics=[step.to_dict() for step in res.steps],
+        )
+        rec = json.loads(line)
+        assert list(rec) == ["text_id", "tokens", "prompt_len", "scheme", "vocab_size",
+                             "watermarked", "diagnostics"]
         assert rec["scheme"] == "dipmark" and rec["watermarked"] is True
         assert len(rec["diagnostics"]) == 15
+        assert list(rec["diagnostics"][0]) == ["masked", "branch", "green_mass", "zero_green"]
         text = text_from_record(rec)
         assert text.tokens == res.text.tokens
         assert text.prompt_len == 2

@@ -112,6 +112,32 @@ class TestSumTest:
             sum_test(np.array([]))
 
 
+class TestLevelChecks:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -1.0, float("nan")])
+    def test_alpha_outside_unit_interval(self, tmp_path, alpha):
+        scores = np.full(20, 0.5)
+        text = _random_text(np.random.default_rng(0), length=40)
+        for call in (
+            lambda: sum_test(scores, alpha),
+            lambda: max_test(scores, alpha),
+            lambda: detect(text, KEY, Statistic.SUM, alpha=alpha),
+            lambda: detect(text, KEY, Statistic.HC_PLUS, alpha=alpha, cache_dir=tmp_path),
+            lambda: detect_baseline(text, KEY, "gumbel", alpha=alpha),
+            lambda: detect_baseline(text, KEY, "soft", alpha=alpha),
+            lambda: calibrate_null(Statistic.SUM, 30, alpha, reps=1000, cache_dir=tmp_path),
+        ):
+            with pytest.raises(OutOfRange, match="alpha"):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("statistic", [Statistic.SUM, Statistic.HC_PLUS])
+    def test_detect_checks_calibration_reps_before_scoring(self, tmp_path, statistic):
+        # Too short to score: the reps check must come first.
+        short = GeneratedText(tokens=(1, 2))
+        with pytest.raises(OutOfRange, match="reps"):
+            detect(short, KEY, statistic, reps=10, cache_dir=tmp_path)
+
+
 class TestHigherCriticism:
     def test_hand_values_sqrt_denominator(self):
         x = np.array([0.1, 0.9])
@@ -524,6 +550,24 @@ class TestExtractScores:
         assert len(scores[0]) == 200
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("mode", ["hash", "perm"])
+    @pytest.mark.parametrize(
+        "tokens,vocab_size",
+        [((1, 2, 32, 4), 32), ((1, -1, 3, 4), 32), ((1, -1, 3, 4), None)],
+    )
+    def test_tokens_outside_vocabulary_rejected(self, mode, tokens, vocab_size):
+        # Negative tokens are refused even when the vocabulary is unknown.
+        key = WatermarkKey(master=99, k=2, gamma=0.5, green_mode=mode)
+        text = GeneratedText(tokens)
+        for call in (
+            lambda: extract_scores(text, key, vocab_size),
+            lambda: extract_zeta_primes_batch(np.array([tokens]), key, vocab_size),
+            lambda: detect_baseline(text, key, "gumbel", vocab_size=vocab_size),
+            lambda: detect_baseline(text, key, "mc", vocab_size=vocab_size),
+        ):
+            with pytest.raises(OutOfRange, match="outside"):
+                call()
+
     def test_null_scores_uniform(self):
         rng = np.random.default_rng(8)
         tokens = rng.integers(0, 64, size=(100, 102))
@@ -595,21 +639,19 @@ class TestBaselines:
         assert sstats.kstest([r.p_value for r in reports], "uniform").pvalue > 1e-3
 
     def test_green_count_all_green_pvalue(self):
-        # Ten of ten green tokens under gamma = 0.5: upper tail is 2**-10.
-        rng = np.random.default_rng(11)
-        while True:
-            text = _random_text(rng, length=40)
-            scores = extract_scores(text, KEY)[:]
-            greens = [s for s in scores if s.is_green]
-            if len(greens) >= 10:
+        # A 12-token text whose ten scored tuples are all green: under
+        # gamma = 0.5 the Binomial(10, 1/2) upper tail at 10 is 2**-10.
+        for seed in range(20_000):
+            text = _random_text(np.random.default_rng(seed), length=12)
+            scores = extract_scores(text, KEY)
+            if len(scores) == 10 and all(s.is_green for s in scores):
                 break
-        tokens = []
-        # Rebuild a text from ten green (context, token) tuples is brittle;
-        # check the binomial tail arithmetic through the soft baseline
-        # directly instead.
-        report = detect_baseline(text, KEY, "soft", alpha=0.5)
-        n, g = report.n_scored, int(report.value)
-        assert report.p_value == pytest.approx(float(sstats.binom.sf(g - 1, n, 0.5)))
+        else:
+            pytest.fail("no all-green text among the seeds searched")
+        report = detect_baseline(text, KEY, "soft", alpha=0.01)
+        assert (report.n_scored, report.value) == (10, 10.0)
+        assert report.p_value == 2.0**-10
+        assert report.reject
 
     def test_soft_baseline_detects_soft_watermark(self):
         model = MarkovSource(order=2, vocab_size=64, seed=11)

@@ -1,6 +1,7 @@
 """Key material: seed derivation, green lists, pivots, and serialization."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from wmkit.core import RngStream
+from wmkit.core import GeneratedText, RngStream
+from wmkit.detection import detect_baseline
 from wmkit.keying import (
     GREEN_TAG,
     PERM_TAG,
@@ -24,7 +26,6 @@ from wmkit.keying import (
     format_key,
     green_mask,
     green_mask_batch,
-    gumbel_uniform,
     is_green,
     is_green_batch,
     keyed_permutation,
@@ -257,10 +258,20 @@ class TestPivots:
         assert ks.pvalue > 1e-3
 
     def test_gumbel_uniform_random_access(self):
-        stream = RngStream(derive_seed(KEY, (8, 9), ZETA_TAG))
-        draws = [stream.next_uniform() for _ in range(6)]
-        for tok in range(6):
-            assert gumbel_uniform(KEY, (8, 9), tok) == draws[tok]
+        # The Gumbel baseline statistic reads U_token as draw token + 1 of the
+        # context's ZETA stream, addressed without drawing its predecessors.
+        tokens = (8, 9, 3, 8, 9, 3, 8, 9, 5, 60, 0, 8, 9, 5)
+        first = []
+        for t in range(KEY.k, len(tokens)):
+            if tokens[t - KEY.k : t + 1] not in first:
+                first.append(tokens[t - KEY.k : t + 1])
+        stat = 0.0
+        for *ctx, tok in first:
+            u = RngStream(derive_seed(KEY, tuple(ctx), ZETA_TAG)).value_at(tok + 1)
+            stat -= math.log1p(-u)
+        report = detect_baseline(GeneratedText(tokens), KEY, "gumbel")
+        assert report.n_scored == len(first) == 8  # four repeated tuples dropped
+        assert report.value == stat
 
     def test_zeta_independent_of_green(self):
         # Correlation between the pivot and membership indicator stays small.

@@ -15,7 +15,7 @@ from wmkit.simulation import (
     Regime,
     RegimeConfig,
     boundary_scan,
-    histogram_to_csv,
+    csv_text,
     run_power,
     signal_count,
 )
@@ -49,6 +49,8 @@ class TestRegimeConfig:
             (_weak, {"q": float("nan")}),
             (_strong, {"r": 0.0}),
             (_strong, {"r": -1.0}),
+            (_weak, {"alpha": 1.5}),
+            (_weak, {"alpha": float("nan")}),
         ],
     )
     def test_validation(self, factory, kwargs):
@@ -279,7 +281,8 @@ class TestNullHistogram:
 
     def test_csv_rendering(self):
         rows = run_power(_weak(m_grid=(50,))).histogram(10)
-        lines = histogram_to_csv(rows).splitlines()
+        lines = csv_text(rows).splitlines()
         assert lines[0] == "statistic,bin_lo,bin_hi,null_count,alt_count"
         assert len(lines) == 1 + 2 * 10
-        assert histogram_to_csv([]) == ""
+        assert lines[1].split(",")[1] == repr(rows[0]["bin_lo"])
+        assert csv_text([]) == ""
