@@ -23,7 +23,6 @@ from .core import (
 )
 from .keying import (
     KeyFormatError,
-    MaskLedger,
     WatermarkKey,
     derive_seed,
     derive_zeta,
@@ -66,7 +65,6 @@ from .lm import (
     EndOfTrace,
     MalformedTrace,
     MarkovSource,
-    NtpSource,
     NtpTrace,
     TraceSource,
     load_trace,
@@ -87,6 +85,5 @@ from .simulation import (
     boundary_scan,
     run_power,
 )
-from .cli import text_from_record, text_record
 
 __version__ = "0.1.0"

@@ -95,7 +95,7 @@ def merge_specdec_stats(parts) -> SpecDecStats:
 
 
 def substitute(
-    text: GeneratedText, rate: float, rng: np.random.Generator | int, vocab_size: int
+    text: GeneratedText, rate: float, rng: np.random.Generator, vocab_size: int
 ) -> GeneratedText:
     """Replace each non-prompt token independently with probability ``rate``
     by a uniformly random different token.  Length and prompt are preserved."""
@@ -103,8 +103,6 @@ def substitute(
         raise ValueError("rate must lie in [0, 1]")
     if vocab_size < 2:
         raise ValueError("substitution needs at least two tokens in the vocabulary")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     cont = np.array(text.continuation, dtype=np.int64)
     flips = rng.random(len(cont)) < rate
     # Uniform over the other vocab_size - 1 tokens: shift draws at or above
@@ -145,7 +143,7 @@ def specdec_postprocess(
     prompt: GeneratedText,
     n: int,
     aux: RngStream,
-    accept_rng: np.random.Generator | int,
+    accept_rng: np.random.Generator,
 ) -> tuple[GeneratedText, SpecDecStats]:
     """Generate ``n`` tokens by speculative decoding: the watermarked draft
     proposes up to ``lookahead`` tokens per round, the target accepts a
@@ -162,8 +160,6 @@ def specdec_postprocess(
         raise VocabMismatch("draft and target models must share a vocabulary")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(accept_rng, (int, np.integer)):
-        accept_rng = np.random.default_rng(accept_rng)
 
     def accept_u() -> float:
         return float(accept_rng.random())

@@ -11,6 +11,7 @@ byte-identical outputs.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .detection import (
     Statistic,
     _check_alpha,
     _check_reps,
+    _check_seed,
     calibrate_null,
     detect,
     default_cache_dir,
@@ -74,9 +76,22 @@ def text_record(text_id, text: GeneratedText, scheme, vocab_size, watermarked, *
     return json.dumps({**record, **fields})
 
 
-def text_from_record(record: dict) -> GeneratedText:
-    """The text of a record written by :func:`text_record`."""
-    return GeneratedText(tokens=tuple(record["tokens"]), prompt_len=record.get("prompt_len", 0))
+def text_from_record(record) -> GeneratedText:
+    """The text of a record written by :func:`text_record`.  Raises
+    ValueError unless the record is an object whose ``tokens`` are a list of
+    integers (JSON true and false are not) and whose ``prompt_len`` and
+    ``vocab_size``, if given, are integers."""
+    if not isinstance(record, dict):
+        raise ValueError("a text record must be a JSON object")
+    tokens, prompt_len = record.get("tokens"), record.get("prompt_len", 0)
+    vocab_size = record.get("vocab_size")
+    if not isinstance(tokens, list) or any(type(t) is not int for t in tokens):
+        raise ValueError("tokens must be a list of integers")
+    if type(prompt_len) is not int:
+        raise ValueError(f"prompt_len must be an integer, got {prompt_len!r}")
+    if vocab_size is not None and type(vocab_size) is not int:
+        raise ValueError(f"vocab_size must be an integer, got {vocab_size!r}")
+    return GeneratedText(tokens=tuple(tokens), prompt_len=prompt_len)
 
 
 def _emit_lines(lines: list[str], out: str | None) -> None:
@@ -143,15 +158,16 @@ def cmd_detect(args) -> int:
     try:
         _check_alpha(args.alpha)
         _check_reps(args.calib_reps)
+        _check_seed(args.calib_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     records = _read_records(args.input)
     lines = []
     n_wm = n_plain = rej_wm = rej_plain = 0
     for idx, rec in enumerate(records):
-        text_id = rec.get("text_id", idx)
-        label = rec.get("watermarked")
-        base = {"text_id": text_id}
+        fields = rec if isinstance(rec, dict) else {}
+        label = fields.get("watermarked")
+        base = {"text_id": fields.get("text_id", idx)}
         if label is not None:
             base["watermarked"] = label
         try:
@@ -161,7 +177,7 @@ def cmd_detect(args) -> int:
                 statistic=statistic,
                 alpha=args.alpha,
                 side=Side(args.side),
-                vocab_size=rec.get("vocab_size"),
+                vocab_size=fields.get("vocab_size"),
                 denom=HcDenom(args.hc_denom),
                 reps=args.calib_reps,
                 seed=args.calib_seed,
@@ -169,7 +185,7 @@ def cmd_detect(args) -> int:
         except ValueError as exc:
             lines.append(json.dumps({**base, "error": str(exc)}))
             continue
-        lines.append(json.dumps({**base, **report.to_dict()}))
+        lines.append(json.dumps({**base, **dataclasses.asdict(report)}))
         if label is True:
             n_wm += 1
             rej_wm += int(report.reject)
@@ -189,16 +205,18 @@ def cmd_detect(args) -> int:
 def cmd_attack(args) -> int:
     try:
         config = AttackConfig(kind=AttackKind(args.kind), sub_rate=args.rate)
+        _check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     records = _read_records(args.input)
     lines = []
     for idx, rec in enumerate(records):
+        text = text_from_record(rec)
         vocab_size = rec.get("vocab_size")
         if vocab_size is None:
             raise UsageError("records must carry vocab_size for substitution")
         rng = np.random.default_rng([args.seed, idx])
-        attacked = substitute(text_from_record(rec), config.sub_rate, rng, vocab_size)
+        attacked = substitute(text, config.sub_rate, rng, vocab_size)
         lines.append(
             text_record(
                 rec.get("text_id", idx), attacked, rec.get("scheme"), vocab_size,
@@ -211,8 +229,6 @@ def cmd_attack(args) -> int:
 
 def cmd_specdec(args) -> int:
     key = _parse_key_arg(args.key)
-    draft = _parse_model_arg(args.draft)
-    target = _parse_model_arg(args.target)
     try:
         scheme = Scheme(args.scheme)
         config = AttackConfig(
@@ -220,8 +236,11 @@ def cmd_specdec(args) -> int:
             accept_scale=args.accept_scale,
             lookahead=args.lookahead,
         )
+        _check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    draft = _parse_model_arg(args.draft)
+    target = _parse_model_arg(args.target)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.texts < 1:

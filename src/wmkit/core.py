@@ -120,20 +120,14 @@ class RngStream:
 
     __slots__ = ("state", "counter")
 
-    def __init__(self, state: int, counter: int = 0):
+    def __init__(self, state: int):
         self.state = state & MASK64
-        self.counter = counter & MASK64
+        self.counter = 0
 
     def next_uniform(self) -> float:
         self.counter = (self.counter + 1) & MASK64
         z = mix64((self.state + self.counter * GOLDEN) & MASK64)
         return _unit_float(z)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` draws as a float64 array; advances the counter by ``n``."""
-        counters = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter)
-        self.counter = (self.counter + n) & MASK64
-        return counter_uniforms(self.state, counters)
 
     def value_at(self, counter: int) -> float:
         """Draw at an absolute counter position without advancing the stream."""
@@ -198,7 +192,12 @@ class GeneratedText:
     prompt_len: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        # A token that int() would change (1.9, "3") is refused, not truncated.
+        given = tuple(self.tokens)
+        tokens = tuple(int(t) for t in given)
+        if tokens != given:
+            raise ValueError("tokens must be integers")
+        object.__setattr__(self, "tokens", tokens)
         if not 0 <= self.prompt_len <= len(self.tokens):
             raise ValueError("prompt_len must lie in [0, len(tokens)]")
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import GeneratedText, NtpDistribution, RngStream, context_window, counter_uniforms
 from .keying import (
-    MaskLedger,
     WatermarkKey,
     PERM_TAG,
     ZETA_TAG,
@@ -401,12 +400,12 @@ def generate(
     if n < 1:
         raise ValueError("n must be >= 1")
     history: list[int] = list(prompt.tokens)
-    ledger = MaskLedger()
+    seen: set[tuple[int, ...]] = set()
     steps: list[StepResult] = []
     for _ in range(n):
         ctx = context_window(history, key.k)
         P = model.next(history)
-        if config is None or (config.masking and not ledger.check_and_record(ctx)):
+        if config is None or (config.masking and ctx in seen):
             token = categorical_from_uniform(P.probs, aux.next_uniform())
             step = StepResult(token=token, masked=True)
         elif config.scheme is Scheme.MC:
@@ -419,6 +418,7 @@ def generate(
             step = soft_step_full(P, key, ctx, aux, config.delta)
         else:
             step = dipmark_step_full(P, key, ctx, aux, config.alpha_dip)
+        seen.add(ctx)
         steps.append(step)
         history.append(step.token)
     text = GeneratedText(tokens=tuple(history), prompt_len=len(prompt.tokens))

@@ -121,17 +121,6 @@ class DetectionReport:
     reject: bool
     alpha: float
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic.value,
-            "value": self.value,
-            "p_value": self.p_value,
-            "threshold": self.threshold,
-            "n_scored": self.n_scored,
-            "reject": self.reject,
-            "alpha": self.alpha,
-        }
-
 
 @dataclass(frozen=True)
 class NullCalibration:
@@ -214,12 +203,6 @@ def extract_zeta_primes_batch(
     return out
 
 
-def _score_values(scores) -> np.ndarray:
-    if isinstance(scores, np.ndarray):
-        return scores.astype(np.float64, copy=False)
-    return np.array([s.zeta_prime for s in scores], dtype=np.float64)
-
-
 def irwin_hall_cdf(s: float, n: int) -> float:
     """Exact CDF of a sum of n i.i.d. U[0,1] variables, for n < 15."""
     if not 1 <= n < 15:
@@ -255,11 +238,16 @@ def _check_reps(reps: int) -> None:
         raise OutOfRange(f"reps must be >= 1000, got {reps}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+
+
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     """Reject when the score sum is too small: the watermark pulls folded
     pivots toward 0, so the signal sits in the lower tail."""
     _check_alpha(alpha)
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=np.float64)
     n = len(values)
     if n < 1:
         raise EmptyScores("sum test needs at least one score")
@@ -415,7 +403,7 @@ def hc_statistic(
     (never rejects).
     """
     variant = _hc_variant(variant)
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=np.float64)
     if len(values) < 2:
         raise TooFewScores("higher criticism needs at least two scores")
     return float(_hc_blocks(values[None, :], variant, HcDenom(denom))[0])
@@ -439,7 +427,7 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
     alpha**(1/n), which has exact size alpha under the null.  The reported
     p-value max**n is informational; the threshold drives the decision."""
     _check_alpha(alpha)
-    values = _score_values(scores)
+    values = np.asarray(scores, dtype=np.float64)
     n = len(values)
     if n < 1:
         raise EmptyScores("max test needs at least one score")
@@ -580,7 +568,6 @@ def calibrate_null(
     seed: int = 0,
     denom: HcDenom = HcDenom.STANDARD_SQRT,
     cache_dir: Path | str | None = None,
-    use_cache: bool = True,
 ) -> NullCalibration:
     """Empirical critical value of a statistic over ``reps`` null simulations
     of n i.i.d. U[0,1] scores: the (1-alpha) quantile for upper-tail
@@ -595,17 +582,16 @@ def calibrate_null(
         raise ValueError(f"no simulated null for statistic {statistic}")
     _check_reps(reps)
     _check_alpha(alpha)
+    _check_seed(seed)
     if n < 1:
         raise OutOfRange(f"calibration needs n >= 1, got {n}")
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
-    if use_cache:
-        hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
-        if hit is not None:
-            return NullCalibration(statistic, n, alpha, hit, reps, seed)
+    hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
+    if hit is not None:
+        return NullCalibration(statistic, n, alpha, hit, reps, seed)
     critical = _critical_value(statistic, _null_statistics(statistic, n, reps, seed, denom), alpha)
-    if use_cache:
-        _cache_append(cache_path, statistic, n, alpha, reps, seed, denom, critical)
+    _cache_append(cache_path, statistic, n, alpha, reps, seed, denom, critical)
     return NullCalibration(statistic, n, alpha, critical, reps, seed)
 
 
@@ -631,12 +617,8 @@ def detect(
     _check_alpha(alpha)
     _check_reps(reps)
     scores = extract_scores(text, key, vocab_size)
-    if statistic is Statistic.MAX:
-        side = Side.GREEN_ONLY
-    if side is Side.GREEN_ONLY:
-        values = np.array([s.zeta_prime for s in scores if s.is_green])
-    else:
-        values = _score_values(scores)
+    keep_red = side is Side.COMBINED and statistic is not Statistic.MAX
+    values = np.array([s.zeta_prime for s in scores if s.is_green or keep_red], dtype=np.float64)
     if statistic is Statistic.SUM:
         return sum_test(values, alpha)
     if statistic is Statistic.MAX:

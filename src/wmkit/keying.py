@@ -4,13 +4,12 @@ Two keyed pseudorandom functions are realized by seeding the shared
 mix-finalizer stream with a fold of (master secret XOR tag, previous k
 tokens).  Distinct tag constants separate the green-list PRF, the pivot
 PRF, and the permutation PRF, so their outputs are independent inputs to
-the mixer.  A small ledger tracks contexts that already triggered
-watermarking so repeated contexts can be left unwatermarked.
+the mixer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "PERM_TAG",
     "GREEN_MODES",
     "WatermarkKey",
-    "MaskLedger",
     "derive_seed",
     "derive_seed_batch",
     "derive_zeta",
@@ -286,17 +284,3 @@ def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_zeta` for an (n, k) array of contexts."""
     return counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), 1)
 
-
-@dataclass
-class MaskLedger:
-    """Records contexts that already triggered watermarking within one text."""
-
-    seen_contexts: set = field(default_factory=set)
-
-    def check_and_record(self, ctx) -> bool:
-        """True iff the context is fresh (watermark should be applied); the
-        context is recorded either way."""
-        ctx = tuple(int(t) for t in ctx)
-        fresh = ctx not in self.seen_contexts
-        self.seen_contexts.add(ctx)
-        return fresh

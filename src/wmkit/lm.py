@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .core import (
 )
 
 __all__ = [
-    "NtpSource",
     "MarkovSource",
     "NtpTrace",
     "TraceSource",
@@ -58,15 +57,6 @@ class MalformedTrace(ValueError):
 
 class EndOfTrace(IndexError):
     """Raised when replay is asked for a step past the recorded horizon."""
-
-
-@runtime_checkable
-class NtpSource(Protocol):
-    """Anything that can emit a next-token distribution for a history."""
-
-    vocab_size: int
-
-    def next(self, history: Sequence[int]) -> NtpDistribution: ...
 
 
 def _uniform_blocks(state: int, size: int) -> Iterator[list[float]]:
@@ -247,9 +237,6 @@ class TraceSource:
             raise EndOfTrace(f"trace has {len(steps)} steps, asked for t={t}")
         self.cursor += 1
         return steps[t]
-
-    def reset(self) -> None:
-        self.cursor = 0
 
 
 def parse_model_spec(spec: str):

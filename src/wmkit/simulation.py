@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .detection import HcDenom, RowStream, Statistic, hc_batch
-from .detection import _check_alpha, _check_reps, _critical_value, _rejects
+from .detection import _check_alpha, _check_reps, _check_seed, _critical_value, _rejects
 
 __all__ = [
     "Regime",
@@ -64,6 +64,10 @@ class RegimeConfig:
     def __post_init__(self):
         object.__setattr__(self, "regime", Regime(self.regime))
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        # Python floats, so that the CSVs write numpy scalars as plain numbers.
+        for name in ("p", "r", "q", "alpha"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, None if value is None else float(value))
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         if self.regime is Regime.STRONG and (self.r is None or not self.r > 0.0):
@@ -78,10 +82,11 @@ class RegimeConfig:
             raise ValueError("m_grid must be ascending")
         _check_reps(self.reps)
         _check_alpha(self.alpha)
+        _check_seed(self.seed)
 
     @property
     def q_or_r(self) -> float:
-        return float(self.r if self.regime is Regime.STRONG else self.q)
+        return self.r if self.regime is Regime.STRONG else self.q
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,6 @@ def signal_count(config: RegimeConfig, m: int) -> int:
     return int(m * m ** (-config.p) + 0.5)
 
 
-def _signal_draws(config: RegimeConfig, m: int) -> int:
-    """Extra uniforms an alternative row draws after its m scores: one P_G
-    per signal under STRONG, none under WEAK."""
-    return signal_count(config, m) if config.regime is Regime.STRONG else 0
-
-
 def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, u: np.ndarray | None) -> None:
     """Turn rows x of null uniforms into alternative scores in place, with
     the signals in the leading columns: STRONG scales them by P_G, uniform
@@ -150,12 +149,13 @@ def _cell_rows(config: RegimeConfig, m: int, role: int) -> RowStream:
     """The (reps, m) scores of one (m, role) cell, drawn lazily with their
     row sums; role 0 = null, role 1 = alternative, which needs no per-row
     shuffle because the tests are permutation-invariant.  Streams are
-    derived from (seed, m, role) so the two roles never share draws."""
+    derived from (seed, m, role) so the two roles never share draws.  A
+    STRONG alternative row draws one P_G per signal after its m scores."""
     alt = role == 1
     return RowStream(
         (config.seed, m, role),
         (config.reps, m),
-        extra=_signal_draws(config, m) if alt else 0,
+        extra=signal_count(config, m) if alt and config.regime is Regime.STRONG else 0,
         chunk_rows=max(1, _CHUNK_ELEMENTS // m),
         transform=partial(_add_signal, config, m) if alt else None,
         reduce=np.add,

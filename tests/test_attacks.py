@@ -60,41 +60,42 @@ class TestSubstitute:
 
     def test_rate_zero_identity(self):
         text = self._text()
-        assert substitute(text, 0.0, 1, 64).tokens == text.tokens
+        assert substitute(text, 0.0, np.random.default_rng(1), 64).tokens == text.tokens
 
     def test_rate_one_changes_everything(self):
         text = self._text()
-        out = substitute(text, 1.0, 1, 64)
+        out = substitute(text, 1.0, np.random.default_rng(1), 64)
         assert all(a != b for a, b in zip(out.continuation, text.continuation))
         assert out.tokens[:3] == text.tokens[:3]
 
     def test_partial_rate_counts(self):
         text = self._text(n=10_003)
-        out = substitute(text, 0.1, 2, 64)
+        out = substitute(text, 0.1, np.random.default_rng(2), 64)
         changed = sum(a != b for a, b in zip(out.continuation, text.continuation))
         assert abs(changed - 1000) < 100
 
     def test_replacements_in_vocab(self):
         text = self._text(vocab=8)
-        out = substitute(text, 1.0, 3, 8)
+        out = substitute(text, 1.0, np.random.default_rng(3), 8)
         assert all(0 <= t < 8 for t in out.continuation)
 
     def test_prompt_and_length_preserved(self):
         text = self._text()
-        out = substitute(text, 0.5, 4, 64)
+        out = substitute(text, 0.5, np.random.default_rng(4), 64)
         assert len(out.tokens) == len(text.tokens)
         assert out.prompt_len == text.prompt_len
         assert out.tokens[: text.prompt_len] == text.tokens[: text.prompt_len]
 
     def test_int_seed_reproducible(self):
         text = self._text()
-        assert substitute(text, 0.3, 7, 64).tokens == substitute(text, 0.3, 7, 64).tokens
+        a, b = (substitute(text, 0.3, np.random.default_rng(7), 64) for _ in range(2))
+        assert a.tokens == b.tokens
 
     def test_replacement_uniform_over_others(self):
         # With rate 1 on a 3-token vocabulary the replacement law is uniform
         # on the two other tokens.
         text = GeneratedText(tokens=(0,) * 30_000, prompt_len=0)
-        out = substitute(text, 1.0, 5, 3)
+        out = substitute(text, 1.0, np.random.default_rng(5), 3)
         counts = np.bincount(out.tokens, minlength=3)
         assert counts[0] == 0
         assert abs(counts[1] - 15_000) < 450
@@ -102,9 +103,9 @@ class TestSubstitute:
     def test_errors(self):
         text = self._text()
         with pytest.raises(ValueError):
-            substitute(text, -0.1, 1, 64)
+            substitute(text, -0.1, np.random.default_rng(1), 64)
         with pytest.raises(ValueError):
-            substitute(text, 0.5, 1, 1)
+            substitute(text, 0.5, np.random.default_rng(1), 1)
 
 
 def _random_pq(rng, vocab):
@@ -282,7 +283,8 @@ class TestSpecDecPostprocess:
         config = AttackConfig(kind=AttackKind.SPECDEC)
         with pytest.raises(ValueError):
             specdec_postprocess(
-                a, b, KEY, config, Scheme.MC, GeneratedText((1, 2), 2), 10, RngStream(0), 0
+                a, b, KEY, config, Scheme.MC, GeneratedText((1, 2), 2), 10, RngStream(0),
+                np.random.default_rng(0),
             )
 
     def test_weakened_watermark_still_sound_text(self):

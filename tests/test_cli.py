@@ -38,6 +38,18 @@ def _records(path):
     return [json.loads(ln) for ln in path.read_text().splitlines() if ln.strip()]
 
 
+# Records that are not text records; each once raised a traceback or was
+# scored as something else.
+MALFORMED_RECORDS = {
+    "tokens-not-a-list": {"tokens": 5, "vocab_size": 32},
+    "not-an-object": [1, 2, 3],
+    "vocab-size-string": {"tokens": list(range(20)), "vocab_size": "32"},
+    "fractional-tokens": {"tokens": [t + 0.9 for t in range(20)], "vocab_size": 32},
+    "boolean-tokens": {"tokens": [True, False] * 10, "vocab_size": 32},
+    "prompt-len-string": {"tokens": list(range(20)), "prompt_len": "2", "vocab_size": 32},
+}
+
+
 class TestGenerate:
     def test_record_shape(self, tmp_path):
         out = _generate(tmp_path, texts=1)
@@ -345,6 +357,17 @@ class TestDetect:
         assert bad_low["error"] == "token -1 outside [0, vocab_size)"
         assert ok["n_scored"] == 18
 
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+    def test_malformed_record_reports_error_record(self, tmp_path, record):
+        src = tmp_path / "texts.jsonl"
+        good = {"text_id": 7, "tokens": list(range(20)), "vocab_size": 32}
+        src.write_text(json.dumps(record) + "\n" + json.dumps(good) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["detect", "--in", str(src), "--key", KEY_ARG, "--out", str(out)]) == 0
+        bad, ok = _records(out)
+        assert bad["text_id"] == 0 and set(bad) == {"text_id", "error"}
+        assert ok["text_id"] == 7 and ok["n_scored"] == 18
+
     def test_hc_statistic_runs(self, tmp_path):
         src = _generate(tmp_path, texts=1, n=120)
         out = tmp_path / "r.jsonl"
@@ -397,6 +420,15 @@ class TestAttack:
         rc = main(["detect", "--in", str(out), "--key", KEY_ARG, "--stat", "sum"])
         assert rc == 0
         assert "TPR=1.0000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+    def test_malformed_record_is_runtime_error(self, tmp_path, capsys, record):
+        src = tmp_path / "texts.jsonl"
+        src.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "a.jsonl"
+        assert main(["attack", "--in", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         src = _generate(tmp_path, texts=2)
@@ -692,6 +724,43 @@ class TestCalibrate:
         assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--in", "{missing}", "--key", KEY_ARG, "--stat", "hc+", "--calib-seed", "-1"],
+        ["attack", "--in", "{missing}", "--seed", "-1"],
+        ["specdec", "--draft", "trace:path={missing}", "--target", "trace:path={missing}",
+         "--key", KEY_ARG, "--n", "5", "--seed", "-1"],
+        ["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.5", "--m", "100",
+         "--reps", "1000", "--seed", "-1"],
+        ["calibrate", "--stat", "sum", "--n", "30", "--reps", "1000", "--seed", "-1",
+         "--cache-dir", "{cache}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_usage_error_before_reading_or_drawing(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    def no_draws(*args):
+        raise AssertionError("scores were drawn")
+
+    monkeypatch.setattr(detection, "_null_statistics", no_draws)
+    monkeypatch.setattr(simulation, "_stats_over_draws", no_draws)
+    # A cached row for seed -1 must not be looked up either.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "calibrations.csv").write_text(
+        "statistic,n,alpha,reps,seed,critical_value\nsum,30,0.01,1000,-1,12.5\n"
+    )
+    paths = {"missing": tmp_path / "missing.jsonl", "cache": cache}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_generate_accepts_any_seed(tmp_path):
+    # generate masks its seed to 64 bits.
+    assert _records(_generate(tmp_path, texts=1, n=5, seed=-1))[0]["tokens"]
+
+
 class TestTopLevel:
     def test_unknown_flag(self):
         assert main(["generate", "--frobnicate"]) == 2
@@ -737,3 +806,5 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert out.exists()
+        # Importing the package must not import wmkit.cli before runpy runs it.
+        assert "RuntimeWarning" not in proc.stderr

@@ -77,6 +77,11 @@ class TestFold64:
         assert fold64(state, tokens) == fold64(state, tokens)
 
 
+def _first_draws(state, n):
+    # Draws 1..n of RngStream(state).
+    return counter_uniforms(state, np.arange(1, n + 1, dtype=np.uint64))
+
+
 class TestRngStream:
     def test_first_draw_uses_counter_one(self):
         stream = RngStream(_SPLITMIX_SEED)
@@ -93,19 +98,6 @@ class TestRngStream:
             for j, counter in enumerate(counters.tolist()):
                 assert grid[i, j] == RngStream(state).value_at(counter)
 
-    def test_uniforms_match_scalar_draws(self):
-        a, b = RngStream(99), RngStream(99)
-        batch = a.uniforms(64)
-        singles = [b.next_uniform() for _ in range(64)]
-        assert batch.tolist() == singles
-        assert a.counter == b.counter == 64
-
-    def test_uniforms_resume_after_scalar_draws(self):
-        a, b = RngStream(7), RngStream(7)
-        a.next_uniform()
-        b.next_uniform()
-        assert a.uniforms(5).tolist() == [b.next_uniform() for _ in range(5)]
-
     def test_value_at_is_random_access(self):
         stream = RngStream(123)
         draws = [stream.next_uniform() for _ in range(10)]
@@ -117,18 +109,18 @@ class TestRngStream:
         assert RngStream(0).next_uniform() != 0.0
 
     def test_range_half_open(self):
-        u = RngStream(2024).uniforms(10000)
+        u = _first_draws(2024, 10000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
     def test_uniformity_large_sample(self):
-        u = RngStream(31337).uniforms(1_000_000)
+        u = _first_draws(31337, 1_000_000)
         assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12e6)
         ks = sstats.kstest(u, "uniform")
         assert ks.pvalue > 1e-4
 
     def test_distinct_states_decorrelated(self):
-        a = RngStream(1).uniforms(100_000)
-        b = RngStream(2).uniforms(100_000)
+        a = _first_draws(1, 100_000)
+        b = _first_draws(2, 100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
@@ -187,6 +179,12 @@ class TestGeneratedText:
         text = GeneratedText(tokens=(np.int64(5), 6.0), prompt_len=0)
         assert text.tokens == (5, 6)
         assert all(isinstance(t, int) for t in text.tokens)
+
+    @pytest.mark.parametrize("bad", [1.9, np.float64(0.5), "3"])
+    def test_non_integral_tokens_rejected(self, bad):
+        # int() would truncate them to another token.
+        with pytest.raises(ValueError, match="tokens must be integers"):
+            GeneratedText(tokens=(1, bad), prompt_len=0)
 
     def test_prompt_len_validated(self):
         with pytest.raises(ValueError):

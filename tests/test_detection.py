@@ -380,6 +380,14 @@ class TestCalibration:
     def test_env_var_controls_default_dir(self):
         assert default_cache_dir() == Path(os.environ["WMKIT_CALIB_DIR"])
 
+    def test_negative_seed_rejected_before_lookup(self, tmp_path):
+        # A cached row for seed -1 is not an answer to the request.
+        (tmp_path / "calibrations.csv").write_text(
+            "statistic,n,alpha,reps,seed,critical_value\nsum,30,0.01,1000,-1,12.5\n"
+        )
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            calibrate_null(Statistic.SUM, 30, 0.01, reps=1000, seed=-1, cache_dir=tmp_path)
+
     def test_uncalibratable_statistic(self, tmp_path):
         with pytest.raises(ValueError):
             calibrate_null(Statistic.GUMBEL_SUM, 10, 0.01, cache_dir=tmp_path)
@@ -389,7 +397,8 @@ class TestCalibration:
         # at n=300, alpha=0.01): the two nulls differ by an order of magnitude.
         sqrt = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="sqrt", cache_dir=tmp_path)
         linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
-        fresh = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", use_cache=False)
+        fresh = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear",
+                               cache_dir=tmp_path / "fresh")
         assert linear.critical_value == fresh.critical_value
         assert linear.critical_value > 5 * sqrt.critical_value
         again = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="sqrt", cache_dir=tmp_path)
@@ -427,21 +436,21 @@ class TestCalibration:
         # is ignored with a warning; the lookup then recomputes.
         path = tmp_path / "calibrations.csv"
         path.write_text("statistic,n,alpha,reps,seed,critical_value\n" + row + "\n")
-        fresh = calibrate_null(Statistic.SUM, 30, 0.01, use_cache=False)
+        fresh = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path / "fresh")
         with pytest.warns(UserWarning, match="malformed rows"):
             got = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
         assert got.critical_value == fresh.critical_value
         assert path.read_text().splitlines()[-1].endswith(repr(fresh.critical_value))
 
     @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
-    def test_cold_calibration_memory_bounded(self, statistic, n):
+    def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
         # The null is drawn in blocks of about 2**20 scores (8 MiB): on this
         # thread for the sum, and in the HC kernel's three buffers per thread
         # for HC.  A draw chunk of 2e7 scores (153 MiB) breaks the bound.
         threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))
         tracemalloc.start()
         try:
-            calibrate_null(statistic, n, 0.01, use_cache=False)
+            calibrate_null(statistic, n, 0.01, cache_dir=tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,7 +17,6 @@ from wmkit.keying import (
     ZETA_TAG,
     ContextLengthMismatch,
     KeyFormatError,
-    MaskLedger,
     WatermarkKey,
     derive_seed,
     derive_seed_batch,
@@ -279,19 +278,6 @@ class TestPivots:
         zetas = derive_zeta_batch(KEY, ctxs)
         greens = is_green_batch(KEY, ctxs, np.zeros(20_000, dtype=np.int64))
         assert abs(np.corrcoef(zetas, greens.astype(float))[0, 1]) < 0.025
-
-
-class TestMaskLedger:
-    def test_first_fresh_then_masked(self):
-        ledger = MaskLedger()
-        assert ledger.check_and_record((1, 2)) is True
-        assert ledger.check_and_record((1, 2)) is False
-        assert ledger.check_and_record((1, 3)) is True
-
-    def test_accepts_array_contexts(self):
-        ledger = MaskLedger()
-        assert ledger.check_and_record(np.array([1, 2])) is True
-        assert ledger.check_and_record((1, 2)) is False
 
 
 @settings(max_examples=100)

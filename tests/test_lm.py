@@ -322,7 +322,7 @@ class TestReplay:
             assert np.array_equal(got.probs, want.probs)
         with pytest.raises(EndOfTrace):
             src.next([99])
-        src.reset()
+        src.cursor = 0
         assert np.array_equal(src.next([99]).probs, trace.steps[0].probs)
 
     def test_history_ignored(self):

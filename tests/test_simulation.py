@@ -57,6 +57,17 @@ class TestRegimeConfig:
         with pytest.raises(ValueError):
             factory(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            _weak(seed=-1)
+
+    def test_numpy_floats_write_the_same_csv(self):
+        # The CSV writes floats by repr, which for a numpy scalar is
+        # "np.float64(0.2)" under numpy 2.
+        want = run_power(_weak(m_grid=(100,))).to_csv()
+        config = _weak(p=np.float64(0.2), q=np.float64(0.4), m_grid=(100,), alpha=np.float64(0.01))
+        assert run_power(config).to_csv() == want
+
     def test_regime_parameter_required(self):
         with pytest.raises(ValueError):
             RegimeConfig(regime=Regime.WEAK, p=0.2, m_grid=(100,))
