@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wmkit.attacks import AttackConfig, AttackKind, specdec_postprocess, substitute
+from wmkit.attacks import AttackConfig, specdec_postprocess, substitute
 from wmkit.core import GeneratedText, RngStream
 from wmkit.decoders import DecoderConfig, Scheme, generate
 from wmkit.detection import Statistic, detect
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     report[f"substituted_{args.sub_rate}"] = detection_rates(attacked, key, args.alpha)
 
     specdec = {}
-    sd_config = AttackConfig(kind=AttackKind.SPECDEC, accept_scale=0.5, lookahead=4)
+    sd_config = AttackConfig(accept_scale=0.5, lookahead=4)
     for scheme in (Scheme.MC, Scheme.GUMBEL):
         rejected = evaluated = 0
         for i in range(args.specdec_texts):

@@ -48,7 +48,6 @@ from .decoders import (
 from .detection import (
     DetectionReport,
     HcDenom,
-    NullCalibration,
     ScoredToken,
     Side,
     Statistic,
@@ -73,7 +72,6 @@ from .lm import (
 )
 from .attacks import (
     AttackConfig,
-    AttackKind,
     SpecDecStats,
     specdec_postprocess,
     substitute,

@@ -9,7 +9,6 @@ so the target stays independent of the watermark given context.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,10 +23,11 @@ from .decoders import (
     categorical_from_uniform,
     gumbel_max_step_full,
 )
+from .detection import _check_tokens
 from .keying import WatermarkKey, derive_zeta, green_mask
+from .lm import TraceSource
 
 __all__ = [
-    "AttackKind",
     "AttackConfig",
     "SpecDecStats",
     "substitute",
@@ -36,22 +36,15 @@ __all__ = [
 ]
 
 
-class AttackKind(str, enum.Enum):
-    SUBSTITUTE = "substitute"
-    SPECDEC = "specdec"
-
-
 @dataclass(frozen=True)
 class AttackConfig:
-    """Editor selection and its parameters."""
+    """Editor parameters: substitution rate, accept scale and lookahead."""
 
-    kind: AttackKind
     sub_rate: float = 0.1
     accept_scale: float = 0.5
     lookahead: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", AttackKind(self.kind))
         if not 0.0 <= self.sub_rate <= 1.0:
             raise ValueError("sub_rate must lie in [0, 1]")
         if not 0.0 < self.accept_scale <= 1.0:
@@ -98,11 +91,13 @@ def substitute(
     text: GeneratedText, rate: float, rng: np.random.Generator, vocab_size: int
 ) -> GeneratedText:
     """Replace each non-prompt token independently with probability ``rate``
-    by a uniformly random different token.  Length and prompt are preserved."""
+    by a uniformly random different token.  Length and prompt are preserved.
+    A token outside [0, vocab_size) raises :class:`~wmkit.detection.OutOfRange`."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     if vocab_size < 2:
         raise ValueError("substitution needs at least two tokens in the vocabulary")
+    _check_tokens(text.tokens, vocab_size)
     cont = np.array(text.continuation, dtype=np.int64)
     flips = rng.random(len(cont)) < rate
     # Uniform over the other vocab_size - 1 tokens: shift draws at or above
@@ -150,12 +145,14 @@ def specdec_postprocess(
     prefix under the scaled rejection rule and resamples the first rejected
     position from the excess.
 
-    Models must derive their distribution from the passed history (replay
-    sources with internal cursors would desynchronize between draft and
-    target).  A fully accepted run earns one bonus token sampled from the
-    target; it does not count as an evaluated proposal.
+    Models must derive their distribution from the passed history, so a
+    :class:`~wmkit.lm.TraceSource`, whose cursor advances whatever the
+    history, raises ValueError.  A fully accepted run earns one bonus token
+    sampled from the target; it does not count as an evaluated proposal.
     """
     scheme = Scheme(scheme)
+    if isinstance(draft_model, TraceSource) or isinstance(target_model, TraceSource):
+        raise ValueError("specdec needs models that read the history, not trace sources")
     if draft_model.vocab_size != target_model.vocab_size:
         raise VocabMismatch("draft and target models must share a vocabulary")
     if n < 1:

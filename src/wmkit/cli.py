@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackKind, merge_specdec_stats, specdec_postprocess, substitute
+from .attacks import AttackConfig, merge_specdec_stats, specdec_postprocess, substitute
 from .core import MASK64, GeneratedText, RngStream, fold64, mix64
 from .decoders import DecoderConfig, Scheme, generate
 from .detection import (
@@ -34,7 +34,7 @@ from .detection import (
     default_cache_dir,
 )
 from .keying import KeyFormatError, parse_key
-from .lm import EndOfTrace, MalformedTrace, parse_model_spec
+from .lm import EndOfTrace, MalformedTrace, TraceSource, parse_model_spec
 from .simulation import Regime, RegimeConfig, csv_text, run_power
 
 __all__ = ["main", "build_parser", "text_record", "text_from_record"]
@@ -125,15 +125,15 @@ def cmd_generate(args) -> int:
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    scheme = "plain" if config is None else config.scheme.value
     lines = []
     for i in range(args.texts):
         aux = _text_stream(args.seed, i, _GEN_ROLE)
         prompt = _random_prompt(aux, key.k, model.vocab_size)
         result = generate(model, key, config, prompt, args.n, aux)
-        scheme = "plain" if result.scheme is None else result.scheme.value
         lines.append(
             text_record(
-                i, result.text, scheme, model.vocab_size, result.scheme is not None,
+                i, result.text, scheme, model.vocab_size, config is not None,
                 diagnostics=[step.to_dict() for step in result.steps],
             )
         )
@@ -144,12 +144,8 @@ def cmd_generate(args) -> int:
 _STAT_CHOICES = sorted(s.value for s in _CALIBRATABLE)
 
 
-def _read_records(path: str) -> list[dict]:
-    records = []
-    for ln in Path(path).read_text().splitlines():
-        if ln.strip():
-            records.append(json.loads(ln))
-    return records
+def _read_lines(path: str) -> list[str]:
+    return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
 
 
 def cmd_detect(args) -> int:
@@ -161,16 +157,18 @@ def cmd_detect(args) -> int:
         _check_seed(args.calib_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    records = _read_records(args.input)
+    records = _read_lines(args.input)
     lines = []
     n_wm = n_plain = rej_wm = rej_plain = 0
-    for idx, rec in enumerate(records):
-        fields = rec if isinstance(rec, dict) else {}
-        label = fields.get("watermarked")
-        base = {"text_id": fields.get("text_id", idx)}
-        if label is not None:
-            base["watermarked"] = label
+    for idx, line in enumerate(records):
+        base = {"text_id": idx}
         try:
+            rec = json.loads(line)
+            fields = rec if isinstance(rec, dict) else {}
+            label = fields.get("watermarked")
+            base = {"text_id": fields.get("text_id", idx)}
+            if label is not None:
+                base["watermarked"] = label
             report = detect(
                 text_from_record(rec),
                 key,
@@ -204,13 +202,13 @@ def cmd_detect(args) -> int:
 
 def cmd_attack(args) -> int:
     try:
-        config = AttackConfig(kind=AttackKind(args.kind), sub_rate=args.rate)
+        config = AttackConfig(sub_rate=args.rate)
         _check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    records = _read_records(args.input)
     lines = []
-    for idx, rec in enumerate(records):
+    for idx, line in enumerate(_read_lines(args.input)):
+        rec = json.loads(line)
         text = text_from_record(rec)
         vocab_size = rec.get("vocab_size")
         if vocab_size is None:
@@ -220,7 +218,7 @@ def cmd_attack(args) -> int:
         lines.append(
             text_record(
                 rec.get("text_id", idx), attacked, rec.get("scheme"), vocab_size,
-                rec.get("watermarked"), attack={"kind": config.kind.value, "rate": config.sub_rate},
+                rec.get("watermarked"), attack={"kind": args.kind, "rate": config.sub_rate},
             )
         )
     _emit_lines(lines, args.out)
@@ -231,16 +229,14 @@ def cmd_specdec(args) -> int:
     key = _parse_key_arg(args.key)
     try:
         scheme = Scheme(args.scheme)
-        config = AttackConfig(
-            kind=AttackKind.SPECDEC,
-            accept_scale=args.accept_scale,
-            lookahead=args.lookahead,
-        )
+        config = AttackConfig(accept_scale=args.accept_scale, lookahead=args.lookahead)
         _check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     draft = _parse_model_arg(args.draft)
     target = _parse_model_arg(args.target)
+    if isinstance(draft, TraceSource) or isinstance(target, TraceSource):
+        raise UsageError("specdec needs models that read the history, not trace sources")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.texts < 1:
@@ -283,7 +279,7 @@ def cmd_simulate(args) -> int:
             p=args.p,
             r=args.r,
             q=args.q,
-            m_grid=tuple(int(float(m)) for m in args.m.split(",")),
+            m_grid=tuple(float(m) for m in args.m.split(",")),
             reps=args.reps,
             alpha=args.alpha,
             seed=args.seed,
@@ -305,7 +301,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     try:
-        calib = calibrate_null(
+        critical = calibrate_null(
             Statistic(args.stat),
             n=args.n,
             alpha=args.alpha,
@@ -319,12 +315,12 @@ def cmd_calibrate(args) -> int:
     print(
         json.dumps(
             {
-                "statistic": calib.statistic.value,
-                "n": calib.n,
-                "alpha": calib.alpha,
-                "reps": calib.reps,
-                "seed": calib.seed,
-                "critical_value": calib.critical_value,
+                "statistic": args.stat,
+                "n": args.n,
+                "alpha": args.alpha,
+                "reps": args.reps,
+                "seed": args.seed,
+                "critical_value": critical,
                 "cache_dir": str(Path(args.cache_dir) if args.cache_dir else default_cache_dir()),
             }
         )
@@ -368,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_detect)
 
     a = sub.add_parser("attack", help="apply a post-generation edit to records")
-    a.add_argument("--kind", default=AttackKind.SUBSTITUTE.value,
-                   choices=[AttackKind.SUBSTITUTE.value])
+    a.add_argument("--kind", default="substitute", choices=["substitute"])
     a.add_argument("--in", dest="input", required=True)
     a.add_argument("--rate", type=float, default=0.1)
     a.add_argument("--seed", type=int, default=0)

@@ -153,7 +153,6 @@ class StepResult:
 class GenerationResult:
     text: GeneratedText
     steps: tuple[StepResult, ...]
-    scheme: Scheme | None
 
 
 def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
@@ -422,9 +421,7 @@ def generate(
         steps.append(step)
         history.append(step.token)
     text = GeneratedText(tokens=tuple(history), prompt_len=len(prompt.tokens))
-    if config is None:
-        return GenerationResult(text=text, steps=(), scheme=None)
-    return GenerationResult(text=text, steps=tuple(steps), scheme=config.scheme)
+    return GenerationResult(text=text, steps=() if config is None else tuple(steps))
 
 
 def _categorical_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ __all__ = [
     "Side",
     "ScoredToken",
     "DetectionReport",
-    "NullCalibration",
     "extract_scores",
     "extract_zeta_primes_batch",
     "irwin_hall_cdf",
@@ -122,29 +121,22 @@ class DetectionReport:
     alpha: float
 
 
-@dataclass(frozen=True)
-class NullCalibration:
-    """Empirical critical value from repeated null simulation."""
-
-    statistic: Statistic
-    n: int
-    alpha: float
-    critical_value: float
-    reps: int
-    seed: int
+def _check_tokens(tokens: tuple[int, ...], vocab_size: int | None) -> None:
+    """Raise :class:`OutOfRange` for a token outside [0, vocab_size), or a
+    negative one when vocab_size is unknown."""
+    lo, hi = min(tokens, default=0), max(tokens, default=0)
+    if lo < 0 or (vocab_size is not None and hi >= vocab_size):
+        top = "vocab_size" if vocab_size is None else vocab_size
+        raise OutOfRange(f"token {lo if lo < 0 else hi} outside [0, {top})")
 
 
 def _first_occurrences(tokens: tuple[int, ...], k: int, vocab_size: int | None) -> list[int]:
     """Positions whose (context, token) tuple has not been seen before,
     walking the received tokens from the first full context window.  Tokens
-    outside [0, vocab_size), or negative ones when vocab_size is unknown,
-    raise :class:`OutOfRange`."""
+    are checked by :func:`_check_tokens`."""
     if len(tokens) <= k:
         raise TooShort(f"text of length {len(tokens)} has no scorable position for k={k}")
-    lo, hi = min(tokens), max(tokens)
-    if lo < 0 or (vocab_size is not None and hi >= vocab_size):
-        top = "vocab_size" if vocab_size is None else vocab_size
-        raise OutOfRange(f"token {lo if lo < 0 else hi} outside [0, {top})")
+    _check_tokens(tokens, vocab_size)
     first: dict[tuple[int, ...], int] = {}
     for t in range(k, len(tokens)):
         first.setdefault(tokens[t - k : t + 1], t)
@@ -568,7 +560,7 @@ def calibrate_null(
     seed: int = 0,
     denom: HcDenom = HcDenom.STANDARD_SQRT,
     cache_dir: Path | str | None = None,
-) -> NullCalibration:
+) -> float:
     """Empirical critical value of a statistic over ``reps`` null simulations
     of n i.i.d. U[0,1] scores: the (1-alpha) quantile for upper-tail
     statistics (HC) and the alpha quantile for lower-tail ones (SUM, MAX).
@@ -589,10 +581,10 @@ def calibrate_null(
     cache_path = cache_path / _CACHE_FILE
     hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
     if hit is not None:
-        return NullCalibration(statistic, n, alpha, hit, reps, seed)
+        return hit
     critical = _critical_value(statistic, _null_statistics(statistic, n, reps, seed, denom), alpha)
     _cache_append(cache_path, statistic, n, alpha, reps, seed, denom, critical)
-    return NullCalibration(statistic, n, alpha, critical, reps, seed)
+    return critical
 
 
 def detect(
@@ -624,16 +616,16 @@ def detect(
     if statistic is Statistic.MAX:
         return max_test(values, alpha)
     value = hc_statistic(values, statistic, denom)
-    calib = calibrate_null(
+    critical = calibrate_null(
         statistic, len(values), alpha, reps=reps, seed=seed, denom=denom, cache_dir=cache_dir
     )
     return DetectionReport(
         statistic=statistic,
         value=value,
         p_value=None,
-        threshold=calib.critical_value,
+        threshold=critical,
         n_scored=len(values),
-        reject=_rejects(statistic, value, calib.critical_value),
+        reject=_rejects(statistic, value, critical),
         alpha=alpha,
     )
 

@@ -63,6 +63,8 @@ class RegimeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", Regime(self.regime))
+        if not all(float(m).is_integer() for m in self.m_grid):
+            raise ValueError(f"m_grid entries must be integers, got {self.m_grid}")
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
         # Python floats, so that the CSVs write numpy scalars as plain numbers.
         for name in ("p", "r", "q", "alpha"):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from wmkit.attacks import AttackConfig, AttackKind, specdec_postprocess, substitute
+from wmkit.attacks import AttackConfig, specdec_postprocess, substitute
 from wmkit.cli import main as cli_main
 from wmkit.core import GeneratedText, RngStream, make_ntp
 from wmkit.decoders import (
@@ -273,7 +273,7 @@ def test_criterion_08_size_control_all_statistics(tmp_path):
     sum_pvals = np.array([sum_pvalue(float(s), n) for s in mat.sum(axis=1)])
     fpr["sum"] = float(np.mean(sum_pvals < ALPHA))
     for stat in (Statistic.HC_PLUS, Statistic.HC_STAR):
-        crit = calibrate_null(stat, n, ALPHA, reps=4000, seed=77, cache_dir=tmp_path).critical_value
+        crit = calibrate_null(stat, n, ALPHA, reps=4000, seed=77, cache_dir=tmp_path)
         fpr[stat.value] = float(np.mean(hc_batch(mat, stat, HcDenom.STANDARD_SQRT) > crit))
 
     # Green-restricted and baseline statistics on their exact null laws:
@@ -337,7 +337,7 @@ def test_criterion_10_desk_pipeline(desk_corpus):
     attacked_tpr = _tpr(attacked, Statistic.SUM)
 
     model = MarkovSource(order=2, vocab_size=64, seed=11)
-    config = AttackConfig(kind=AttackKind.SPECDEC, accept_scale=0.5, lookahead=4)
+    config = AttackConfig(accept_scale=0.5, lookahead=4)
     rates = {}
     for scheme in (Scheme.MC, Scheme.GUMBEL):
         rejected = evaluated = 0

@@ -1,5 +1,7 @@
 """Attacks: i.i.d. substitution and the speculative-decoding lazy editor."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,13 @@ from wmkit.core import GeneratedText, RngStream, make_ntp
 from wmkit.decoders import Scheme, sample_rejection_coupling
 from wmkit.attacks import (
     AttackConfig,
-    AttackKind,
     SpecDecStats,
     merge_specdec_stats,
     specdec_postprocess,
     substitute,
 )
 from wmkit.keying import WatermarkKey
-from wmkit.lm import MarkovSource
+from wmkit.lm import MarkovSource, NtpTrace, TraceSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
 
@@ -31,7 +32,7 @@ class FixedStream:
 
 class TestAttackConfig:
     def test_defaults(self):
-        cfg = AttackConfig(kind=AttackKind.SUBSTITUTE)
+        cfg = AttackConfig()
         assert cfg.sub_rate == pytest.approx(0.1)
         assert cfg.accept_scale == pytest.approx(0.5)
         assert cfg.lookahead == 4
@@ -48,7 +49,7 @@ class TestAttackConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            AttackConfig(kind=AttackKind.SPECDEC, **kwargs)
+            AttackConfig(**kwargs)
 
 
 class TestSubstitute:
@@ -106,6 +107,16 @@ class TestSubstitute:
             substitute(text, -0.1, np.random.default_rng(1), 64)
         with pytest.raises(ValueError):
             substitute(text, 0.5, np.random.default_rng(1), 1)
+
+    @pytest.mark.parametrize("bad,msg", [(500, "token 500 outside [0, 64)"),
+                                         (-3, "token -3 outside [0, 64)")])
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_out_of_vocabulary_token_rejected(self, bad, msg, rate):
+        # The shifted draw repl + (repl >= token) is uniform over the other
+        # tokens only for a token inside the vocabulary.
+        text = GeneratedText(tokens=(1, 2, bad, 5), prompt_len=2)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            substitute(text, rate, np.random.default_rng(1), 64)
 
 
 def _random_pq(rng, vocab):
@@ -225,7 +236,7 @@ class TestSpecDecStats:
 class TestSpecDecPostprocess:
     def _run(self, scheme, n=400, accept_scale=1.0, lookahead=4, seed=0):
         model = MarkovSource(order=2, vocab_size=64, seed=11)
-        config = AttackConfig(kind=AttackKind.SPECDEC, accept_scale=accept_scale, lookahead=lookahead)
+        config = AttackConfig(accept_scale=accept_scale, lookahead=lookahead)
         return specdec_postprocess(
             model,
             model,
@@ -280,11 +291,24 @@ class TestSpecDecPostprocess:
     def test_vocab_mismatch(self):
         a = MarkovSource(order=2, vocab_size=64, seed=11)
         b = MarkovSource(order=2, vocab_size=32, seed=11)
-        config = AttackConfig(kind=AttackKind.SPECDEC)
+        config = AttackConfig()
         with pytest.raises(ValueError):
             specdec_postprocess(
                 a, b, KEY, config, Scheme.MC, GeneratedText((1, 2), 2), 10, RngStream(0),
                 np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("traced", ["draft", "target"])
+    def test_trace_source_rejected(self, traced):
+        # A trace's cursor advances on every call whatever the history, so
+        # draft and target would read steps of different positions.
+        model = MarkovSource(order=2, vocab_size=8, seed=11)
+        steps = [model.next([1, 2, t % 8]) for t in range(40)]
+        models = {"draft": model, "target": model, traced: TraceSource(NtpTrace(8, steps))}
+        with pytest.raises(ValueError, match="trace sources"):
+            specdec_postprocess(
+                models["draft"], models["target"], KEY, AttackConfig(), Scheme.MC,
+                GeneratedText((1, 2), 2), 10, RngStream(0), np.random.default_rng(0),
             )
 
     def test_weakened_watermark_still_sound_text(self):

@@ -6,10 +6,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from wmkit import detection, simulation
+from wmkit import cli, detection, simulation
 from wmkit.cli import main
+from wmkit.core import make_ntp
+from wmkit.lm import NtpTrace, save_trace
 from wmkit.simulation import POWER_CSV_HEADER
 
 KEY_ARG = "9e3779b97f4a7c15:k=2:g=0.5:mode=hash"
@@ -368,6 +371,17 @@ class TestDetect:
         assert bad["text_id"] == 0 and set(bad) == {"text_id", "error"}
         assert ok["text_id"] == 7 and ok["n_scored"] == 18
 
+    def test_undecodable_line_reports_error_record(self, tmp_path, capsys):
+        good = {"tokens": list(range(20)), "vocab_size": 32}
+        src = tmp_path / "texts.jsonl"
+        src.write_text(json.dumps(good) + "\n{not json\n" + json.dumps(good) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["detect", "--in", str(src), "--key", KEY_ARG, "--out", str(out)]) == 0
+        first, bad, last = _records(out)
+        assert bad["text_id"] == 1 and set(bad) == {"text_id", "error"}
+        assert first["n_scored"] == last["n_scored"] == 18
+        assert "texts=3" in capsys.readouterr().err
+
     def test_hc_statistic_runs(self, tmp_path):
         src = _generate(tmp_path, texts=1, n=120)
         out = tmp_path / "r.jsonl"
@@ -437,6 +451,23 @@ class TestAttack:
             main(["attack", "--kind", "substitute", "--in", str(src), "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("rate", ["0", "0.5"])
+    def test_out_of_vocabulary_token_is_runtime_error(self, tmp_path, capsys, rate):
+        src = tmp_path / "texts.jsonl"
+        src.write_text(json.dumps({"tokens": [1, 2, 500, -3], "vocab_size": 64}) + "\n")
+        out = tmp_path / "a.jsonl"
+        assert main(["attack", "--in", str(src), "--rate", rate, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: token -3 outside [0, 64)\n"
+        assert not out.exists()
+
+    def test_undecodable_line_is_runtime_error(self, tmp_path, capsys):
+        src = _generate(tmp_path, texts=2)
+        src.write_text(src.read_text() + "{not json\n")
+        out = tmp_path / "a.jsonl"
+        assert main(["attack", "--in", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSpecDec:
     def test_stats_emitted(self, tmp_path):
@@ -460,6 +491,20 @@ class TestSpecDec:
         stats = json.loads(stats_out.read_text())
         assert 0.0 <= stats["rejection_rate"] <= 1.0
         assert stats["n_evaluated"] > 0
+
+    @pytest.mark.parametrize("traced", ["--draft", "--target"])
+    def test_trace_source_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                        traced):
+        trace = tmp_path / "trace.jsonl"
+        save_trace(NtpTrace(64, [make_ntp(np.full(64, 1 / 64))] * 50), trace)
+        monkeypatch.setattr(cli, "_random_prompt", lambda *args: pytest.fail("a text was drawn"))
+        models = {"--draft": MODEL_ARG, "--target": MODEL_ARG, traced: f"trace:path={trace}"}
+        out = tmp_path / "sd.jsonl"
+        rc = main(["specdec", *(x for kv in models.items() for x in kv), "--key", KEY_ARG,
+                   "--n", "10", "--out", str(out)])
+        assert rc == 2
+        assert "trace sources" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scheme_restricted(self, tmp_path):
         rc = main(
@@ -565,6 +610,23 @@ class TestSimulate:
         assert rc == 2
         assert drawn == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_integral_m_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
+        out = tmp_path / "p.csv"
+        rc = main(["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.4", "--m", "1500.7",
+                   "--reps", "1000", "--out", str(out)])
+        assert rc == 2
+        assert "m_grid entries must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_m_spellings_accepted(self, tmp_path):
+        out = tmp_path / "p.csv"
+        rc = main(["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.4", "--m", "1e2,2.0e2",
+                   "--reps", "1000", "--out", str(out)])
+        assert rc == 0
+        m_column = [ln.split(",")[3] for ln in out.read_text().splitlines()[1:]]
+        assert m_column == ["100", "100", "200", "200"]
 
     def test_deterministic_csv(self, tmp_path):
         args = [

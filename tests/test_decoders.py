@@ -486,7 +486,7 @@ class TestGeneration:
         model = FixedModel([0.25, 0.25, 0.5])
         res = generate(model, KEY, None, GeneratedText((1, 2), 2), 3, FixedStream([0.9, 0.3, 0.1]))
         assert res.text.tokens == (1, 2, 2, 1, 0)
-        assert res.steps == () and res.scheme is None
+        assert res.steps == ()
 
     def test_masking_off_never_masks(self):
         key0 = WatermarkKey(master=77, k=0, gamma=0.5, green_mode="hash")
@@ -501,7 +501,7 @@ class TestGeneration:
         prompt = GeneratedText(tokens=(0, 1), prompt_len=2)
         res = generate(model, PERM_KEY, cfg, prompt, 15, RngStream(4))
         line = text_record(
-            0, res.text, res.scheme.value, model.vocab_size, True,
+            0, res.text, cfg.scheme.value, model.vocab_size, True,
             diagnostics=[step.to_dict() for step in res.steps],
         )
         rec = json.loads(line)

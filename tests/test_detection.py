@@ -340,7 +340,7 @@ class TestCalibration:
     def test_deterministic_and_cached(self, tmp_path):
         a = calibrate_null(Statistic.HC_PLUS, 50, 0.01, reps=1000, seed=3, cache_dir=tmp_path)
         b = calibrate_null(Statistic.HC_PLUS, 50, 0.01, reps=1000, seed=3, cache_dir=tmp_path)
-        assert a.critical_value == b.critical_value
+        assert a == b
         lines = (tmp_path / "calibrations.csv").read_text().splitlines()
         assert lines[0] == "statistic,n,alpha,reps,seed,critical_value"
         assert len(lines) == 2
@@ -348,7 +348,7 @@ class TestCalibration:
     def test_seed_changes_value(self, tmp_path):
         a = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, seed=0, cache_dir=tmp_path)
         b = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, seed=1, cache_dir=tmp_path)
-        assert a.critical_value != b.critical_value
+        assert a != b
 
     def test_reps_floor(self, tmp_path):
         with pytest.raises(ValueError):
@@ -366,16 +366,16 @@ class TestCalibration:
 
     def test_sum_tail_matches_exact_law(self, tmp_path):
         calib = calibrate_null(Statistic.SUM, 12, 0.05, reps=4000, seed=7, cache_dir=tmp_path)
-        assert irwin_hall_cdf(calib.critical_value, 12) == pytest.approx(0.05, abs=0.02)
+        assert irwin_hall_cdf(calib, 12) == pytest.approx(0.05, abs=0.02)
 
     def test_max_tail_matches_exact_law(self, tmp_path):
         calib = calibrate_null(Statistic.MAX, 20, 0.01, reps=4000, seed=7, cache_dir=tmp_path)
-        assert abs(calib.critical_value - 0.01 ** (1.0 / 20.0)) < 0.04
+        assert abs(calib - 0.01 ** (1.0 / 20.0)) < 0.04
 
     def test_sum_threshold_monotone_in_alpha(self, tmp_path):
         tight = calibrate_null(Statistic.SUM, 10, 0.01, reps=2000, seed=2, cache_dir=tmp_path)
         loose = calibrate_null(Statistic.SUM, 10, 0.10, reps=2000, seed=2, cache_dir=tmp_path)
-        assert tight.critical_value < loose.critical_value
+        assert tight < loose
 
     def test_env_var_controls_default_dir(self):
         assert default_cache_dir() == Path(os.environ["WMKIT_CALIB_DIR"])
@@ -399,10 +399,10 @@ class TestCalibration:
         linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
         fresh = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear",
                                cache_dir=tmp_path / "fresh")
-        assert linear.critical_value == fresh.critical_value
-        assert linear.critical_value > 5 * sqrt.critical_value
+        assert linear == fresh
+        assert linear > 5 * sqrt
         again = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="sqrt", cache_dir=tmp_path)
-        assert again.critical_value == sqrt.critical_value
+        assert again == sqrt
         assert len((tmp_path / "calibrations.csv").read_text().splitlines()) == 3
 
     def test_hc_row_without_denominator_not_reused(self, tmp_path):
@@ -414,12 +414,12 @@ class TestCalibration:
             "sum,30,0.05,1000,0,12.5\n"
         )
         linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
-        assert linear.critical_value != 3.936
+        assert linear != 3.936
         sqrt = calibrate_null(Statistic.HC_PLUS, 300, 0.01, cache_dir=tmp_path)
-        assert sqrt.critical_value != 3.936
+        assert sqrt != 3.936
         # The sum null has no denominator, so its rows stay valid.
         kept = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, cache_dir=tmp_path)
-        assert kept.critical_value == 12.5
+        assert kept == 12.5
 
     @pytest.mark.parametrize(
         "row",
@@ -439,8 +439,8 @@ class TestCalibration:
         fresh = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path / "fresh")
         with pytest.warns(UserWarning, match="malformed rows"):
             got = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
-        assert got.critical_value == fresh.critical_value
-        assert path.read_text().splitlines()[-1].endswith(repr(fresh.critical_value))
+        assert got == fresh
+        assert path.read_text().splitlines()[-1].endswith(repr(fresh))
 
     @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
     def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
@@ -499,7 +499,7 @@ class TestCalibration:
             warnings.simplefilter("default")
             a = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
             b = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
-        assert a.critical_value == b.critical_value
+        assert a == b
         assert len(caught) == 1
 
 

@@ -57,6 +57,14 @@ class TestRegimeConfig:
         with pytest.raises(ValueError):
             factory(**kwargs)
 
+    @pytest.mark.parametrize("m", [1500.7, float("inf"), float("nan")])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m_grid entries must be integers"):
+            _weak(m_grid=(100, m))
+
+    def test_integral_float_m_accepted(self):
+        assert _weak(m_grid=(1e2, 1e4)).m_grid == (100, 10_000)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             _weak(seed=-1)
