@@ -15,7 +15,6 @@ from .core import (
     GeneratedText,
     NegativeEntry,
     NotNormalized,
-    NtpDistribution,
     RngStream,
     fold64,
     make_ntp,

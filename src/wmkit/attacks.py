@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GeneratedText, NtpDistribution, RngStream, context_window
+from .core import GeneratedText, RngStream, context_window
 from .decoders import (
     Scheme,
     VocabMismatch,
@@ -111,7 +111,7 @@ def substitute(
     )
 
 
-def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> NtpDistribution:
+def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> np.ndarray:
     """Watermarked next-token law of the draft decoder at this step, as an
     explicit vector usable in the target's accept test."""
     ctx = context_window(history, key.k)
@@ -122,10 +122,10 @@ def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> Nt
         token = gumbel_max_step_full(P, key, ctx).token
         q = np.zeros(vocab)
         q[token] = 1.0
-        return NtpDistribution(q)
+        return q
     if scheme is Scheme.MC:
-        weights, _ = _mc_weights(P.probs, green_mask(key, ctx, vocab), derive_zeta(key, ctx))
-        return NtpDistribution(weights / weights.sum())
+        weights, _ = _mc_weights(P, green_mask(key, ctx, vocab), derive_zeta(key, ctx))
+        return weights / weights.sum()
     raise ValueError(f"specdec drafts support mc and gumbel schemes, got {scheme.value}")
 
 
@@ -167,10 +167,10 @@ def specdec_postprocess(
     while len(history) < target_n:
         lookahead = min(config.lookahead, target_n - len(history))
         draft_hist = list(history)
-        proposals: list[tuple[int, NtpDistribution]] = []
+        proposals: list[tuple[int, np.ndarray]] = []
         for _ in range(lookahead):
             q = _draft_q(draft_model, key, draft_hist, scheme)
-            w = categorical_from_uniform(q.probs, aux.next_uniform())
+            w = categorical_from_uniform(q, aux.next_uniform())
             proposals.append((w, q))
             draft_hist.append(w)
         accepted = 0
@@ -189,7 +189,7 @@ def specdec_postprocess(
         if not rejected and len(history) < target_n:
             # Bonus token from the target after a fully accepted run.
             p = target_model.next(history)
-            history.append(categorical_from_uniform(p.probs, accept_u()))
+            history.append(categorical_from_uniform(p, accept_u()))
         stats.accepted_run_lengths[accepted] += 1
     text = GeneratedText(tokens=tuple(history[:target_n]), prompt_len=len(prompt.tokens))
     return text, stats

@@ -128,6 +128,8 @@ def cmd_generate(args) -> int:
     scheme = "plain" if config is None else config.scheme.value
     lines = []
     for i in range(args.texts):
+        if isinstance(model, TraceSource):
+            model.cursor = 0  # every text replays the trace from its first step
         aux = _text_stream(args.seed, i, _GEN_ROLE)
         prompt = _random_prompt(aux, key.k, model.vocab_size)
         result = generate(model, key, config, prompt, args.n, aux)
@@ -212,7 +214,7 @@ def cmd_attack(args) -> int:
         text = text_from_record(rec)
         vocab_size = rec.get("vocab_size")
         if vocab_size is None:
-            raise UsageError("records must carry vocab_size for substitution")
+            raise ValueError("records must carry vocab_size for substitution")
         rng = np.random.default_rng([args.seed, idx])
         attacked = substitute(text, config.sub_rate, rng, vocab_size)
         lines.append(

@@ -1,4 +1,4 @@
-"""Shared domain types: validated probability vectors, token sequences, and a
+"""Shared domain types: validated next-token laws, token sequences, and a
 counter-based deterministic RNG stream.
 
 The RNG is a 64-bit mix-finalizer (SplitMix-style constants) evaluated at
@@ -23,7 +23,6 @@ __all__ = [
     "counter_uniforms",
     "context_window",
     "RngStream",
-    "NtpDistribution",
     "make_ntp",
     "GeneratedText",
     "EmptyVector",
@@ -135,35 +134,9 @@ class RngStream:
         return _unit_float(z)
 
 
-class NtpDistribution:
-    """Next-token probability vector; entries sum to 1 within 1e-9.
-
-    Construct through :func:`make_ntp`, which validates and normalizes.
-    The underlying array is read-only so instances can be shared freely.
-    """
-
-    __slots__ = ("_probs",)
-
-    def __init__(self, probs: np.ndarray):
-        self._probs = probs
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs
-
-    @property
-    def vocab_size(self) -> int:
-        return int(self._probs.shape[0])
-
-    def __len__(self) -> int:
-        return self.vocab_size
-
-    def __repr__(self) -> str:
-        return f"NtpDistribution(vocab_size={self.vocab_size})"
-
-
-def make_ntp(raw, strict: bool = False) -> NtpDistribution:
-    """Build a validated :class:`NtpDistribution` from raw weights.
+def make_ntp(raw, strict: bool = False) -> np.ndarray:
+    """Build a next-token law from raw weights: a 1-D, read-only float64
+    array whose entries sum to 1 within 1e-9, safe to share.
 
     Non-strict mode rescales any nonnegative vector with positive sum;
     strict mode additionally rejects inputs whose sum deviates from 1 by
@@ -181,7 +154,7 @@ def make_ntp(raw, strict: bool = False) -> NtpDistribution:
         raise NotNormalized(f"strict mode: sum {total!r} deviates from 1 by more than 1e-6")
     probs = arr / total
     probs.setflags(write=False)
-    return NtpDistribution(probs)
+    return probs
 
 
 @dataclass(frozen=True)

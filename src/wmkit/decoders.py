@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GeneratedText, NtpDistribution, RngStream, context_window, counter_uniforms
+from .core import GeneratedText, RngStream, context_window, counter_uniforms
 from .keying import (
     WatermarkKey,
     PERM_TAG,
@@ -170,13 +170,13 @@ def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
     return idx
 
 
-def _check_vocab(P: NtpDistribution, Q: NtpDistribution) -> None:
+def _check_vocab(P: np.ndarray, Q: np.ndarray) -> None:
     if len(P) != len(Q):
         raise VocabMismatch(f"vocab sizes differ: {len(P)} vs {len(Q)}")
 
 
 def sample_maximal_coupling(
-    P: NtpDistribution, Q: NtpDistribution, zeta: float, aux: RngStream
+    P: np.ndarray, Q: np.ndarray, zeta: float, aux: RngStream
 ) -> CouplingOutcome:
     """Maximal-coupling token draw: overlap branch when ``zeta`` falls below
     the overlap mass sum(min(P, Q)), excess branch max(0, P - Q) otherwise.
@@ -185,12 +185,12 @@ def sample_maximal_coupling(
     exactly P.
     """
     _check_vocab(P, Q)
-    overlap = np.minimum(P.probs, Q.probs)
+    overlap = np.minimum(P, Q)
     p = float(overlap.sum())
     if zeta <= p:
         token = categorical_from_uniform(overlap, aux.next_uniform())
         return CouplingOutcome(token=token, branch=Branch.OVERLAP, overlap_mass=p)
-    excess = np.maximum(P.probs - Q.probs, 0.0)
+    excess = np.maximum(P - Q, 0.0)
     if float(excess.sum()) <= 0.0:
         raise DegenerateExcess("excess branch entered with zero excess mass")
     token = categorical_from_uniform(excess, aux.next_uniform())
@@ -198,8 +198,8 @@ def sample_maximal_coupling(
 
 
 def sample_rejection_coupling(
-    P: NtpDistribution,
-    Q: NtpDistribution,
+    P: np.ndarray,
+    Q: np.ndarray,
     zeta: float,
     aux: RngStream,
     accept_scale: float = 1.0,
@@ -215,13 +215,13 @@ def sample_rejection_coupling(
     what the soft coupling decoder needs.
     """
     _check_vocab(P, Q)
-    w = categorical_from_uniform(Q.probs, aux.next_uniform())
+    w = categorical_from_uniform(Q, aux.next_uniform())
     return accept_or_resample(P, Q, w, zeta, aux.next_uniform, accept_scale)
 
 
 def accept_or_resample(
-    P: NtpDistribution,
-    Q: NtpDistribution,
+    P: np.ndarray,
+    Q: np.ndarray,
     w: int,
     zeta: float,
     resample_u: Callable[[], float],
@@ -231,35 +231,35 @@ def accept_or_resample(
     it iff ``accept_scale * zeta * Q_w <= P_w``, else draw from the
     normalized excess max(0, P - Q) with one uniform from ``resample_u``,
     which is called only on rejection."""
-    if accept_scale * zeta * Q.probs[w] <= P.probs[w]:
+    if accept_scale * zeta * Q[w] <= P[w]:
         return w, True
-    excess = np.maximum(P.probs - Q.probs, 0.0)
+    excess = np.maximum(P - Q, 0.0)
     if float(excess.sum()) <= 0.0:
         raise DegenerateExcess("rejection with zero excess mass")
     return categorical_from_uniform(excess, resample_u()), False
 
 
-def hard_list_q(P: NtpDistribution, green: np.ndarray) -> NtpDistribution:
+def hard_list_q(P: np.ndarray, green: np.ndarray) -> np.ndarray:
     """Green-conditional restriction of P: Q_w = P_w 1{w green} / P_green.
 
     Raises :class:`ZeroGreenMass` when the green list carries no mass; the
     caller then samples from P unmodified.
     """
-    mass = float(P.probs[green].sum())
+    mass = float(P[green].sum())
     if mass <= 0.0:
         raise ZeroGreenMass
-    q = np.where(green, P.probs / mass, 0.0)
+    q = np.where(green, P / mass, 0.0)
     q.setflags(write=False)
-    return NtpDistribution(q)
+    return q
 
 
-def mc_soft_q(P: NtpDistribution, green: np.ndarray, delta: float) -> NtpDistribution:
+def mc_soft_q(P: np.ndarray, green: np.ndarray, delta: float) -> np.ndarray:
     """Soft green/red reweighting Q_w = e^delta P_w / C on green, P_w / C on
     red, with C = 1 + (e^delta - 1) P_green."""
-    c = 1.0 + (math.exp(delta) - 1.0) * float(P.probs[green].sum())
-    q = _soft_weights(P.probs, green, delta) / c
+    c = 1.0 + (math.exp(delta) - 1.0) * float(P[green].sum())
+    q = _soft_weights(P, green, delta) / c
     q.setflags(write=False)
-    return NtpDistribution(q)
+    return q
 
 
 def _soft_weights(probs: np.ndarray, green: np.ndarray, delta: float) -> np.ndarray:
@@ -283,12 +283,12 @@ def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray,
     return np.where(keep, probs, 0.0), mass
 
 
-def mc_step_full(P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream) -> StepResult:
+def mc_step_full(P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream) -> StepResult:
     """Hard-list coupling step: the token is green-conditional when
     zeta <= P_green and red-conditional otherwise (see :func:`_mc_weights`);
     with no green mass it is a plain draw flagged ``zero_green``."""
     zeta = derive_zeta(key, ctx)
-    weights, mass = _mc_weights(P.probs, green_mask(key, ctx, len(P)), zeta)
+    weights, mass = _mc_weights(P, green_mask(key, ctx, len(P)), zeta)
     token = categorical_from_uniform(weights, aux.next_uniform())
     if mass == 0.0:
         return StepResult(token=token, masked=False, green_mass=0.0, zero_green=True)
@@ -297,12 +297,12 @@ def mc_step_full(P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream) -> 
 
 
 def mc_soft_step_full(
-    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, delta: float
+    P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream, delta: float
 ) -> StepResult:
     """Coupling against the soft Q via rejection: conditioned on a green
     token, the pivot is uniform on [0, P_green + (1 - P_green) e^-delta]."""
     green = green_mask(key, ctx, len(P))
-    mass = float(P.probs[green].sum())
+    mass = float(P[green].sum())
     zeta = derive_zeta(key, ctx)
     Q = mc_soft_q(P, green, delta)
     token, accepted = sample_rejection_coupling(P, Q, zeta, aux, accept_scale=1.0)
@@ -315,7 +315,7 @@ def mc_soft_step_full(
     )
 
 
-def gumbel_max_step_full(P: NtpDistribution, key: WatermarkKey, ctx) -> StepResult:
+def gumbel_max_step_full(P: np.ndarray, key: WatermarkKey, ctx) -> StepResult:
     """Deterministic Gumbel-max decoder: argmax_w log(U_w) / P_w with U from
     the context-seeded stream, ordered by token index.  Zero-probability
     tokens are excluded from the argmax."""
@@ -323,27 +323,27 @@ def gumbel_max_step_full(P: NtpDistribution, key: WatermarkKey, ctx) -> StepResu
     return StepResult(token=int(_gumbel_argmax(P, seed)[0]), masked=False)
 
 
-def _gumbel_argmax(P: NtpDistribution, seeds: np.ndarray) -> np.ndarray:
+def _gumbel_argmax(P: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """argmax_w log(U_w) / P_w per ZETA seed, U_w being draw w + 1 of the
     seed's stream; zero-probability tokens never win."""
     u = counter_uniforms(seeds[:, None], np.arange(1, len(P) + 1, dtype=np.uint64)[None, :])
     scores = np.full(u.shape, -np.inf)
-    pos = P.probs > 0.0
-    scores[:, pos] = np.log(u[:, pos]) / P.probs[pos]
+    pos = P > 0.0
+    scores[:, pos] = np.log(u[:, pos]) / P[pos]
     return scores.argmax(axis=1).astype(np.int64)
 
 
 def soft_step_full(
-    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, delta: float
+    P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream, delta: float
 ) -> StepResult:
     """Plain soft green/red watermark: sample from the reweighted Q.  This
     scheme is biased; the marginal does not equal P for delta > 0."""
     green = green_mask(key, ctx, len(P))
-    token = categorical_from_uniform(_soft_weights(P.probs, green, delta), aux.next_uniform())
-    return StepResult(token=token, masked=False, green_mass=float(P.probs[green].sum()))
+    token = categorical_from_uniform(_soft_weights(P, green, delta), aux.next_uniform())
+    return StepResult(token=token, masked=False, green_mass=float(P[green].sum()))
 
 
-def dipmark_q(P: NtpDistribution, perm: np.ndarray, alpha_dip: float) -> np.ndarray:
+def dipmark_q(P: np.ndarray, perm: np.ndarray, alpha_dip: float) -> np.ndarray:
     """Token-indexed reweighted distribution: with S_i the cumulative mass
     along the reversed permutation, position i gets F_i - F_{i-1} where
     F_i = max(S_i - alpha, 0) + max(S_i - (1 - alpha), 0).
@@ -354,7 +354,7 @@ def dipmark_q(P: NtpDistribution, perm: np.ndarray, alpha_dip: float) -> np.ndar
     """
     order = perm[::-1]
     q = np.zeros(len(order))
-    q[order] = _dipmark_reweight(P.probs[order], alpha_dip)
+    q[order] = _dipmark_reweight(P[order], alpha_dip)
     return q
 
 
@@ -367,7 +367,7 @@ def _dipmark_reweight(p_order: np.ndarray, alpha_dip: float) -> np.ndarray:
 
 
 def dipmark_step_full(
-    P: NtpDistribution, key: WatermarkKey, ctx, aux: RngStream, alpha_dip: float
+    P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream, alpha_dip: float
 ) -> StepResult:
     """Distribution-preserving reweighting over the keyed permutation; see
     :func:`dipmark_q` for the construction."""
@@ -375,9 +375,9 @@ def dipmark_step_full(
     # Draw in ordering space (not token space) so the batch sampler can
     # reproduce the exact same inverse-CDF lookup.
     order = perm[::-1]
-    q_order = _dipmark_reweight(P.probs[order], alpha_dip)
+    q_order = _dipmark_reweight(P[order], alpha_dip)
     token = int(order[categorical_from_uniform(q_order, aux.next_uniform())])
-    mass = float(P.probs[perm_head(perm, key.gamma)].sum())
+    mass = float(P[perm_head(perm, key.gamma)].sum())
     return StepResult(token=token, masked=False, green_mass=mass)
 
 
@@ -405,7 +405,7 @@ def generate(
         ctx = context_window(history, key.k)
         P = model.next(history)
         if config is None or (config.masking and ctx in seen):
-            token = categorical_from_uniform(P.probs, aux.next_uniform())
+            token = categorical_from_uniform(P, aux.next_uniform())
             step = StepResult(token=token, masked=True)
         elif config.scheme is Scheme.MC:
             step = mc_step_full(P, key, ctx, aux)
@@ -439,33 +439,33 @@ def _categorical_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_mc_batch(
-    P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray
+    P: np.ndarray, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray
 ) -> np.ndarray:
     """Vectorized hard-list coupling over (n, k) contexts with one aux
     uniform per row; matches :func:`mc_step_full` token-for-token."""
     green = green_mask_batch(key, ctxs, len(P))
-    weights, _ = _mc_weights(P.probs, green, derive_zeta_batch(key, ctxs))
+    weights, _ = _mc_weights(P, green, derive_zeta_batch(key, ctxs))
     return _categorical_batch(weights, u_aux)
 
 
-def sample_gumbel_batch(P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
+def sample_gumbel_batch(P: np.ndarray, key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
     """Vectorized Gumbel-max decoding; matches :func:`gumbel_max_step_full`."""
     return _gumbel_argmax(P, derive_seed_batch(key, ctxs, ZETA_TAG))
 
 
 def sample_soft_batch(
-    P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, delta: float
+    P: np.ndarray, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, delta: float
 ) -> np.ndarray:
     """Vectorized soft green/red sampling; matches :func:`soft_step_full`."""
-    weights = _soft_weights(P.probs, green_mask_batch(key, ctxs, len(P)), delta)
+    weights = _soft_weights(P, green_mask_batch(key, ctxs, len(P)), delta)
     return _categorical_batch(weights, u_aux)
 
 
 def sample_dipmark_batch(
-    P: NtpDistribution, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, alpha_dip: float
+    P: np.ndarray, key: WatermarkKey, ctxs: np.ndarray, u_aux: np.ndarray, alpha_dip: float
 ) -> np.ndarray:
     """Vectorized DiPmark sampling; matches :func:`dipmark_step_full`."""
     seeds = derive_seed_batch(key, ctxs, PERM_TAG)
     order = keyed_permutation_batch(seeds, len(P))[:, ::-1]
-    idx = _categorical_batch(_dipmark_reweight(P.probs[order], alpha_dip), u_aux)
+    idx = _categorical_batch(_dipmark_reweight(P[order], alpha_dip), u_aux)
     return order[np.arange(order.shape[0]), idx]

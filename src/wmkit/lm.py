@@ -1,7 +1,8 @@
 """Token-distribution sources: seeded synthetic Markov models and replay
 of recorded next-token-probability traces.
 
-A source exposes ``next(history) -> NtpDistribution`` plus ``vocab_size``
+A source exposes ``vocab_size`` and ``next(history)``, which returns the
+next-token law as a read-only float64 array (see :func:`~wmkit.core.make_ntp`),
 and stands in for a language model.  MarkovSource synthesizes Dirichlet-like
 rows lazily from the deterministic keyed stream, so identical (seed,
 context) pairs reproduce identical rows across processes.  Traces are JSON
@@ -23,8 +24,6 @@ import numpy as np
 
 from .core import (
     MASK64,
-    NotNormalized,
-    NtpDistribution,
     context_window,
     counter_uniforms,
     fold64,
@@ -133,7 +132,7 @@ class MarkovSource:
         if self.cache_size is None:
             self.cache_size = max(1, _CACHE_BYTES // (8 * self.vocab_size))
 
-    def _row(self, ctx: tuple[int, ...]) -> NtpDistribution:
+    def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         cached = self._cache.get(ctx)
         if cached is not None:
             self._cache.move_to_end(ctx)
@@ -151,7 +150,7 @@ class MarkovSource:
             self._cache.popitem(last=False)
         return dist
 
-    def next(self, history: Sequence[int]) -> NtpDistribution:
+    def next(self, history: Sequence[int]) -> np.ndarray:
         return self._row(context_window(history, self.order))
 
 
@@ -161,7 +160,7 @@ class NtpTrace:
     tokens the recording run actually took."""
 
     vocab_size: int
-    steps: list[NtpDistribution]
+    steps: list[np.ndarray]
     tokens_taken: list[int] | None = None
 
 
@@ -170,7 +169,7 @@ def save_trace(trace: NtpTrace, path: Path | str) -> None:
     n_steps, then one line per step with full-precision probabilities."""
     lines = [json.dumps({"vocab_size": trace.vocab_size, "n_steps": len(trace.steps)})]
     for i, step in enumerate(trace.steps):
-        row: dict = {"t": i, "probs": [float(p) for p in step.probs]}
+        row: dict = {"t": i, "probs": [float(p) for p in step]}
         if trace.tokens_taken is not None:
             row["token"] = int(trace.tokens_taken[i])
         lines.append(json.dumps(row))
@@ -189,29 +188,38 @@ def load_trace(path: Path | str) -> NtpTrace:
         raise MalformedTrace(f"bad header line: {exc}") from exc
     if not isinstance(header, dict) or "vocab_size" not in header or "n_steps" not in header:
         raise MalformedTrace("header must carry vocab_size and n_steps")
-    vocab_size = int(header["vocab_size"])
-    n_steps = int(header["n_steps"])
+    vocab_size, n_steps = header["vocab_size"], header["n_steps"]
+    # type(), not isinstance(): JSON true loads as a bool, which is an int.
+    if type(vocab_size) is not int or vocab_size < 1:
+        raise MalformedTrace(f"vocab_size must be an integer >= 1, got {vocab_size!r}")
+    if type(n_steps) is not int or n_steps < 0:
+        raise MalformedTrace(f"n_steps must be an integer >= 0, got {n_steps!r}")
     body = [ln for ln in raw_lines[1:] if ln.strip()]
     if len(body) != n_steps:
         raise MalformedTrace(f"header promises {n_steps} steps, found {len(body)}")
-    steps: list[NtpDistribution] = []
+    steps: list[np.ndarray] = []
     tokens: list[int] = []
     for i, ln in enumerate(body):
         try:
             row = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise MalformedTrace(f"bad step line {i}: {exc}") from exc
+        if not isinstance(row, dict):
+            raise MalformedTrace(f"step line {i} must be a JSON object")
         if row.get("t") != i:
             raise MalformedTrace(f"step line {i} carries t={row.get('t')}")
         probs = row.get("probs")
         if not isinstance(probs, list) or len(probs) != vocab_size:
             raise MalformedTrace(f"step {i} needs {vocab_size} probabilities")
         try:
-            steps.append(make_ntp(np.array(probs, dtype=np.float64), strict=True))
-        except (NotNormalized, ValueError) as exc:
+            steps.append(make_ntp(probs, strict=True))
+        except (TypeError, ValueError) as exc:
             raise MalformedTrace(f"step {i}: {exc}") from exc
         if "token" in row:
-            tokens.append(int(row["token"]))
+            token = row["token"]
+            if type(token) is not int or not 0 <= token < vocab_size:
+                raise MalformedTrace(f"step {i}: token must be an integer in [0, {vocab_size})")
+            tokens.append(token)
     if tokens and len(tokens) != n_steps:
         raise MalformedTrace("tokens must be present on every step or none")
     return NtpTrace(vocab_size=vocab_size, steps=steps, tokens_taken=tokens or None)
@@ -229,7 +237,7 @@ class TraceSource:
     def vocab_size(self) -> int:
         return self.trace.vocab_size
 
-    def next(self, history: Sequence[int]) -> NtpDistribution:
+    def next(self, history: Sequence[int]) -> np.ndarray:
         """Distribution recorded at the cursor; past the horizon (or at a
         negative cursor) raises EndOfTrace."""
         t, steps = self.cursor, self.trace.steps

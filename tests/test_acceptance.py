@@ -91,7 +91,7 @@ def test_criterion_01_unbiased_samplers():
         "dipmark": sample_dipmark_batch(P, KEY, ctxs, rng.random(n), 0.45),
     }
     pvals = {
-        name: float(sstats.chisquare(np.bincount(t, minlength=16), np.asarray(P.probs) * n).pvalue)
+        name: float(sstats.chisquare(np.bincount(t, minlength=16), np.asarray(P) * n).pvalue)
         for name, t in draws.items()
     }
     elapsed = time.time() - t0
@@ -157,19 +157,19 @@ def test_criterion_04_specdec_matches_coupling():
         marginal = np.zeros(vocab)
         reject_mass = 0.0
         for w in range(vocab):
-            if Q.probs[w] == 0.0:
+            if Q[w] == 0.0:
                 continue
-            u_w = _interval_midpoint(Q.probs, w)
+            u_w = _interval_midpoint(Q, w)
             for z in grid:
                 token, accepted = sample_rejection_coupling(P, Q, float(z), FixedStream([u_w, 0.5]))
                 if accepted:
-                    marginal[w] += Q.probs[w] / len(grid)
+                    marginal[w] += Q[w] / len(grid)
                 else:
-                    reject_mass += Q.probs[w] / len(grid)
-        excess = np.maximum(np.asarray(P.probs) - np.asarray(Q.probs), 0.0)
+                    reject_mass += Q[w] / len(grid)
+        excess = np.maximum(np.asarray(P) - np.asarray(Q), 0.0)
         if excess.sum() > 0:
             marginal += reject_mass * excess / excess.sum()
-        p_min = np.minimum(np.asarray(P.probs), np.asarray(Q.probs))
+        p_min = np.minimum(np.asarray(P), np.asarray(Q))
         coupled = p_min + (
             (1.0 - p_min.sum()) * excess / excess.sum() if excess.sum() > 0 else 0.0
         )
@@ -178,7 +178,7 @@ def test_criterion_04_specdec_matches_coupling():
     # Acceptance probability over fresh pivots.
     P = make_ntp(rng.dirichlet(np.full(6, 0.6)))
     Q = make_ntp(rng.dirichlet(np.full(6, 0.6)))
-    expected = float(np.minimum(P.probs, Q.probs).sum())
+    expected = float(np.minimum(P, Q).sum())
     n = 100_000
     stream = RngStream(99)
     hits = sum(sample_rejection_coupling(P, Q, float(z), stream)[1] for z in rng.random(n))

@@ -149,29 +149,29 @@ class TestOneStep:
             marginal = np.zeros(vocab)
             reject_mass = 0.0
             for w in range(vocab):
-                if Q.probs[w] == 0.0:
+                if Q[w] == 0.0:
                     continue
-                u_w = _interval_midpoint(Q.probs, w)
+                u_w = _interval_midpoint(Q, w)
                 for zeta in grid:
                     token, accepted = sample_rejection_coupling(
                         P, Q, float(zeta), FixedStream([u_w, 0.5])
                     )
                     if accepted:
                         assert token == w
-                        marginal[w] += Q.probs[w] / len(grid)
+                        marginal[w] += Q[w] / len(grid)
                     else:
-                        reject_mass += Q.probs[w] / len(grid)
-            excess = np.maximum(np.asarray(P.probs) - np.asarray(Q.probs), 0.0)
+                        reject_mass += Q[w] / len(grid)
+            excess = np.maximum(np.asarray(P) - np.asarray(Q), 0.0)
             if excess.sum() > 0:
                 marginal += reject_mass * excess / excess.sum()
-            assert 0.5 * np.abs(marginal - np.asarray(P.probs)).sum() < 2e-3
+            assert 0.5 * np.abs(marginal - np.asarray(P)).sum() < 2e-3
 
     def test_resample_follows_excess_law(self):
         P = make_ntp(np.array([0.6, 0.1, 0.3]))
         Q = make_ntp(np.array([0.1, 0.8, 0.1]))
         # Token 1 with zeta near 1 always rejects: accept needs
         # zeta * 0.8 <= 0.1.
-        u_w = _interval_midpoint(Q.probs, 1)
+        u_w = _interval_midpoint(Q, 1)
         excess = np.array([0.5, 0.0, 0.2])
         counts = np.zeros(3)
         grid = (np.arange(200) + 0.5) / 200
@@ -185,7 +185,7 @@ class TestOneStep:
     def test_acceptance_probability(self):
         rng = np.random.default_rng(13)
         P, Q = _random_pq(rng, 6)
-        expected = float(np.minimum(P.probs, Q.probs).sum())
+        expected = float(np.minimum(P, Q).sum())
         stream = RngStream(99)
         n = 100_000
         zetas = rng.random(n)

@@ -119,6 +119,17 @@ class TestGenerate:
         )
         assert rc == 2
 
+    def test_trace_replays_from_first_step_for_every_text(self, tmp_path):
+        # Step t of the trace puts all mass on token t.
+        trace = tmp_path / "trace.jsonl"
+        save_trace(NtpTrace(16, [make_ntp(np.eye(16)[t]) for t in range(12)]), trace)
+        out = tmp_path / "texts.jsonl"
+        rc = main(["generate", "--model", f"trace:path={trace}", "--key", KEY_ARG, "--plain",
+                   "--n", "5", "--texts", "2", "--out", str(out)])
+        assert rc == 0
+        conts = [rec["tokens"][rec["prompt_len"]:] for rec in _records(out)]
+        assert conts == [[0, 1, 2, 3, 4]] * 2
+
     def test_stdout_when_no_out(self, capsys):
         rc = main(
             ["generate", "--model", MODEL_ARG, "--key", KEY_ARG, "--n", "5", "--texts", "1"]
@@ -466,6 +477,14 @@ class TestAttack:
         out = tmp_path / "a.jsonl"
         assert main(["attack", "--in", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_record_without_vocab_size_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "texts.jsonl"
+        src.write_text(json.dumps({"tokens": [1, 2, 3]}) + "\n")
+        out = tmp_path / "a.jsonl"
+        assert main(["attack", "--in", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: records must carry vocab_size for substitution\n"
         assert not out.exists()
 
 

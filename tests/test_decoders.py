@@ -93,7 +93,7 @@ class TestCategorical:
 class TestRestrictions:
     def test_hard_list_hand_values(self):
         P = make_ntp([0.2, 0.3, 0.5])
-        q = hard_list_q(P, np.array([True, False, True])).probs
+        q = hard_list_q(P, np.array([True, False, True]))
         assert np.allclose(q, [2 / 7, 0.0, 5 / 7], atol=1e-12)
 
     def test_hard_list_zero_mass(self):
@@ -103,15 +103,15 @@ class TestRestrictions:
 
     def test_soft_q_hand_values(self):
         P = make_ntp([0.1, 0.9])
-        q0 = mc_soft_q(P, np.array([True, False]), 1.0).probs
+        q0 = mc_soft_q(P, np.array([True, False]), 1.0)
         assert np.allclose(q0, [0.23196931668407395, 0.768030683315926], atol=1e-12)
-        q1 = mc_soft_q(P, np.array([False, True]), 1.0).probs
+        q1 = mc_soft_q(P, np.array([False, True]), 1.0)
         assert np.allclose(q1, [0.039270300550050576, 0.9607296994499496], atol=1e-12)
 
     def test_soft_q_delta_zero_is_identity(self):
         P = make_ntp([0.2, 0.3, 0.5])
-        q = mc_soft_q(P, np.array([True, False, True]), 0.0).probs
-        assert np.allclose(q, P.probs, atol=1e-15)
+        q = mc_soft_q(P, np.array([True, False, True]), 0.0)
+        assert np.allclose(q, P, atol=1e-15)
 
     def test_dipmark_hand_values(self):
         P = make_ntp([0.6, 0.4])
@@ -129,13 +129,13 @@ class TestRestrictions:
                 [dipmark_q(P, np.array(perm), alpha) for perm in permutations(range(4))],
                 axis=0,
             )
-            assert np.allclose(avg, P.probs, atol=1e-12)
+            assert np.allclose(avg, P, atol=1e-12)
 
     def test_dipmark_alpha_zero_is_identity(self):
         rng = np.random.default_rng(4)
         P = make_ntp(rng.dirichlet(np.ones(6)))
         perm = rng.permutation(6)
-        assert np.allclose(dipmark_q(P, perm, 0.0), P.probs, atol=1e-12)
+        assert np.allclose(dipmark_q(P, perm, 0.0), P, atol=1e-12)
 
 
 class TestMaximalCoupling:
@@ -175,19 +175,19 @@ class TestMaximalCoupling:
         aux = RngStream(99)
         for zeta in rng.random(n):
             counts[sample_maximal_coupling(P, Q, float(zeta), aux).token] += 1
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
 
     def test_hard_list_branch_is_green_membership(self):
         rng = np.random.default_rng(8)
         for trial in range(50):
             P = make_ntp(rng.dirichlet(np.ones(8)))
             green = rng.random(8) < 0.5
-            if not P.probs[green].sum() or P.probs[green].sum() >= 1.0:
+            if not P[green].sum() or P[green].sum() >= 1.0:
                 continue
             Q = hard_list_q(P, green)
             zeta = float(rng.random())
             out = sample_maximal_coupling(P, Q, zeta, RngStream(trial))
-            mass = float(P.probs[green].sum())
+            mass = float(P[green].sum())
             assert (out.branch is Branch.OVERLAP) == (zeta <= mass)
             assert bool(green[out.token]) == (out.branch is Branch.OVERLAP)
 
@@ -220,8 +220,8 @@ class TestRejectionCoupling:
             tok, acc = sample_rejection_coupling(P, Q, float(zeta), aux)
             counts[tok] += 1
             accepts += acc
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
-        p_accept = float(np.minimum(P.probs, Q.probs).sum())
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
+        p_accept = float(np.minimum(P, Q).sum())
         assert abs(accepts / n - p_accept) < 3 * math.sqrt(p_accept * (1 - p_accept) / n)
 
 
@@ -234,7 +234,7 @@ class TestStepFunctions:
         u_aux = rng.random(n)
         tokens = sample_mc_batch(P, KEY, ctxs, u_aux)
         counts = np.bincount(tokens, minlength=16)
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
 
     def test_gumbel_unbiased_chi2(self):
         rng = np.random.default_rng(22)
@@ -243,7 +243,7 @@ class TestStepFunctions:
         ctxs = np.stack([np.arange(n), np.full(n, 4)], axis=1)
         tokens = sample_gumbel_batch(P, KEY, ctxs)
         counts = np.bincount(tokens, minlength=16)
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
 
     def test_dipmark_unbiased_chi2(self):
         rng = np.random.default_rng(23)
@@ -252,7 +252,7 @@ class TestStepFunctions:
         ctxs = np.stack([np.arange(n), np.full(n, 2)], axis=1)
         tokens = sample_dipmark_batch(P, PERM_KEY, ctxs, rng.random(n), 0.45)
         counts = np.bincount(tokens, minlength=16)
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
 
     def test_mc_soft_unbiased_chi2(self):
         rng = np.random.default_rng(24)
@@ -263,7 +263,7 @@ class TestStepFunctions:
         for i in range(n):
             step = mc_soft_step_full(P, KEY, (i, 5), aux, 1.0)
             counts[step.token] += 1
-        assert sstats.chisquare(counts, P.probs * n).pvalue > 1e-3
+        assert sstats.chisquare(counts, P * n).pvalue > 1e-3
 
     def test_soft_bias_matches_analysis(self):
         # Binary P(1)=0.9, delta=1, one green token chosen uniformly per
@@ -348,15 +348,15 @@ class TestMcOracle:
             green = green_mask(KEY, ctx, vocab)
             zeta = derive_zeta(KEY, ctx)
             step = mc_step_full(P, KEY, ctx, RngStream(trial))
-            draft = _draft_q(FixedModel(P.probs), KEY, list(ctx), Scheme.MC).probs
+            draft = _draft_q(FixedModel(P), KEY, list(ctx), Scheme.MC)
             try:
                 Q = hard_list_q(P, green)
             except ZeroGreenMass:
                 zero_green += 1
-                plain = categorical_from_uniform(P.probs, RngStream(trial).next_uniform())
+                plain = categorical_from_uniform(P, RngStream(trial).next_uniform())
                 assert (step.token, step.branch, step.green_mass) == (plain, None, 0.0)
                 assert step.zero_green
-                assert np.allclose(draft, P.probs, rtol=1e-12, atol=0.0)
+                assert np.allclose(draft, P, rtol=1e-12, atol=0.0)
                 continue
             out = sample_maximal_coupling(P, Q, zeta, RngStream(trial))
             assert (step.token, step.branch, step.green_mass) == (
@@ -364,7 +364,7 @@ class TestMcOracle:
             )
             assert not step.zero_green
             side = green if out.branch is Branch.OVERLAP else ~green
-            ref = hard_list_q(P, side).probs
+            ref = hard_list_q(P, side)
             assert np.array_equal(draft > 0, ref > 0)
             assert np.allclose(draft, ref, rtol=1e-12, atol=0.0)
         assert 20 <= zero_green <= 380

@@ -81,7 +81,7 @@ class TestGammaRow:
             src = MarkovSource(seed=11, **kwargs)
             v = kwargs["vocab_size"]
             for ctx in range(n_ctx):
-                h.update(src.next([ctx % v, (ctx * 7) % v]).probs.tobytes())
+                h.update(src.next([ctx % v, (ctx * 7) % v]).tobytes())
         assert h.hexdigest() == GOLDEN_ROWS
 
     @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
@@ -102,41 +102,54 @@ class TestGammaRow:
             assert _gamma_row(state, n, shape) == _reference_gamma_row(state, n, shape)[0]
 
 
+@pytest.mark.parametrize("source", [
+    lambda: MarkovSource(order=2, vocab_size=16, seed=3),
+    lambda: TraceSource(_make_trace(vocab=16)),
+], ids=["markov", "trace"])
+def test_next_returns_read_only_law(source):
+    src = source()
+    dist = src.next([4, 5])
+    assert dist.dtype == np.float64 and dist.shape == (src.vocab_size,)
+    assert abs(dist.sum() - 1.0) <= 1e-9
+    with pytest.raises(ValueError):
+        dist[0] = 0.5
+
+
 class TestMarkovSource:
     def test_rows_are_distributions(self):
         src = MarkovSource(order=2, vocab_size=16, seed=3)
         dist = src.next([4, 5])
-        assert len(dist.probs) == 16
-        assert float(np.sum(dist.probs)) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.asarray(dist.probs) >= 0)
+        assert len(dist) == 16
+        assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.asarray(dist) >= 0)
 
     def test_rows_deterministic_across_instances(self):
         a = MarkovSource(order=2, vocab_size=32, seed=7)
         b = MarkovSource(order=2, vocab_size=32, seed=7)
-        assert np.array_equal(a.next([1, 2]).probs, b.next([1, 2]).probs)
+        assert np.array_equal(a.next([1, 2]), b.next([1, 2]))
 
     def test_seed_changes_rows(self):
         a = MarkovSource(order=2, vocab_size=32, seed=7)
         b = MarkovSource(order=2, vocab_size=32, seed=8)
-        assert not np.array_equal(a.next([1, 2]).probs, b.next([1, 2]).probs)
+        assert not np.array_equal(a.next([1, 2]), b.next([1, 2]))
 
     def test_short_history_left_padded(self):
         src = MarkovSource(order=3, vocab_size=16, seed=1)
-        assert np.array_equal(src.next([5]).probs, src.next([0, 0, 5]).probs)
+        assert np.array_equal(src.next([5]), src.next([0, 0, 5]))
 
     def test_only_last_order_tokens_matter(self):
         src = MarkovSource(order=2, vocab_size=16, seed=1)
-        assert np.array_equal(src.next([9, 3, 4]).probs, src.next([7, 3, 4]).probs)
+        assert np.array_equal(src.next([9, 3, 4]), src.next([7, 3, 4]))
 
     def test_high_temperature_flattens(self):
         hot = MarkovSource(order=2, vocab_size=64, seed=11, temperature=1e9)
-        p = np.asarray(hot.next([3, 4]).probs)
+        p = np.asarray(hot.next([3, 4]))
         assert 0.5 * np.abs(p - 1.0 / 64).sum() < 1e-6
 
     def test_low_temperature_sharpens(self):
         base = MarkovSource(order=2, vocab_size=64, seed=11)
         cold = MarkovSource(order=2, vocab_size=64, seed=11, temperature=0.25)
-        assert np.max(cold.next([3, 4]).probs) > np.max(base.next([3, 4]).probs)
+        assert np.max(cold.next([3, 4])) > np.max(base.next([3, 4]))
 
     def test_entropy_in_conversational_band(self):
         # Concentration 0.3 on a 64-token vocabulary gives rows that are
@@ -144,7 +157,7 @@ class TestMarkovSource:
         src = MarkovSource(order=2, vocab_size=64, seed=11, concentration=0.3)
         ents = []
         for i in range(300):
-            p = np.asarray(src.next([i % 64, i // 64]).probs)
+            p = np.asarray(src.next([i % 64, i // 64]))
             nz = p[p > 0]
             ents.append(float(-(nz * np.log(nz)).sum()))
         assert 1.5 < float(np.mean(ents)) < 4.0
@@ -167,10 +180,10 @@ class TestMarkovSource:
 
     def test_cache_eviction_keeps_determinism(self):
         src = MarkovSource(order=2, vocab_size=16, seed=1, cache_size=2)
-        first = np.asarray(src.next([1, 2]).probs).copy()
+        first = np.asarray(src.next([1, 2])).copy()
         for i in range(5):
             src.next([i + 3, i + 3])
-        assert np.array_equal(src.next([1, 2]).probs, first)
+        assert np.array_equal(src.next([1, 2]), first)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +197,7 @@ class TestMarkovSource:
 
     def test_order_zero_ignores_history(self):
         src = MarkovSource(order=0, vocab_size=16, seed=1)
-        assert np.array_equal(src.next([1, 2]).probs, src.next([9]).probs)
+        assert np.array_equal(src.next([1, 2]), src.next([9]))
 
     def test_golden_generation(self):
         # Frozen end-to-end sequence; any drift in row construction, keying,
@@ -217,7 +230,7 @@ class TestTraceRoundTrip:
         assert again.vocab_size == trace.vocab_size
         assert again.tokens_taken == trace.tokens_taken
         for a, b in zip(again.steps, trace.steps):
-            assert np.array_equal(a.probs, b.probs)
+            assert np.array_equal(a, b)
 
     def test_tokens_optional(self, tmp_path):
         trace = _make_trace(with_tokens=False)
@@ -284,6 +297,15 @@ class TestTraceValidation:
         with pytest.raises(MalformedTrace):
             load_trace(path)
 
+    def test_probability_not_a_number(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        row = json.loads(lines[1])
+        row["probs"][0] = {}
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTrace):
+            load_trace(path)
+
     def test_partial_tokens(self, tmp_path):
         path, lines = self._lines(tmp_path)
         row = json.loads(lines[2])
@@ -299,11 +321,44 @@ class TestTraceValidation:
         with pytest.raises(MalformedTrace):
             load_trace(path)
 
+    def test_step_line_not_an_object(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        lines[2] = json.dumps([0.5, 0.5])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTrace):
+            load_trace(path)
+
+    # Each header was once truncated by int() or let through unchecked.
+    @pytest.mark.parametrize("header, probs", [
+        ({"vocab_size": 2.7, "n_steps": 1}, [0.5, 0.5]),
+        ({"vocab_size": True, "n_steps": 1}, [1.0]),
+        ({"vocab_size": 2, "n_steps": 1.9}, [0.5, 0.5]),
+        ({"vocab_size": 2, "n_steps": True}, [0.5, 0.5]),
+        ({"vocab_size": 0, "n_steps": 0}, None),
+    ], ids=["fractional-vocab", "boolean-vocab", "fractional-steps", "boolean-steps",
+            "empty-vocab"])
+    def test_header_counts_must_be_integers_in_range(self, tmp_path, header, probs):
+        path = tmp_path / "t.jsonl"
+        steps = [] if probs is None else [json.dumps({"t": 0, "probs": probs})]
+        path.write_text("\n".join([json.dumps(header), *steps]) + "\n")
+        with pytest.raises(MalformedTrace):
+            load_trace(path)
+
+    @pytest.mark.parametrize("token", [1.6, True, 8, -1])
+    def test_token_must_be_in_vocabulary(self, tmp_path, token):
+        path, lines = self._lines(tmp_path)
+        row = json.loads(lines[2])
+        row["token"] = token
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTrace):
+            load_trace(path)
+
 
 class TestReplay:
     def test_next_bounds(self):
         trace = _make_trace(n=3)
-        assert np.array_equal(TraceSource(trace).next([]).probs, trace.steps[0].probs)
+        assert np.array_equal(TraceSource(trace).next([]), trace.steps[0])
         with pytest.raises(EndOfTrace):
             TraceSource(trace, cursor=3).next([])
         with pytest.raises(EndOfTrace):
@@ -319,16 +374,16 @@ class TestReplay:
         src = TraceSource(trace)
         seen = [src.next([99]) for _ in range(3)]
         for got, want in zip(seen, trace.steps):
-            assert np.array_equal(got.probs, want.probs)
+            assert np.array_equal(got, want)
         with pytest.raises(EndOfTrace):
             src.next([99])
         src.cursor = 0
-        assert np.array_equal(src.next([99]).probs, trace.steps[0].probs)
+        assert np.array_equal(src.next([99]), trace.steps[0])
 
     def test_history_ignored(self):
         trace = _make_trace(n=2)
         a, b = TraceSource(trace), TraceSource(trace)
-        assert np.array_equal(a.next([1]).probs, b.next([2, 3, 4]).probs)
+        assert np.array_equal(a.next([1]), b.next([2, 3, 4]))
 
     def test_vocab_property(self):
         assert TraceSource(_make_trace(vocab=8)).vocab_size == 8
