@@ -9,6 +9,7 @@ value on every platform, which all golden tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,9 +139,10 @@ def make_ntp(raw, strict: bool = False) -> np.ndarray:
     """Build a next-token law from raw weights: a 1-D, read-only float64
     array whose entries sum to 1 within 1e-9, safe to share.
 
-    Non-strict mode rescales any nonnegative vector with positive sum;
-    strict mode additionally rejects inputs whose sum deviates from 1 by
-    more than 1e-6 before normalization.
+    Non-strict mode rescales any finite nonnegative vector with positive
+    sum; strict mode additionally rejects inputs whose sum deviates from 1
+    by more than 1e-6 before normalization.  Both modes refuse a vector
+    whose sum is not finite (a NaN or infinite entry, or overflow).
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -148,6 +150,9 @@ def make_ntp(raw, strict: bool = False) -> np.ndarray:
     if np.any(arr < 0):
         raise NegativeEntry("probability vector has a negative entry")
     total = float(arr.sum())
+    # With no negative entry, the sum is finite only if every entry is.
+    if not math.isfinite(total):
+        raise NotNormalized(f"probability vector sums to {total!r}: an entry is NaN or too large")
     if total <= 0.0:
         raise NotNormalized("probability vector sums to zero")
     if strict and abs(total - 1.0) > 1e-6:

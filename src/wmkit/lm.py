@@ -48,6 +48,8 @@ _ROW_TAG = 0x5A
 _BLOCK_CAP = 1 << 14
 # Default byte budget of a MarkovSource row cache.
 _CACHE_BYTES = 1 << 28
+# Smallest normal float64; a tempered row whose max is below it has underflowed.
+_TINY = np.finfo(np.float64).tiny
 
 
 class MalformedTrace(ValueError):
@@ -143,7 +145,11 @@ class MarkovSource:
             raw = np.ones(self.vocab_size)
         row = raw / raw.sum()
         if self.temperature != 1.0:
-            row = row ** (1.0 / self.temperature)
+            tempered = row ** (1.0 / self.temperature)
+            # A cold row underflows to (near) zeros; temper it relative to its max.
+            if tempered.max() < _TINY:
+                tempered = (row / row.max()) ** (1.0 / self.temperature)
+            row = tempered
         dist = make_ntp(row)
         self._cache[ctx] = dist
         if len(self._cache) > self.cache_size:
@@ -206,11 +212,15 @@ def load_trace(path: Path | str) -> NtpTrace:
             raise MalformedTrace(f"bad step line {i}: {exc}") from exc
         if not isinstance(row, dict):
             raise MalformedTrace(f"step line {i} must be a JSON object")
-        if row.get("t") != i:
-            raise MalformedTrace(f"step line {i} carries t={row.get('t')}")
+        t = row.get("t")
+        if type(t) is not int or t != i:
+            raise MalformedTrace(f"step line {i} carries t={t!r}")
         probs = row.get("probs")
         if not isinstance(probs, list) or len(probs) != vocab_size:
             raise MalformedTrace(f"step {i} needs {vocab_size} probabilities")
+        # numpy would parse "0.5" and true; only JSON numbers are probabilities.
+        if not all(type(p) in (int, float) for p in probs):
+            raise MalformedTrace(f"step {i}: probabilities must be JSON numbers")
         try:
             steps.append(make_ntp(probs, strict=True))
         except (TypeError, ValueError) as exc:

@@ -130,6 +130,17 @@ class TestGenerate:
         conts = [rec["tokens"][rec["prompt_len"]:] for rec in _records(out)]
         assert conts == [[0, 1, 2, 3, 4]] * 2
 
+    def test_trace_with_nan_probability_is_runtime_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        steps = [np.full(4, 0.25), np.array([np.nan, 0.25, 0.25, 0.25]), np.full(4, 0.25)]
+        save_trace(NtpTrace(4, steps), trace)
+        out = tmp_path / "texts.jsonl"
+        rc = main(["generate", "--model", f"trace:path={trace}", "--key", KEY_ARG, "--plain",
+                   "--n", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         rc = main(
             ["generate", "--model", MODEL_ARG, "--key", KEY_ARG, "--n", "5", "--texts", "1"]

@@ -146,6 +146,22 @@ class TestMakeNtp:
         with pytest.raises(NotNormalized):
             make_ntp([0.0, 0.0])
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            pytest.param(
+                [1e308, 1e308], marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+            ),
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_non_finite_rejected(self, raw, strict):
+        with pytest.raises(NotNormalized):
+            make_ntp(raw, strict=strict)
+
     def test_strict_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             make_ntp([0.5, 0.6], strict=True)

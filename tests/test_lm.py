@@ -151,6 +151,20 @@ class TestMarkovSource:
         cold = MarkovSource(order=2, vocab_size=64, seed=11, temperature=0.25)
         assert np.max(cold.next([3, 4])) > np.max(base.next([3, 4]))
 
+    @pytest.mark.parametrize(
+        "concentration, temperature", [(0.3, 0.001), (5.0, 0.002)]
+    )
+    def test_underflowing_temperature_keeps_a_law(self, concentration, temperature):
+        # row ** (1 / T) underflows to zeros here; the row is tempered
+        # relative to its max instead.
+        kw = dict(order=1, vocab_size=64, seed=11, concentration=concentration)
+        cold = MarkovSource(temperature=temperature, **kw).next([1])
+        base = MarkovSource(**kw).next([1])
+        assert np.all(np.isfinite(cold)) and np.all(cold >= 0)
+        assert abs(cold.sum() - 1.0) < 1e-9
+        assert np.argmax(cold) == np.argmax(base)
+        assert cold.max() > base.max()
+
     def test_entropy_in_conversational_band(self):
         # Concentration 0.3 on a 64-token vocabulary gives rows that are
         # neither deterministic nor uniform.
@@ -302,6 +316,25 @@ class TestTraceValidation:
         row = json.loads(lines[1])
         row["probs"][0] = {}
         lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTrace):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            (2, "probs", ["0.125"] * 8),  # numpy would parse these into a law
+            (1, "probs", [True] + [False] * 7),
+            (1, "probs", [float("nan")] + [0.125] * 7),
+            (2, "t", True),  # JSON true equals 1, the index of the step on line 2
+        ],
+        ids=["probs-strings", "probs-booleans", "probs-nan", "t-boolean"],
+    )
+    def test_step_field_of_wrong_json_type(self, tmp_path, line, field, value):
+        path, lines = self._lines(tmp_path)
+        row = json.loads(lines[line])
+        row[field] = value
+        lines[line] = json.dumps(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedTrace):
             load_trace(path)

@@ -1,7 +1,6 @@
 """Smoke runs of the scripts in ``scripts/`` at tiny sizes."""
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -12,7 +11,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
-    "run_desk_pipeline.py": ["--texts", "2", "--n", "40", "--specdec-texts", "1"],
     "run_boundary_scan.py": ["--p", "0.2", "--q", "0.5", "--m", "1000", "--reps", "1000"],
 }
 
@@ -39,10 +37,11 @@ def _run_script(tmp_path, script, args):
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_runs(tmp_path, script):
     text = _run_script(tmp_path, script, SCRIPTS[script]).decode()
-    if script == "run_desk_pipeline.py":
-        assert json.loads(text)["texts"] == 2
-    else:
-        assert len(text.splitlines()) >= 2
+    assert len(text.splitlines()) >= 2
+
+
+def test_every_script_has_a_smoke_run():
+    assert set(SCRIPTS) == {p.name for p in (ROOT / "scripts").glob("*.py")}
 
 
 # sha256 of the run_boundary_scan.py CSV for a 2 x 2 grid, captured while
