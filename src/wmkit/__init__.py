@@ -33,15 +33,12 @@ from .keying import (
 )
 from .decoders import (
     Branch,
-    CouplingOutcome,
     DecoderConfig,
     GenerationResult,
     Scheme,
     StepResult,
     VocabMismatch,
-    ZeroGreenMass,
     generate,
-    sample_maximal_coupling,
     sample_rejection_coupling,
 )
 from .detection import (
@@ -63,7 +60,6 @@ from .lm import (
     EndOfTrace,
     MalformedTrace,
     MarkovSource,
-    NtpTrace,
     TraceSource,
     load_trace,
     parse_model_spec,

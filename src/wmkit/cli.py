@@ -107,13 +107,17 @@ def _random_prompt(aux: RngStream, k: int, vocab_size: int) -> GeneratedText:
     return GeneratedText(tokens=tokens, prompt_len=len(tokens))
 
 
-def cmd_generate(args) -> int:
-    key = _parse_key_arg(args.key)
-    model = _parse_model_arg(args.model)
+def _check_lengths(args) -> None:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.texts < 1:
         raise UsageError("--texts must be >= 1")
+
+
+def cmd_generate(args) -> int:
+    key = _parse_key_arg(args.key)
+    _check_lengths(args)
+    model = _parse_model_arg(args.model)
     config = None
     if not args.plain:
         try:
@@ -235,14 +239,16 @@ def cmd_specdec(args) -> int:
         _check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_lengths(args)
     draft = _parse_model_arg(args.draft)
     target = _parse_model_arg(args.target)
     if isinstance(draft, TraceSource) or isinstance(target, TraceSource):
         raise UsageError("specdec needs models that read the history, not trace sources")
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if args.texts < 1:
-        raise UsageError("--texts must be >= 1")
+    if draft.vocab_size != target.vocab_size:
+        raise UsageError(
+            f"draft and target models must share a vocabulary, got {draft.vocab_size} "
+            f"and {target.vocab_size}"
+        )
     lines = []
     all_stats = []
     for i in range(args.texts):
@@ -302,6 +308,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    cache_dir = Path(args.cache_dir) if args.cache_dir is not None else default_cache_dir()
     try:
         critical = calibrate_null(
             Statistic(args.stat),
@@ -310,7 +317,7 @@ def cmd_calibrate(args) -> int:
             reps=args.reps,
             seed=args.seed,
             denom=HcDenom(args.hc_denom),
-            cache_dir=args.cache_dir,
+            cache_dir=cache_dir,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -323,7 +330,7 @@ def cmd_calibrate(args) -> int:
                 "reps": args.reps,
                 "seed": args.seed,
                 "critical_value": critical,
-                "cache_dir": str(Path(args.cache_dir) if args.cache_dir else default_cache_dir()),
+                "cache_dir": str(cache_dir),
             }
         )
     )

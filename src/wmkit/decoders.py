@@ -48,35 +48,25 @@ from .keying import (
 __all__ = [
     "Scheme",
     "Branch",
-    "CouplingOutcome",
     "DecoderConfig",
     "StepResult",
     "GenerationResult",
     "categorical_from_uniform",
-    "sample_maximal_coupling",
     "sample_rejection_coupling",
     "accept_or_resample",
-    "hard_list_q",
     "mc_soft_q",
-    "dipmark_q",
     "generate",
     "sample_mc_batch",
     "sample_gumbel_batch",
     "sample_soft_batch",
     "sample_dipmark_batch",
     "VocabMismatch",
-    "ZeroGreenMass",
     "DegenerateExcess",
 ]
 
 
 class VocabMismatch(ValueError):
     """Raised when two distributions cover different vocabularies."""
-
-
-class ZeroGreenMass(Exception):
-    """Signals that the green list carries no probability mass; callers fall
-    back to sampling from the unmodified distribution."""
 
 
 class DegenerateExcess(RuntimeError):
@@ -94,15 +84,6 @@ class Scheme(str, enum.Enum):
 class Branch(str, enum.Enum):
     OVERLAP = "OVERLAP"
     EXCESS = "EXCESS"
-
-
-@dataclass(frozen=True)
-class CouplingOutcome:
-    """Token plus which coupling branch produced it."""
-
-    token: int
-    branch: Branch
-    overlap_mass: float
 
 
 # The largest soft bias whose factor e^delta is a finite float; a NaN bias
@@ -175,28 +156,6 @@ def _check_vocab(P: np.ndarray, Q: np.ndarray) -> None:
         raise VocabMismatch(f"vocab sizes differ: {len(P)} vs {len(Q)}")
 
 
-def sample_maximal_coupling(
-    P: np.ndarray, Q: np.ndarray, zeta: float, aux: RngStream
-) -> CouplingOutcome:
-    """Maximal-coupling token draw: overlap branch when ``zeta`` falls below
-    the overlap mass sum(min(P, Q)), excess branch max(0, P - Q) otherwise.
-
-    With ``zeta ~ U[0, 1)`` independent of ``aux`` the token marginal is
-    exactly P.
-    """
-    _check_vocab(P, Q)
-    overlap = np.minimum(P, Q)
-    p = float(overlap.sum())
-    if zeta <= p:
-        token = categorical_from_uniform(overlap, aux.next_uniform())
-        return CouplingOutcome(token=token, branch=Branch.OVERLAP, overlap_mass=p)
-    excess = np.maximum(P - Q, 0.0)
-    if float(excess.sum()) <= 0.0:
-        raise DegenerateExcess("excess branch entered with zero excess mass")
-    token = categorical_from_uniform(excess, aux.next_uniform())
-    return CouplingOutcome(token=token, branch=Branch.EXCESS, overlap_mass=p)
-
-
 def sample_rejection_coupling(
     P: np.ndarray,
     Q: np.ndarray,
@@ -209,10 +168,11 @@ def sample_rejection_coupling(
     normalized excess max(0, P - Q).
 
     At ``accept_scale = 1`` and uniform ``zeta`` the token marginal equals P
-    and the acceptance probability equals sum(min(P, Q)).  Unlike
-    :func:`sample_maximal_coupling` the joint law of (zeta, token) makes
-    ``zeta`` conditionally uniform on [0, P_w/Q_w]-style intervals, which is
-    what the soft coupling decoder needs.
+    and the acceptance probability equals sum(min(P, Q)).  Unlike the
+    two-branch coupling (the overlap min(P, Q) when zeta <= sum(min(P, Q)),
+    the excess otherwise) the joint law of (zeta, token) makes ``zeta``
+    conditionally uniform on [0, P_w/Q_w]-style intervals, which is what the
+    soft coupling decoder needs.
     """
     _check_vocab(P, Q)
     w = categorical_from_uniform(Q, aux.next_uniform())
@@ -239,20 +199,6 @@ def accept_or_resample(
     return categorical_from_uniform(excess, resample_u()), False
 
 
-def hard_list_q(P: np.ndarray, green: np.ndarray) -> np.ndarray:
-    """Green-conditional restriction of P: Q_w = P_w 1{w green} / P_green.
-
-    Raises :class:`ZeroGreenMass` when the green list carries no mass; the
-    caller then samples from P unmodified.
-    """
-    mass = float(P[green].sum())
-    if mass <= 0.0:
-        raise ZeroGreenMass
-    q = np.where(green, P / mass, 0.0)
-    q.setflags(write=False)
-    return q
-
-
 def mc_soft_q(P: np.ndarray, green: np.ndarray, delta: float) -> np.ndarray:
     """Soft green/red reweighting Q_w = e^delta P_w / C on green, P_w / C on
     red, with C = 1 + (e^delta - 1) P_green."""
@@ -269,13 +215,14 @@ def _soft_weights(probs: np.ndarray, green: np.ndarray, delta: float) -> np.ndar
 
 
 def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the hard-list maximal coupling, for one membership row
-    and pivot or an (n, V) matrix and (n,) pivots.
+    """Closed form of the maximal coupling of P with its green-conditional
+    restriction Q_w = P_w 1{w green} / P_green, for one membership row and
+    pivot or an (n, V) matrix and (n,) pivots.
 
     Returns the unnormalized token weights and the green mass
     P_green = sum(P on green): P on green when zeta <= P_green (the overlap
-    branch of :func:`sample_maximal_coupling` against :func:`hard_list_q`),
-    P on red otherwise (its excess branch), and P itself when P_green = 0.
+    min(P, Q), of mass P_green), P on red otherwise (the excess
+    max(0, P - Q)), and P itself when P_green = 0.
     """
     mass = np.where(green, probs, 0.0).sum(axis=-1)
     side = np.where(np.asarray(zeta <= mass)[..., None], green, ~green)
@@ -343,24 +290,16 @@ def soft_step_full(
     return StepResult(token=token, masked=False, green_mass=float(P[green].sum()))
 
 
-def dipmark_q(P: np.ndarray, perm: np.ndarray, alpha_dip: float) -> np.ndarray:
-    """Token-indexed reweighted distribution: with S_i the cumulative mass
-    along the reversed permutation, position i gets F_i - F_{i-1} where
+def _dipmark_reweight(p_order: np.ndarray, alpha_dip: float) -> np.ndarray:
+    """DiPmark masses in ordering space, for one row of P along a reversed
+    keyed permutation or an (n, V) matrix of them: with S_i the cumulative
+    mass, position i gets F_i - F_{i-1} where
     F_i = max(S_i - alpha, 0) + max(S_i - (1 - alpha), 0).
 
-    Averaged over uniformly random permutations the result equals P for any
-    alpha in [0, 0.5]; a single permutation shifts mass toward its head,
+    Averaged over uniformly random permutations the token law equals P for
+    any alpha in [0, 0.5]; a single permutation shifts mass toward its head,
     which is the green set the green-count detector looks for.
     """
-    order = perm[::-1]
-    q = np.zeros(len(order))
-    q[order] = _dipmark_reweight(P[order], alpha_dip)
-    return q
-
-
-def _dipmark_reweight(p_order: np.ndarray, alpha_dip: float) -> np.ndarray:
-    """DiPmark masses in ordering space: rows of P along reversed keyed
-    permutations in, rows of F_i - F_{i-1} out (see :func:`dipmark_q`)."""
     s = np.cumsum(p_order, axis=-1)
     f = np.maximum(s - alpha_dip, 0.0) + np.maximum(s - (1.0 - alpha_dip), 0.0)
     return np.clip(np.diff(f, axis=-1, prepend=0.0), 0.0, None)
@@ -370,7 +309,7 @@ def dipmark_step_full(
     P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream, alpha_dip: float
 ) -> StepResult:
     """Distribution-preserving reweighting over the keyed permutation; see
-    :func:`dipmark_q` for the construction."""
+    :func:`_dipmark_reweight` for the construction."""
     perm = keyed_permutation(key, ctx, len(P))
     # Draw in ordering space (not token space) so the batch sampler can
     # reproduce the exact same inverse-CDF lookup.

@@ -33,7 +33,6 @@ from .core import (
 
 __all__ = [
     "MarkovSource",
-    "NtpTrace",
     "TraceSource",
     "save_trace",
     "load_trace",
@@ -127,8 +126,8 @@ class MarkovSource:
             raise ValueError("order must be >= 0")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
-        if not self.concentration > 0.0:
-            raise ValueError("concentration must be > 0")
+        if not 0.0 < self.concentration < math.inf:
+            raise ValueError("concentration must be finite and > 0")
         if not self.temperature > 0.0:
             raise ValueError("temperature must be > 0")
         if self.cache_size is None:
@@ -161,30 +160,38 @@ class MarkovSource:
 
 
 @dataclass
-class NtpTrace:
-    """Recorded per-step next-token distributions, optionally with the
-    tokens the recording run actually took."""
+class TraceSource:
+    """Recorded per-step next-token laws, replayed step by step from
+    ``cursor``; the history argument is ignored because the laws were
+    recorded offline."""
 
     vocab_size: int
     steps: list[np.ndarray]
-    tokens_taken: list[int] | None = None
+    cursor: int = 0
+
+    def next(self, history: Sequence[int]) -> np.ndarray:
+        """Distribution recorded at the cursor; past the horizon (or at a
+        negative cursor) raises EndOfTrace."""
+        t, steps = self.cursor, self.steps
+        if not 0 <= t < len(steps):
+            raise EndOfTrace(f"trace has {len(steps)} steps, asked for t={t}")
+        self.cursor += 1
+        return steps[t]
 
 
-def save_trace(trace: NtpTrace, path: Path | str) -> None:
+def save_trace(trace: TraceSource, path: Path | str) -> None:
     """Write the JSON Lines trace format: a header line with vocab_size and
     n_steps, then one line per step with full-precision probabilities."""
     lines = [json.dumps({"vocab_size": trace.vocab_size, "n_steps": len(trace.steps)})]
     for i, step in enumerate(trace.steps):
-        row: dict = {"t": i, "probs": [float(p) for p in step]}
-        if trace.tokens_taken is not None:
-            row["token"] = int(trace.tokens_taken[i])
-        lines.append(json.dumps(row))
+        lines.append(json.dumps({"t": i, "probs": [float(p) for p in step]}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_trace(path: Path | str) -> NtpTrace:
+def load_trace(path: Path | str) -> TraceSource:
     """Parse and validate a trace file; any structural or numerical problem
-    raises MalformedTrace."""
+    raises MalformedTrace.  Keys of a step line other than ``t`` and
+    ``probs`` are ignored."""
     raw_lines = Path(path).read_text().splitlines()
     if not raw_lines:
         raise MalformedTrace("empty trace file")
@@ -204,7 +211,6 @@ def load_trace(path: Path | str) -> NtpTrace:
     if len(body) != n_steps:
         raise MalformedTrace(f"header promises {n_steps} steps, found {len(body)}")
     steps: list[np.ndarray] = []
-    tokens: list[int] = []
     for i, ln in enumerate(body):
         try:
             row = json.loads(ln)
@@ -225,36 +231,7 @@ def load_trace(path: Path | str) -> NtpTrace:
             steps.append(make_ntp(probs, strict=True))
         except (TypeError, ValueError) as exc:
             raise MalformedTrace(f"step {i}: {exc}") from exc
-        if "token" in row:
-            token = row["token"]
-            if type(token) is not int or not 0 <= token < vocab_size:
-                raise MalformedTrace(f"step {i}: token must be an integer in [0, {vocab_size})")
-            tokens.append(token)
-    if tokens and len(tokens) != n_steps:
-        raise MalformedTrace("tokens must be present on every step or none")
-    return NtpTrace(vocab_size=vocab_size, steps=steps, tokens_taken=tokens or None)
-
-
-@dataclass
-class TraceSource:
-    """Cursor-based source replaying a trace step by step; the history
-    argument is ignored because the distributions were recorded offline."""
-
-    trace: NtpTrace
-    cursor: int = 0
-
-    @property
-    def vocab_size(self) -> int:
-        return self.trace.vocab_size
-
-    def next(self, history: Sequence[int]) -> np.ndarray:
-        """Distribution recorded at the cursor; past the horizon (or at a
-        negative cursor) raises EndOfTrace."""
-        t, steps = self.cursor, self.trace.steps
-        if not 0 <= t < len(steps):
-            raise EndOfTrace(f"trace has {len(steps)} steps, asked for t={t}")
-        self.cursor += 1
-        return steps[t]
+    return TraceSource(vocab_size=vocab_size, steps=steps)
 
 
 def parse_model_spec(spec: str):
@@ -289,5 +266,5 @@ def parse_model_spec(spec: str):
     if kind == "trace":
         if set(params) != {"path"}:
             raise ValueError("trace spec needs exactly path=...")
-        return TraceSource(load_trace(params["path"]))
+        return load_trace(params["path"])
     raise ValueError(f"unknown model kind {kind!r}")

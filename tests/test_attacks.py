@@ -15,7 +15,7 @@ from wmkit.attacks import (
     substitute,
 )
 from wmkit.keying import WatermarkKey
-from wmkit.lm import MarkovSource, NtpTrace, TraceSource
+from wmkit.lm import MarkovSource, TraceSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
 
@@ -304,7 +304,7 @@ class TestSpecDecPostprocess:
         # draft and target would read steps of different positions.
         model = MarkovSource(order=2, vocab_size=8, seed=11)
         steps = [model.next([1, 2, t % 8]) for t in range(40)]
-        models = {"draft": model, "target": model, traced: TraceSource(NtpTrace(8, steps))}
+        models = {"draft": model, "target": model, traced: TraceSource(8, steps)}
         with pytest.raises(ValueError, match="trace sources"):
             specdec_postprocess(
                 models["draft"], models["target"], KEY, AttackConfig(), Scheme.MC,

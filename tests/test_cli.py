@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from wmkit import cli, detection, simulation
 from wmkit.cli import main
 from wmkit.core import make_ntp
-from wmkit.lm import NtpTrace, save_trace
+from wmkit.lm import TraceSource, save_trace
 from wmkit.simulation import POWER_CSV_HEADER
 
 KEY_ARG = "9e3779b97f4a7c15:k=2:g=0.5:mode=hash"
@@ -122,7 +123,7 @@ class TestGenerate:
     def test_trace_replays_from_first_step_for_every_text(self, tmp_path):
         # Step t of the trace puts all mass on token t.
         trace = tmp_path / "trace.jsonl"
-        save_trace(NtpTrace(16, [make_ntp(np.eye(16)[t]) for t in range(12)]), trace)
+        save_trace(TraceSource(16, [make_ntp(np.eye(16)[t]) for t in range(12)]), trace)
         out = tmp_path / "texts.jsonl"
         rc = main(["generate", "--model", f"trace:path={trace}", "--key", KEY_ARG, "--plain",
                    "--n", "5", "--texts", "2", "--out", str(out)])
@@ -133,7 +134,7 @@ class TestGenerate:
     def test_trace_with_nan_probability_is_runtime_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         steps = [np.full(4, 0.25), np.array([np.nan, 0.25, 0.25, 0.25]), np.full(4, 0.25)]
-        save_trace(NtpTrace(4, steps), trace)
+        save_trace(TraceSource(4, steps), trace)
         out = tmp_path / "texts.jsonl"
         rc = main(["generate", "--model", f"trace:path={trace}", "--key", KEY_ARG, "--plain",
                    "--n", "3", "--out", str(out)])
@@ -526,7 +527,7 @@ class TestSpecDec:
     def test_trace_source_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                         traced):
         trace = tmp_path / "trace.jsonl"
-        save_trace(NtpTrace(64, [make_ntp(np.full(64, 1 / 64))] * 50), trace)
+        save_trace(TraceSource(64, [make_ntp(np.full(64, 1 / 64))] * 50), trace)
         monkeypatch.setattr(cli, "_random_prompt", lambda *args: pytest.fail("a text was drawn"))
         models = {"--draft": MODEL_ARG, "--target": MODEL_ARG, traced: f"trace:path={trace}"}
         out = tmp_path / "sd.jsonl"
@@ -534,6 +535,17 @@ class TestSpecDec:
                    "--n", "10", "--out", str(out)])
         assert rc == 2
         assert "trace sources" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vocabulary_mismatch_is_usage_error_before_drawing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli, "_random_prompt", lambda *args: pytest.fail("a text was drawn"))
+        out = tmp_path / "sd.jsonl"
+        rc = main(["specdec", "--draft", "markov:seed=1,vocab=64,order=1",
+                   "--target", "markov:seed=1,vocab=32,order=1", "--key", KEY_ARG,
+                   "--n", "10", "--out", str(out)])
+        assert rc == 2
+        assert "must share a vocabulary, got 64 and 32" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scheme_restricted(self, tmp_path):
@@ -792,6 +804,20 @@ class TestCalibrate:
         assert payload["cache_dir"] == str(tmp_path)
         assert (tmp_path / "calibrations.csv").exists()
 
+    def test_empty_cache_dir_is_printed_where_the_row_went(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # --cache-dir "" is the working directory; the default directory was
+        # once printed in its place.
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "default"))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["calibrate", "--stat", "sum", "--n", "30", "--reps", "1000",
+                   "--cache-dir", ""])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = (Path(payload["cache_dir"]) / "calibrations.csv").read_text().splitlines()
+        assert rows[1:] == [f"sum,30,0.01,1000,0,{payload['critical_value']!r}"]
+        assert not (tmp_path / "default").exists()
+
     @pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-1"])
     def test_bad_alpha_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch, alpha):
         def no_draws(*args):
@@ -846,6 +872,23 @@ def test_negative_seed_is_usage_error_before_reading_or_drawing(tmp_path, capsys
     paths = {"missing": tmp_path / "missing.jsonl", "cache": cache}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--model", "trace:path={missing}", "--n", "0"],
+        ["generate", "--model", "trace:path={missing}", "--n", "5", "--texts", "0"],
+        ["specdec", "--draft", "trace:path={missing}", "--target", MODEL_ARG, "--n", "0"],
+        ["specdec", "--draft", MODEL_ARG, "--target", "trace:path={missing}", "--n", "5",
+         "--texts", "0"],
+    ],
+    ids=["generate-n", "generate-texts", "specdec-n", "specdec-texts"],
+)
+def test_bad_length_is_usage_error_before_reading_a_model(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.jsonl"
+    assert main([arg.format(missing=missing) for arg in argv] + ["--key", KEY_ARG]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_generate_accepts_any_seed(tmp_path):

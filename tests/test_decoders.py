@@ -3,6 +3,7 @@ and exact scalar/batch agreement."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,20 +15,19 @@ from wmkit.core import GeneratedText, RngStream, context_window, make_ntp
 from wmkit.decoders import (
     Branch,
     DecoderConfig,
+    DegenerateExcess,
     Scheme,
-    ZeroGreenMass,
+    _check_vocab,
+    _dipmark_reweight,
     categorical_from_uniform,
-    dipmark_q,
     dipmark_step_full,
     generate,
     gumbel_max_step_full,
-    hard_list_q,
     mc_soft_q,
     mc_soft_step_full,
     mc_step_full,
     sample_dipmark_batch,
     sample_gumbel_batch,
-    sample_maximal_coupling,
     sample_mc_batch,
     sample_rejection_coupling,
     sample_soft_batch,
@@ -59,6 +59,68 @@ class FixedModel:
 
     def next(self, history):
         return self.P
+
+
+# Reference forms of the coupling laws that the decoder kernels compute in
+# closed form: the explicit two-branch maximal coupling, the hard-list
+# restriction Q it couples P with, and the token-indexed DiPmark law.
+
+
+class ZeroGreenMass(Exception):
+    """Signals that the green list carries no probability mass; callers fall
+    back to sampling from the unmodified distribution."""
+
+
+@dataclass(frozen=True)
+class CouplingOutcome:
+    """Token plus which coupling branch produced it."""
+
+    token: int
+    branch: Branch
+    overlap_mass: float
+
+
+def sample_maximal_coupling(P, Q, zeta, aux):
+    """Maximal-coupling token draw: overlap branch when ``zeta`` falls below
+    the overlap mass sum(min(P, Q)), excess branch max(0, P - Q) otherwise.
+
+    With ``zeta ~ U[0, 1)`` independent of ``aux`` the token marginal is
+    exactly P.
+    """
+    _check_vocab(P, Q)
+    overlap = np.minimum(P, Q)
+    p = float(overlap.sum())
+    if zeta <= p:
+        token = categorical_from_uniform(overlap, aux.next_uniform())
+        return CouplingOutcome(token=token, branch=Branch.OVERLAP, overlap_mass=p)
+    excess = np.maximum(P - Q, 0.0)
+    if float(excess.sum()) <= 0.0:
+        raise DegenerateExcess("excess branch entered with zero excess mass")
+    token = categorical_from_uniform(excess, aux.next_uniform())
+    return CouplingOutcome(token=token, branch=Branch.EXCESS, overlap_mass=p)
+
+
+def hard_list_q(P, green):
+    """Green-conditional restriction of P: Q_w = P_w 1{w green} / P_green.
+
+    Raises :class:`ZeroGreenMass` when the green list carries no mass; the
+    caller then samples from P unmodified.
+    """
+    mass = float(P[green].sum())
+    if mass <= 0.0:
+        raise ZeroGreenMass
+    q = np.where(green, P / mass, 0.0)
+    q.setflags(write=False)
+    return q
+
+
+def dipmark_q(P, perm, alpha_dip):
+    """Token-indexed DiPmark law: :func:`wmkit.decoders._dipmark_reweight`
+    along the reversed permutation, scattered back to token order."""
+    order = perm[::-1]
+    q = np.zeros(len(order))
+    q[order] = _dipmark_reweight(P[order], alpha_dip)
+    return q
 
 
 def _contexts(n, seed=0):
