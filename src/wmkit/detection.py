@@ -18,7 +18,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -641,14 +641,16 @@ def detect_baseline(
 
     Gumbel-max: sum of -log(1 - U_token) over deduplicated tuples against
     the Gamma(n, 1) upper tail.  Every other scheme: green-token count
-    against the exact Binomial(n, gamma) upper tail.
+    against the exact Binomial(n, gamma) upper tail.  DiPmark's green set is
+    the keyed permutation's head under every key mode, as it generates.
     """
     from .decoders import Scheme
 
     _check_alpha(alpha)
+    scheme = Scheme(scheme)
     ctxs, toks = _first_tuples(text.tokens, key.k, vocab_size)
     n = len(toks)
-    if Scheme(scheme) is Scheme.GUMBEL:
+    if scheme is Scheme.GUMBEL:
         # U_token is draw token + 1 of the context's ZETA stream.
         value = 0.0
         for u in counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), toks + 1).tolist():
@@ -658,6 +660,8 @@ def detect_baseline(
 
         statistic, p = Statistic.GUMBEL_SUM, float(gammaincc(n, value))
     else:
+        if scheme is Scheme.DIPMARK:
+            key = replace(key, green_mode="perm")
         g = int(is_green_batch(key, ctxs, toks, vocab_size).sum())
         # No scipy.special function matches binom.sf bit for bit, so this
         # path alone pays for importing scipy.stats.

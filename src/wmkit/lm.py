@@ -16,16 +16,14 @@ import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
     MASK64,
     context_window,
-    counter_uniforms,
     fold64,
     make_ntp,
     mix64,
@@ -43,12 +41,10 @@ __all__ = [
 
 # Domain tag separating row-synthesis streams from watermark key streams.
 _ROW_TAG = 0x5A
-# Most uniforms one row-synthesis block holds (128 KiB of float64).
-_BLOCK_CAP = 1 << 14
+# PCG64 increment shared by every row stream; the (seed, context) hash is the state.
+_ROW_INC = 0xDA3E39CB94B95BDB
 # Default byte budget of a MarkovSource row cache.
 _CACHE_BYTES = 1 << 28
-# Smallest normal float64; a tempered row whose max is below it has underflowed.
-_TINY = np.finfo(np.float64).tiny
 
 
 class MalformedTrace(ValueError):
@@ -59,54 +55,21 @@ class EndOfTrace(IndexError):
     """Raised when replay is asked for a step past the recorded horizon."""
 
 
-def _uniform_blocks(state: int, size: int) -> Iterator[list[float]]:
-    # Draws 1, 2, ... of RngStream(state), ``size`` per block.
-    drawn = 0
-    while True:
-        counters = np.arange(drawn + 1, drawn + size + 1, dtype=np.uint64)
-        yield counter_uniforms(state, counters).tolist()
-        drawn += size
-
-
-def _gamma_row(state: int, n: int, shape: float) -> list[float]:
-    """``n`` Marsaglia-Tsang Gamma(shape) variates, bit-equal to drawing
-    each in turn from ``RngStream(state).next_uniform()``.
-
-    The uniforms are computed in blocks; the arithmetic stays on Python
-    floats and ``math`` because numpy's log and power differ from them in
-    the last bit on some inputs.  For shape < 1 each variate takes its
-    boost draw U first: Gamma(a) = Gamma(a + 1) * U^(1/a).  Each attempt
-    takes a Box-Muller normal (1 - u keeps the log argument in (0, 1]) and,
-    unless ``v <= 0`` rejects it, one more draw.
-    """
-    boost = shape < 1.0
-    inv_shape = 1.0 / shape
-    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    two_pi = 2.0 * math.pi
-    log, sqrt, cos = math.log, math.sqrt, math.cos
-    # About 4.2 draws per variate with the boost and 3.1 without.
-    size = min((5 if boost else 4) * n + 16, _BLOCK_CAP)
-    draw = chain.from_iterable(_uniform_blocks(state, size)).__next__
-    scale = 1.0
-    out: list[float] = []
-    for _ in range(n):
-        if boost:
-            scale = (1.0 - draw()) ** inv_shape
-        while True:
-            x = sqrt(-2.0 * log(1.0 - draw())) * cos(two_pi * draw())
-            v = (1.0 + c * x) ** 3
-            if v > 0.0 and log(1.0 - draw()) < 0.5 * x * x + d - d * v + d * log(v):
-                break
-        out.append(d * v * scale)
-    return out
+def _log_gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
+    """Logs of ``n`` Gamma(shape) variates.  For shape < 1 each is
+    log Gamma(shape + 1) + log(U) / shape (all Gamma draws first, then the
+    uniforms), so a tiny shape gives very negative logs, not zeros."""
+    if shape < 1.0:
+        log_g = np.log(gen.standard_gamma(shape + 1.0, n))
+        return log_g + np.log(gen.random(n)) / shape
+    return np.log(gen.standard_gamma(shape, n))
 
 
 @dataclass
 class MarkovSource:
     """Order-k Markov model whose rows are lazily synthesized Dirichlet
-    draws: normalized Gamma(concentration) variates from a stream keyed by
-    (seed, context), then tempered by exponent 1/temperature.
+    draws: normalized Gamma(concentration) variates from a PCG64 stream
+    keyed by (seed, context), then tempered by exponent 1/temperature.
 
     Rows are cached (bounded LRU) so long generations stay memory-stable
     and repeated contexts cost one synthesis.  ``cache_size`` counts rows;
@@ -120,6 +83,8 @@ class MarkovSource:
     temperature: float = 1.0
     cache_size: int | None = None
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
+    _bits: np.random.PCG64 = field(init=False, repr=False, compare=False)
+    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -132,6 +97,10 @@ class MarkovSource:
             raise ValueError("temperature must be > 0")
         if self.cache_size is None:
             self.cache_size = max(1, _CACHE_BYTES // (8 * self.vocab_size))
+        # Each row re-keys this one generator; seeding a fresh one costs more
+        # than a small row.
+        self._bits = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bits)
 
     def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         cached = self._cache.get(ctx)
@@ -139,17 +108,17 @@ class MarkovSource:
             self._cache.move_to_end(ctx)
             return cached
         state = mix64(fold64((self.seed ^ _ROW_TAG) & MASK64, ctx))
-        raw = np.array(_gamma_row(state, self.vocab_size, self.concentration))
-        if raw.sum() <= 0.0:
-            raw = np.ones(self.vocab_size)
-        row = raw / raw.sum()
-        if self.temperature != 1.0:
-            tempered = row ** (1.0 / self.temperature)
-            # A cold row underflows to (near) zeros; temper it relative to its max.
-            if tempered.max() < _TINY:
-                tempered = (row / row.max()) ** (1.0 / self.temperature)
-            row = tempered
-        dist = make_ntp(row)
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": _ROW_INC},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        # Tempering by exponent 1/T is a scale of the logs; the row is
+        # exponentiated relative to its max, so it never underflows to zeros.
+        x = _log_gamma(self._gen, self.concentration, self.vocab_size) / self.temperature
+        row = np.exp(x - x.max())
+        dist = make_ntp(row / row.sum())
         self._cache[ctx] = dist
         if len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)

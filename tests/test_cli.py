@@ -120,6 +120,15 @@ class TestGenerate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("conc", ["1e-8", "1e308"])
+    def test_extreme_concentration_generates(self, tmp_path, conc):
+        out = tmp_path / "x.jsonl"
+        rc = main(["generate", "--model", f"markov:seed=1,vocab=8,order=1,conc={conc}",
+                   "--key", KEY_ARG, "--n", "3", "--out", str(out)])
+        assert rc == 0
+        for rec in _records(out):
+            assert len(rec["tokens"]) == rec["prompt_len"] + 3
+
     def test_trace_replays_from_first_step_for_every_text(self, tmp_path):
         # Step t of the trace puts all mass on token t.
         trace = tmp_path / "trace.jsonl"
@@ -152,21 +161,21 @@ class TestGenerate:
 
 
 # sha256 of `wmkit generate` output (V=32, order 2, 3 texts of 40 tokens,
-# seed 5), captured before the keyed kernels were merged; the `--plain`
-# digest was captured before plain sampling moved into `generate`.  Gumbel
-# and DiPmark ignore the green mode, so their hash and perm digests agree.
+# seed 5), captured when Markov rows became one vectorized log-Gamma draw.
+# Gumbel and DiPmark ignore the green mode, so their hash and perm digests
+# agree.
 GOLDEN_GENERATE = {
-    ("hash", "plain"): "502a192b8f06070b4ed6c7dda66f94fe5e01246cb7ecce228cd064c85f7c721f",
-    ("hash", "mc"): "eb1a684991a2f913a6ae3e615ef0c387d364e61ebff77c45541178cd655064a8",
-    ("hash", "mc-soft"): "7ef2e74ee97838c9268e14f8d39f584d813eced2df7da3924bfc39e3959b8036",
-    ("hash", "gumbel"): "1d1a9ad216dfe375f1df081481beb7929dde429f3baf31615bc9f0c3b8802b68",
-    ("hash", "soft"): "f1f93773942e1ed9558cb9971d7a754039d04462793d0ee6f3431280ee7d9cba",
-    ("hash", "dipmark"): "0aae3d1d3a1f1a3c869853d7c4f872913f5a078a190ae2661069255c284a293c",
-    ("perm", "mc"): "43c223456af5bc90d4041e99c3a2e19e774ecb4c2c0c275fbd4dd3307a2d6391",
-    ("perm", "mc-soft"): "e01b88ec1eddad4c5d593e4fafe32924f4c241b0938051c0d1f60886377ee59e",
-    ("perm", "gumbel"): "1d1a9ad216dfe375f1df081481beb7929dde429f3baf31615bc9f0c3b8802b68",
-    ("perm", "soft"): "c5e1677d602624ac27cd8590cc9a136bde7393d4e27c8357f86835aa420fcba3",
-    ("perm", "dipmark"): "0aae3d1d3a1f1a3c869853d7c4f872913f5a078a190ae2661069255c284a293c",
+    ("hash", "plain"): "a8cf9c54f20d521090fdaf0212c34264e3ad17653b19d3d86571025d7b6301bb",
+    ("hash", "mc"): "d4a28849574267f00466e2c3cecf022c9a76fdfbdae9c2b341e3f2b1d7f944b4",
+    ("hash", "mc-soft"): "cdfe8dc2e8dd0efc1145aa9d3015ca356861783525409c053f7caf7ebdb7ec27",
+    ("hash", "gumbel"): "4defbdb20d4fc375df50ab43e24814984944586370fa4a6dfa1ace751a4723fe",
+    ("hash", "soft"): "7fcedb05c2a292cb763ddf567c5e361339ac3498a6d46c71eb50124f6b8a924a",
+    ("hash", "dipmark"): "a01467cd57385b4b3efc97c96f2130b2c189010a89d0e5163658a33c93f5c779",
+    ("perm", "mc"): "585aedb1bd97030372d32293348ecb126a1f1ae27dce43fe904168fa74943f6b",
+    ("perm", "mc-soft"): "152ab2c6a55e9d77b1539eec72b006ce854390f78f0139b7663de09080c0f73a",
+    ("perm", "gumbel"): "4defbdb20d4fc375df50ab43e24814984944586370fa4a6dfa1ace751a4723fe",
+    ("perm", "soft"): "4ad809b93e65206a06b464567eb73cae26fcaef5827286204d2ec1f7e47fcf1a",
+    ("perm", "dipmark"): "a01467cd57385b4b3efc97c96f2130b2c189010a89d0e5163658a33c93f5c779",
 }
 SCHEME_FLAGS = {
     "mc": (),
@@ -204,12 +213,12 @@ def test_generate_golden(tmp_path, mode, scheme):
 
 # sha256 of `wmkit specdec` output followed by its stats JSON (draft V=32
 # order 2 seed 11, target seed 12, 3 texts of 40 tokens, seed 5), captured
-# before the draft law moved onto the shared coupling kernel.
+# when Markov rows became one vectorized log-Gamma draw.
 GOLDEN_SPECDEC = {
-    ("hash", "mc"): "23dfc589f5632ef66a71d687d60028a5220991c746b386ce90d6be1e0cd15d20",
-    ("hash", "gumbel"): "1859819fa0f3146687882553c461c6556b9d03802e967f67eb966fd54c4db1d9",
-    ("perm", "mc"): "128894a08621df2414ce9bd19e689959781cd49eb25881cce8d0277b06181092",
-    ("perm", "gumbel"): "1859819fa0f3146687882553c461c6556b9d03802e967f67eb966fd54c4db1d9",
+    ("hash", "mc"): "e9285e951c40f9077aba22b55c30c92d2c8f6df2e5c8abc3ac4e96aae8f41d55",
+    ("hash", "gumbel"): "041a78abe54b4b74768bad0d0c71973fa2983f5a0bfe465f9c26efa9f9bfda6f",
+    ("perm", "mc"): "4c16044b59c63a440e48f43b9825aa47645ea6f6c975735c5648ecb3ba0f27ee",
+    ("perm", "gumbel"): "041a78abe54b4b74768bad0d0c71973fa2983f5a0bfe465f9c26efa9f9bfda6f",
 }
 
 
@@ -258,8 +267,8 @@ def golden_corpora(tmp_path_factory):
 
 
 # sha256 of `wmkit attack` output on the hash-key golden corpus, captured
-# before the text record was written by one function.
-GOLDEN_ATTACK = "ee38419c1221da17ce9b57d012863b2261caa95fa7eb2ef9279aae6de68b6288"
+# when Markov rows became one vectorized log-Gamma draw.
+GOLDEN_ATTACK = "1d96ac2a73a85f2a3d64676a0b84ba85f7ef9ee43b8dcb315921f6f663fe42d5"
 
 
 def test_attack_golden(golden_corpora):
@@ -270,21 +279,21 @@ def test_attack_golden(golden_corpora):
 # sha256 of `wmkit detect` reports (1000 calibration reps) on each golden
 # corpus, per statistic: the outputs for sides combined and green, each with
 # HC denominators sqrt and linear, concatenated in that order.  The attacked
-# corpus is scored under the hash key.  Captured before the tuple walk and
-# the rejection tail each had one implementation.
+# corpus is scored under the hash key.  Captured when Markov rows became one
+# vectorized log-Gamma draw.
 GOLDEN_DETECT = {
-    ("attacked", "hc*"): "b521af996881e3b63356dd1fa5d30afbb6b13f6a4cd82aa5100485589ad2a135",
-    ("attacked", "hc+"): "c6729ea6855f297e652993360850df387fed7857e17094b7bfe7f30a732d9aff",
-    ("attacked", "max"): "2c6b8bfcccbbf63c0877d450058a870e5aabd7f42899ab0ec61a2468ef26f625",
-    ("attacked", "sum"): "3e913bc22f17875a7941927b89c4bd082e330696f2814c688beb107dd6a1715f",
-    ("hash", "hc*"): "a3471a4b598f295abf1b27678d108f762cdfd4ee97b63809337345b2745cbb50",
-    ("hash", "hc+"): "0f11f7848c98d5c74e6e8c49b605aef9faa74172eb5eb1a12aa6f7c50387fbdd",
-    ("hash", "max"): "4739873c17b3e43d6e1d158209319a1f5d89078222f297eb0aa008b828a3aaed",
-    ("hash", "sum"): "07136ea8cbe6649c407989974356542f9a911e0a5a20fe0484655981171bfad0",
-    ("perm", "hc*"): "6d1157eed9166ad7396cbcf55be6d2211e54b893a1efdc568f12303d4deceed9",
-    ("perm", "hc+"): "a6b22372ffdfaca92f3f191caca69c56c3d09c191255ae28c8b6d9646af771e3",
-    ("perm", "max"): "e992927efcdcdaa7777d191102ad5c389baf466f2c09094f762645d9bc02f3c0",
-    ("perm", "sum"): "d24aeea493f2df0adbe308da06a4f4ec905417f48e223bdaf6e49e4432c6fca0",
+    ("attacked", "hc*"): "bcead094fef66948a421112d79203e9b214312fd2bff55706e18fded516e566b",
+    ("attacked", "hc+"): "fcdfd4c7de34c76ff1fdf679026a1f9df80b9e119f15f799a2e72ee32e6584bc",
+    ("attacked", "max"): "f3af66822381be8a27c69e7f66d5a2098af0e1cb6600f67dded18e57751df485",
+    ("attacked", "sum"): "cd44b6890eec3959fd2c500b3d0ed56afd1d55012e940c60c0b682252af66fbe",
+    ("hash", "hc*"): "10342620ee98f778860bc168850fc7fb17518d9e20229e0ed97e7675c86ffdb4",
+    ("hash", "hc+"): "5e5a5538df787e3fa2cf09bb10a69f5acee701314d65b5c12cadae118267360d",
+    ("hash", "max"): "b665e1d06cd03bff6b20ba4412972a3c886594475eb54551223411424c6d8f34",
+    ("hash", "sum"): "cd55cdc78579dc0162cd2244fbe39242d5c629d15b88c816f1bff94c799e5f5b",
+    ("perm", "hc*"): "cc4829368edc4fa34888df305e48b043c4328be8077a7c9393cc03caa19a3065",
+    ("perm", "hc+"): "c9dac9d38aaaed889c9b76271bf4063206cd17a35c955d4752c37b8efe7c96e9",
+    ("perm", "max"): "725482e87062ee456c86dfcc60d93b8265ddbdd91f6e3e3c0fa56ccee0e7c309",
+    ("perm", "sum"): "570c0a04e5f683ae4e9a8f5bf70a4d9a67ff1ca4a70dc3d7099927e40b9bcc3f",
 }
 
 

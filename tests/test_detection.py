@@ -676,6 +676,17 @@ class TestBaselines:
         assert report.statistic is Statistic.GREEN_COUNT
         assert report.reject
 
+    def test_dipmark_baseline_counts_permutation_head_under_hash_key(self):
+        # DiPmark generates toward the keyed permutation's head whatever the
+        # key's mode, so its green count must use that head under a hash key.
+        model = MarkovSource(order=2, vocab_size=64, seed=11)
+        config = DecoderConfig(scheme="dipmark", alpha_dip=0.45)
+        rejects = 0
+        for i in range(20):
+            text = generate(model, KEY, config, GeneratedText((1, 2), 2), 200, RngStream(i)).text
+            rejects += detect_baseline(text, KEY, "dipmark", alpha=0.01, vocab_size=64).reject
+        assert rejects / 20 >= 0.9
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             detect_baseline(_random_text(np.random.default_rng(0)), KEY, "nope")
