@@ -21,6 +21,7 @@ __all__ = [
     "mix64",
     "mix64_array",
     "fold64",
+    "counter_words",
     "counter_uniforms",
     "context_window",
     "RngStream",
@@ -87,15 +88,20 @@ def _unit_float(z: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
-def counter_uniforms(states, counters) -> np.ndarray:
-    """Draws at the given counters of the streams seeded by ``states``:
-    ``mix64(state + c * GOLDEN) >> 11`` scaled to [0, 1), broadcast over
-    uint64 arrays.  Entry for entry equal to ``RngStream(state).value_at(c)``.
-    """
+def counter_words(states, counters) -> np.ndarray:
+    """64-bit words ``mix64(state + c * GOLDEN)`` at the given counters of the
+    streams seeded by ``states``, broadcast over uint64 arrays."""
     states = np.asarray(states, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    z = mix64_array(states + counters * np.uint64(GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return mix64_array(states + counters * np.uint64(GOLDEN))
+
+
+def counter_uniforms(states, counters) -> np.ndarray:
+    """Draws at the given counters of the streams seeded by ``states``: the
+    :func:`counter_words` shifted right by 11 and scaled to [0, 1).  Entry for
+    entry equal to ``RngStream(state).value_at(c)``.
+    """
+    return (counter_words(states, counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def context_window(history: Sequence[int], k: int) -> tuple[int, ...]:

@@ -182,9 +182,8 @@ def extract_zeta_primes_batch(
     """Folded pivots for a batch of equal-length texts (rows), at the
     positions :func:`extract_scores` scores.
 
-    Perm-mode membership follows each token's slot through the keyed
-    Fisher-Yates swaps (see :func:`is_green_batch`), which needs
-    ``vocab_size``.
+    Perm-mode membership ranks each token's keyed word within its row (see
+    :func:`is_green_batch`), which needs ``vocab_size``.
     """
     out = []
     for row in np.asarray(tokens_2d, dtype=np.int64):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GOLDEN, MASK64, RngStream, counter_uniforms, fold64, mix64, mix64_array
+from .core import GOLDEN, MASK64, RngStream, counter_uniforms, counter_words, fold64
+from .core import mix64, mix64_array
 
 __all__ = [
     "GREEN_TAG",
@@ -46,6 +47,9 @@ PERM_TAG = 0x33
 # single: one context-independent membership hash shared by every step
 # perm:   per-context keyed permutation, exactly floor(gamma * V) green tokens
 GREEN_MODES = ("hash", "single", "perm")
+
+# Keyed words per block of perm-mode membership rows: a few MiB at V = 128k.
+_BLOCK_WORDS = 1 << 18
 
 
 class ContextLengthMismatch(ValueError):
@@ -147,9 +151,13 @@ def _green_seed(key: WatermarkKey, ctx) -> int:
     return derive_seed(key, ctx, GREEN_TAG)
 
 
+def _head_size(gamma: float, vocab_size: int) -> int:
+    return int(gamma * vocab_size)  # floor(gamma * V): the perm-mode green list's size
+
+
 def perm_head(perms: np.ndarray, gamma: float) -> np.ndarray:
     """Green tokens of keyed permutation rows: the first floor(gamma * V)."""
-    return perms[..., : int(gamma * perms.shape[-1])]
+    return perms[..., : _head_size(gamma, perms.shape[-1])]
 
 
 def _perm_mask(perms: np.ndarray, gamma: float) -> np.ndarray:
@@ -171,8 +179,7 @@ def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.nda
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
     """Green-list membership of one token under the keyed partition."""
     if key.green_mode == "perm":
-        seed = np.array([derive_seed(key, ctx, PERM_TAG)], dtype=np.uint64)
-        return bool(_perm_green(key, seed, np.array([token]), vocab_size)[0])
+        return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
     state = _green_seed(key, ctx) ^ _token_hash(token)
     return RngStream(state).next_uniform() < key.gamma
 
@@ -202,77 +209,44 @@ def green_mask_batch(key: WatermarkKey, ctxs: np.ndarray, vocab_size: int) -> np
 def is_green_batch(
     key: WatermarkKey, ctxs: np.ndarray, tokens: np.ndarray, vocab_size: int | None = None
 ) -> np.ndarray:
-    """Vectorized :func:`is_green` for paired (n, k) contexts and (n,) tokens."""
+    """Vectorized :func:`is_green` for paired (n, k) contexts and (n,) tokens.
+    Perm mode needs ``vocab_size`` and builds no permutation: a token is green
+    iff fewer than floor(gamma * V) words of its row (see :func:`_perm_words`)
+    are smaller than its own, counted in blocks of ``_BLOCK_WORDS`` words."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    if key.green_mode == "perm":
-        return _perm_green(key, _green_seeds(key, ctxs), tokens, vocab_size)
-    return counter_uniforms(_green_seeds(key, ctxs) ^ _token_hashes(tokens), 1) < key.gamma
-
-
-def _perm_green(
-    key: WatermarkKey, seeds: np.ndarray, tokens: np.ndarray, vocab_size: int | None
-) -> np.ndarray:
-    """Perm-mode membership of one token per PERM seed, without building the
-    permutation: follow the token's slot through the Fisher-Yates swaps of
-    :func:`keyed_permutation_batch` and test the final slot against the head.
-
-    Step i moves the token only if it sits in slot i (to slot j_i <= i) or in
-    slot j_i (to slot i, which no later step touches).  So from slot s the
-    first later step with j_i = s, if any, fixes the token at slot i;
-    otherwise step s sends it to j_s and the search repeats below s.
-    """
+    seeds = _green_seeds(key, ctxs)
+    if key.green_mode != "perm":
+        return counter_uniforms(seeds ^ _token_hashes(tokens), 1) < key.gamma
     if vocab_size is None:
         raise ValueError("perm mode needs vocab_size for membership queries")
-    head = int(key.gamma * vocab_size)
-    out = np.empty(len(tokens), dtype=bool)
-    for row, (seed, slot) in enumerate(zip(seeds, tokens.tolist())):
-        # jumps[i] is j_i, the slot that step i swaps with slot i.
-        jumps = np.zeros(vocab_size, dtype=np.int64)
-        jumps[1:] = _fisher_yates_swaps(seed[None], vocab_size)[0, ::-1]
-        top = vocab_size - 1
-        while True:
-            hits = np.flatnonzero(jumps[slot + 1 : top + 1] == slot)
-            if hits.size:
-                slot += 1 + int(hits[-1])
-                break
-            if jumps[slot] == slot:
-                break
-            top, slot = slot - 1, int(jumps[slot])
-        out[row] = slot < head
-    return out
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab_size:
+        raise ValueError(f"perm-mode tokens must lie in [0, {vocab_size})")
+    own = counter_words(seeds, tokens.astype(np.uint64) + np.uint64(1))
+    rows = max(1, _BLOCK_WORDS // max(vocab_size, 1))
+    ranks = np.empty(len(tokens), dtype=np.int64)
+    for lo in range(0, len(tokens), rows):
+        below = _perm_words(seeds[lo : lo + rows], vocab_size) < own[lo : lo + rows, None]
+        ranks[lo : lo + rows] = np.count_nonzero(below, axis=1)
+    return ranks < _head_size(key.gamma, vocab_size)
+
+
+def _perm_words(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(n, vocab_size) keyed words: token t's word in a PERM seed's row is the
+    seed's counter word t + 1.  As mix64 is a bijection, no two words tie."""
+    return counter_words(seeds[:, None], np.arange(1, vocab_size + 1, dtype=np.uint64)[None, :])
 
 
 def keyed_permutation(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
-    """Fisher-Yates permutation of [0, vocab_size) driven by the keyed stream."""
+    """Keyed uniform permutation of [0, vocab_size) for one context."""
     seed = np.array([derive_seed(key, ctx, PERM_TAG)], dtype=np.uint64)
     return keyed_permutation_batch(seed, vocab_size)[0]
 
 
 def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Fisher-Yates permutation of [0, vocab_size), one row per seed.
-
-    Step i, for i from vocab_size - 1 down to 1, swaps slot i with slot
-    floor(u * (i + 1)), where u is the next draw of the seed's stream.  The
-    draws of all rows come from one vectorized pass; the swaps run on a
-    Python list per row.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    slots = range(vocab_size - 1, 0, -1)
-    identity = list(range(vocab_size))
-    perms = np.empty((seeds.shape[0], vocab_size), dtype=np.int64)
-    for row, js in enumerate(_fisher_yates_swaps(seeds, vocab_size)):
-        perm = identity.copy()
-        for i, j in zip(slots, js.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-        perms[row] = perm
-    return perms
-
-
-def _fisher_yates_swaps(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
-    """(n, vocab_size - 1) swap targets j of the steps i = vocab_size - 1,
-    ..., 1 in that order: j = floor(u * (i + 1)) with u the seed's next draw."""
-    u = counter_uniforms(seeds[:, None], np.arange(1, vocab_size, dtype=np.uint64)[None, :])
-    return (u * np.arange(vocab_size, 1, -1)).astype(np.int64)
+    """Keyed uniform permutation of [0, vocab_size), one row per seed: the
+    tokens sorted by their keyed words, so token t sits at the slot of its
+    word's rank in the row.  Words never tie, so the order is unique."""
+    return np.argsort(_perm_words(np.asarray(seeds, dtype=np.uint64), vocab_size), axis=1)
 
 
 def derive_zeta(key: WatermarkKey, ctx) -> float:

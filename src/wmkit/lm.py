@@ -116,8 +116,15 @@ class MarkovSource:
         }
         # Tempering by exponent 1/T is a scale of the logs; the row is
         # exponentiated relative to its max, so it never underflows to zeros.
-        x = _log_gamma(self._gen, self.concentration, self.vocab_size) / self.temperature
-        row = np.exp(x - x.max())
+        # A scale that overflows the max is applied to logs relative to the
+        # untempered max instead, where overflow only sends entries to -inf.
+        log_g = _log_gamma(self._gen, self.concentration, self.vocab_size)
+        with np.errstate(over="ignore"):
+            x = log_g / self.temperature
+            top = x.max()
+            if not math.isfinite(top):
+                x, top = (log_g - log_g.max()) / self.temperature, 0.0
+            row = np.exp(x - top)
         dist = make_ntp(row / row.sum())
         self._cache[ctx] = dist
         if len(self._cache) > self.cache_size:

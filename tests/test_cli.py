@@ -161,21 +161,22 @@ class TestGenerate:
 
 
 # sha256 of `wmkit generate` output (V=32, order 2, 3 texts of 40 tokens,
-# seed 5), captured when Markov rows became one vectorized log-Gamma draw.
-# Gumbel and DiPmark ignore the green mode, so their hash and perm digests
-# agree.
+# seed 5), captured when Markov rows became one vectorized log-Gamma draw;
+# the perm-key and DiPmark digests were captured again when the keyed
+# permutation became a sort of keyed words.  Gumbel and DiPmark ignore the
+# green mode, so their hash and perm digests agree.
 GOLDEN_GENERATE = {
     ("hash", "plain"): "a8cf9c54f20d521090fdaf0212c34264e3ad17653b19d3d86571025d7b6301bb",
     ("hash", "mc"): "d4a28849574267f00466e2c3cecf022c9a76fdfbdae9c2b341e3f2b1d7f944b4",
     ("hash", "mc-soft"): "cdfe8dc2e8dd0efc1145aa9d3015ca356861783525409c053f7caf7ebdb7ec27",
     ("hash", "gumbel"): "4defbdb20d4fc375df50ab43e24814984944586370fa4a6dfa1ace751a4723fe",
     ("hash", "soft"): "7fcedb05c2a292cb763ddf567c5e361339ac3498a6d46c71eb50124f6b8a924a",
-    ("hash", "dipmark"): "a01467cd57385b4b3efc97c96f2130b2c189010a89d0e5163658a33c93f5c779",
-    ("perm", "mc"): "585aedb1bd97030372d32293348ecb126a1f1ae27dce43fe904168fa74943f6b",
-    ("perm", "mc-soft"): "152ab2c6a55e9d77b1539eec72b006ce854390f78f0139b7663de09080c0f73a",
+    ("hash", "dipmark"): "4f69e9efb8a87a78862a0f99e6db82b730388fda31adc16388c8bfe693fb06d7",
+    ("perm", "mc"): "9bb9fa8708a2d54765cdf49d9423b65dcb868f0a7ec5ca4d6441c10a8eda5a16",
+    ("perm", "mc-soft"): "a28922fdc270bf0598e32d155ac7e2686bcc8b715f60a10a9448b66326d374c0",
     ("perm", "gumbel"): "4defbdb20d4fc375df50ab43e24814984944586370fa4a6dfa1ace751a4723fe",
-    ("perm", "soft"): "4ad809b93e65206a06b464567eb73cae26fcaef5827286204d2ec1f7e47fcf1a",
-    ("perm", "dipmark"): "a01467cd57385b4b3efc97c96f2130b2c189010a89d0e5163658a33c93f5c779",
+    ("perm", "soft"): "8d620dde5104355d604d467c9984bb95f885affc39a9469bb3255e8680d4ce02",
+    ("perm", "dipmark"): "4f69e9efb8a87a78862a0f99e6db82b730388fda31adc16388c8bfe693fb06d7",
 }
 SCHEME_FLAGS = {
     "mc": (),
@@ -213,11 +214,12 @@ def test_generate_golden(tmp_path, mode, scheme):
 
 # sha256 of `wmkit specdec` output followed by its stats JSON (draft V=32
 # order 2 seed 11, target seed 12, 3 texts of 40 tokens, seed 5), captured
-# when Markov rows became one vectorized log-Gamma draw.
+# when Markov rows became one vectorized log-Gamma draw; the perm-key mc
+# digest was captured again when the keyed permutation became a sort.
 GOLDEN_SPECDEC = {
     ("hash", "mc"): "e9285e951c40f9077aba22b55c30c92d2c8f6df2e5c8abc3ac4e96aae8f41d55",
     ("hash", "gumbel"): "041a78abe54b4b74768bad0d0c71973fa2983f5a0bfe465f9c26efa9f9bfda6f",
-    ("perm", "mc"): "4c16044b59c63a440e48f43b9825aa47645ea6f6c975735c5648ecb3ba0f27ee",
+    ("perm", "mc"): "9c095baa1ca72540c31a09bc18b403ceb013a38460f5ebf9383f8e5bacdc7db5",
     ("perm", "gumbel"): "041a78abe54b4b74768bad0d0c71973fa2983f5a0bfe465f9c26efa9f9bfda6f",
 }
 
@@ -280,7 +282,8 @@ def test_attack_golden(golden_corpora):
 # corpus, per statistic: the outputs for sides combined and green, each with
 # HC denominators sqrt and linear, concatenated in that order.  The attacked
 # corpus is scored under the hash key.  Captured when Markov rows became one
-# vectorized log-Gamma draw.
+# vectorized log-Gamma draw; the perm digests were captured again when the
+# keyed permutation became a sort of keyed words.
 GOLDEN_DETECT = {
     ("attacked", "hc*"): "bcead094fef66948a421112d79203e9b214312fd2bff55706e18fded516e566b",
     ("attacked", "hc+"): "fcdfd4c7de34c76ff1fdf679026a1f9df80b9e119f15f799a2e72ee32e6584bc",
@@ -290,10 +293,10 @@ GOLDEN_DETECT = {
     ("hash", "hc+"): "5e5a5538df787e3fa2cf09bb10a69f5acee701314d65b5c12cadae118267360d",
     ("hash", "max"): "b665e1d06cd03bff6b20ba4412972a3c886594475eb54551223411424c6d8f34",
     ("hash", "sum"): "cd55cdc78579dc0162cd2244fbe39242d5c629d15b88c816f1bff94c799e5f5b",
-    ("perm", "hc*"): "cc4829368edc4fa34888df305e48b043c4328be8077a7c9393cc03caa19a3065",
-    ("perm", "hc+"): "c9dac9d38aaaed889c9b76271bf4063206cd17a35c955d4752c37b8efe7c96e9",
-    ("perm", "max"): "725482e87062ee456c86dfcc60d93b8265ddbdd91f6e3e3c0fa56ccee0e7c309",
-    ("perm", "sum"): "570c0a04e5f683ae4e9a8f5bf70a4d9a67ff1ca4a70dc3d7099927e40b9bcc3f",
+    ("perm", "hc*"): "d6b4719758befa7efcdcf7df90a6a90fc0138596ea42c1323cd41a034a71bc13",
+    ("perm", "hc+"): "a70cccdebe7e218c968e96fdda610873a722be48dcf4a1210e83941a040a92c2",
+    ("perm", "max"): "42270e472437616b064b948a28b5564566c8b7204849aa64ef861759d85fd639",
+    ("perm", "sum"): "e2cf2a10199f5fa329bad8f5a175ea6daeeb45f6cbad0f42a9bf8fd73589be31",
 }
 
 

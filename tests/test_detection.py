@@ -41,7 +41,7 @@ from wmkit.detection import (
     sum_pvalue,
     sum_test,
 )
-from wmkit.keying import WatermarkKey, derive_zeta, is_green
+from wmkit.keying import WatermarkKey, derive_zeta, is_green, keyed_permutation, perm_head
 from wmkit.lm import MarkovSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
@@ -558,6 +558,27 @@ class TestExtractScores:
             tracemalloc.stop()
         assert len(scores[0]) == 200
         assert peak < 16 * 2**20
+
+    def test_perm_extraction_v131072(self):
+        # At a 128k vocabulary, ranking each token's word in blocks agrees
+        # with the head of the whole keyed permutation, in bounded memory.
+        vocab = 131_072
+        key = WatermarkKey(master=99, k=2, gamma=0.5, green_mode="perm")
+        tokens = np.random.default_rng(10).integers(0, vocab, size=(1, 42))
+        tracemalloc.start()
+        try:
+            (scores,) = extract_zeta_primes_batch(tokens, key, vocab_size=vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        expected = []
+        for t in range(key.k, tokens.shape[1]):
+            ctx, tok = tuple(tokens[0, t - key.k : t].tolist()), int(tokens[0, t])
+            green = tok in perm_head(keyed_permutation(key, ctx, vocab), key.gamma)
+            zeta = derive_zeta(key, ctx)
+            expected.append(zeta if green else 1.0 - zeta)
+        assert scores.tolist() == expected
 
     @pytest.mark.parametrize("mode", ["hash", "perm"])
     @pytest.mark.parametrize(

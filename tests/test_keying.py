@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from wmkit.core import GeneratedText, RngStream
+from wmkit.core import GOLDEN, MASK64, GeneratedText, RngStream, counter_words, mix64
 from wmkit.detection import detect_baseline
 from wmkit.keying import (
     GREEN_TAG,
@@ -165,17 +165,18 @@ class TestGreenLists:
         ctxs = np.array([[4, 5], [6, 7]])
         assert np.array_equal(green_mask_batch(key, ctxs, 64)[0], mask)
 
-    @pytest.mark.parametrize("vocab", [2, 3, 17, 64, 1000])
+    @pytest.mark.parametrize("vocab", [2, 3, 17, 64, 1000, 32000])
     def test_perm_membership_matches_mask(self, vocab):
-        # One token's slot tracked through the shuffle agrees with the head
-        # of the whole permutation.
+        # One token's rank among its row's words agrees with the head of the
+        # whole permutation.  The mask matrix is capped at about 2^22 entries.
         key = WatermarkKey(master=0xC0FFEE, k=2, gamma=0.5, green_mode="perm")
-        ctxs = _random_contexts(1000, key.k, seed=vocab)
-        toks = np.random.default_rng(vocab).integers(0, vocab, size=1000)
+        n = min(1000, 2**22 // vocab)
+        ctxs = _random_contexts(n, key.k, seed=vocab)
+        toks = np.random.default_rng(vocab).integers(0, vocab, size=n)
         masks = green_mask_batch(key, ctxs, vocab)
-        expected = masks[np.arange(1000), toks]
+        expected = masks[np.arange(n), toks]
         assert np.array_equal(is_green_batch(key, ctxs, toks, vocab), expected)
-        for i in range(0, 1000, 25):
+        for i in range(0, n, 25):
             assert is_green(key, tuple(ctxs[i]), int(toks[i]), vocab) == expected[i]
             assert green_mask(key, tuple(ctxs[i]), vocab)[toks[i]] == expected[i]
 
@@ -184,15 +185,20 @@ class TestGreenLists:
         with pytest.raises(ValueError):
             is_green(key, (4, 5), 3)
 
+    @pytest.mark.parametrize("token", [-1, 64])
+    def test_perm_membership_refuses_token_outside_vocabulary(self, token):
+        # A word outside the row would still get a rank; refuse the token.
+        key = WatermarkKey(master=7, k=2, gamma=0.25, green_mode="perm")
+        with pytest.raises(ValueError, match="must lie in"):
+            is_green(key, (4, 5), token, 64)
+        with pytest.raises(ValueError, match="must lie in"):
+            is_green_batch(key, np.array([[4, 5], [6, 7]]), [3, token], 64)
+
 
 def _reference_permutation(seed, vocab_size):
-    # The textbook keyed shuffle: one stream draw per swap, slot V-1 first.
-    stream = RngStream(seed)
-    perm = list(range(vocab_size))
-    for i in range(vocab_size - 1, 0, -1):
-        j = int(stream.next_uniform() * (i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    # Tokens ordered by their keyed words, in Python-int arithmetic: token t's
+    # word is mix64(seed + (t + 1) * GOLDEN).
+    return sorted(range(vocab_size), key=lambda t: mix64((seed + (t + 1) * GOLDEN) & MASK64))
 
 
 class TestPermutations:
@@ -208,7 +214,7 @@ class TestPermutations:
             scalar = keyed_permutation(KEY, tuple(ctxs[i]), 33)
             assert batch[i].tolist() == scalar.tolist()
 
-    def test_matches_reference_loop(self):
+    def test_matches_reference_sort(self):
         seeds = derive_seed_batch(KEY, _random_contexts(30, KEY.k, seed=7), PERM_TAG)
         for vocab in (0, 1, 2, 33, 500):
             perms = keyed_permutation_batch(seeds, vocab)
@@ -216,18 +222,26 @@ class TestPermutations:
             for row, seed in zip(perms, seeds.tolist()):
                 assert row.tolist() == _reference_permutation(seed, vocab)
 
+    def test_row_words_distinct_v131072(self):
+        # The permutation is the argsort of a row's words; with no ties it
+        # needs no tie-break rule.
+        seeds = derive_seed_batch(KEY, _random_contexts(3, KEY.k, seed=8), PERM_TAG)
+        for seed in seeds:
+            words = counter_words(seed, np.arange(1, 131073, dtype=np.uint64))
+            assert np.unique(words).size == 131072
+
     def test_golden_v32000(self):
-        # sha256 of the little-endian int64 permutation, captured before the
-        # scalar and batch shuffles were merged into one kernel.
+        # sha256 of the little-endian int64 permutation, captured when the
+        # permutation became the sort of the row's keyed words.
         perm = keyed_permutation(KEY, (3, 4), 32000)
         digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
-        assert digest == "58febfef3fcd66672aaec504ecb0e46b371d2c8eb9f3eb4e194dd372ea5a5fcb"
+        assert digest == "a7c3a2b898300f751131851ca5b2edaba35da12407c3a7b3e55de6033e7b0596"
 
     def test_golden_batch_v64(self):
         ctxs = np.stack([np.arange(200), np.full(200, 7)], axis=1)
         perms = keyed_permutation_batch(derive_seed_batch(KEY, ctxs, PERM_TAG), 64)
         digest = hashlib.sha256(perms.astype("<i8").tobytes()).hexdigest()
-        assert digest == "318e8fa7ec21fd52cf8425d525be6fc6b46882ce6825fe14589b6f9d4323d5b5"
+        assert digest == "d8bc7be37d3019705c94ae88469049dc37378a6e7cc4447e26e761a10ab59a95"
 
     def test_near_uniform_first_element(self):
         # The first permutation slot should be close to uniform over tokens.

@@ -128,11 +128,13 @@ class TestMarkovSource:
         assert np.max(cold.next([3, 4])) > np.max(base.next([3, 4]))
 
     @pytest.mark.parametrize(
-        "concentration, temperature", [(0.3, 0.001), (5.0, 0.002)]
+        "concentration, temperature",
+        [(0.3, 0.001), (5.0, 0.002), (5.0, 1e-308), (0.3, 1e-310)],
     )
     def test_underflowing_temperature_keeps_a_law(self, concentration, temperature):
         # row ** (1 / T) underflows to zeros here; the row is tempered
-        # relative to its max instead.
+        # relative to its max instead.  In the last two cases log(row) / T
+        # overflows too, so the logs are taken relative to the untempered max.
         kw = dict(order=1, vocab_size=64, seed=11, concentration=concentration)
         cold = MarkovSource(temperature=temperature, **kw).next([1])
         base = MarkovSource(**kw).next([1])
