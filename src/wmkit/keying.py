@@ -9,6 +9,7 @@ the mixer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,13 @@ def _token_hashes(tokens: np.ndarray) -> np.ndarray:
     return mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
 
 
+def _below_gamma(words: np.ndarray, gamma: float) -> np.ndarray:
+    """``counter_uniforms``-style draws below gamma, compared on the words:
+    (w >> 11) * 2^-53 < gamma exactly when w < ceil(gamma * 2^53) * 2^11, a
+    threshold below 2^64 for gamma < 1."""
+    return words < np.uint64(math.ceil(gamma * 2**53) << 11)
+
+
 def _green_seed(key: WatermarkKey, ctx) -> int:
     if key.green_mode == "single":
         # Context-independent: the membership hash is shared by every step.
@@ -173,7 +181,7 @@ def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.nda
     if key.green_mode == "perm":
         return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
     hashes = _token_hashes(np.arange(vocab_size))
-    return counter_uniforms(seeds[:, None] ^ hashes[None, :], 1) < key.gamma
+    return _below_gamma(counter_words(seeds[:, None] ^ hashes[None, :], 1), key.gamma)
 
 
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
@@ -216,7 +224,7 @@ def is_green_batch(
     tokens = np.asarray(tokens, dtype=np.int64)
     seeds = _green_seeds(key, ctxs)
     if key.green_mode != "perm":
-        return counter_uniforms(seeds ^ _token_hashes(tokens), 1) < key.gamma
+        return _below_gamma(counter_words(seeds ^ _token_hashes(tokens), 1), key.gamma)
     if vocab_size is None:
         raise ValueError("perm mode needs vocab_size for membership queries")
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab_size:

@@ -58,10 +58,18 @@ class EndOfTrace(IndexError):
 def _log_gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     """Logs of ``n`` Gamma(shape) variates.  For shape < 1 each is
     log Gamma(shape + 1) + log(U) / shape (all Gamma draws first, then the
-    uniforms), so a tiny shape gives very negative logs, not zeros."""
+    uniforms), so a tiny shape gives very negative logs, not zeros.  If
+    log(U) / shape overflows to -inf on every entry, the logs are 0 at the
+    largest U and -inf elsewhere: the one-hot law that the row tends to as
+    the shape goes to 0."""
     if shape < 1.0:
         log_g = np.log(gen.standard_gamma(shape + 1.0, n))
-        return log_g + np.log(gen.random(n)) / shape
+        log_u = np.log(gen.random(n))
+        with np.errstate(over="ignore"):
+            log_g += log_u / shape
+        if log_g.max() == -np.inf:
+            return np.where(log_u == log_u.max(), 0.0, -np.inf)
+        return log_g
     return np.log(gen.standard_gamma(shape, n))
 
 

@@ -120,7 +120,7 @@ class TestGenerate:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("conc", ["1e-8", "1e308"])
+    @pytest.mark.parametrize("conc", ["1e-8", "1e-308", "1e308"])
     def test_extreme_concentration_generates(self, tmp_path, conc):
         out = tmp_path / "x.jsonl"
         rc = main(["generate", "--model", f"markov:seed=1,vocab=8,order=1,conc={conc}",
@@ -128,6 +128,28 @@ class TestGenerate:
         assert rc == 0
         for rec in _records(out):
             assert len(rec["tokens"]) == rec["prompt_len"] + 3
+
+    def test_one_token_vocabulary_at_overflowing_concentration(self, tmp_path):
+        # Every log of the row overflows; the one-token law is [1.0].
+        out = tmp_path / "x.jsonl"
+        rc = main(["generate", "--model", "markov:seed=11,vocab=1,order=1,conc=1e-308",
+                   "--key", KEY_ARG, "--plain", "--n", "4", "--out", str(out)])
+        assert rc == 0
+        assert [set(rec["tokens"]) for rec in _records(out)] == [{0}]
+
+    def test_gumbel_never_emits_a_negative_zero_token(self, tmp_path):
+        # Token 0 has probability -0.0 at every step of the trace.
+        trace = tmp_path / "trace.jsonl"
+        lines = [json.dumps({"vocab_size": 9, "n_steps": 60})]
+        lines += [json.dumps({"t": t, "probs": [-0.0] + [0.125] * 8}) for t in range(60)]
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.jsonl"
+        rc = main(["generate", "--model", f"trace:path={trace}", "--key", KEY_ARG,
+                   "--scheme", "gumbel", "--no-masking", "--n", "60", "--texts", "4",
+                   "--out", str(out)])
+        assert rc == 0
+        for rec in _records(out):
+            assert 0 not in rec["tokens"][rec["prompt_len"]:]
 
     def test_trace_replays_from_first_step_for_every_text(self, tmp_path):
         # Step t of the trace puts all mass on token t.

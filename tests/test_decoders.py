@@ -11,14 +11,19 @@ from scipy import stats as sstats
 
 from wmkit.attacks import _draft_q
 from wmkit.cli import text_from_record, text_record
-from wmkit.core import GeneratedText, RngStream, context_window, make_ntp
+from wmkit.core import GeneratedText, RngStream, context_window, counter_uniforms, make_ntp
 from wmkit.decoders import (
+    _MAX_DELTA,
     Branch,
     DecoderConfig,
     DegenerateExcess,
     Scheme,
     _check_vocab,
     _dipmark_reweight,
+    _green_mass,
+    _gumbel_argmax,
+    _mc_weights,
+    _soft_weights,
     categorical_from_uniform,
     dipmark_step_full,
     generate,
@@ -33,7 +38,15 @@ from wmkit.decoders import (
     sample_soft_batch,
     soft_step_full,
 )
-from wmkit.keying import WatermarkKey, derive_zeta, green_mask, is_green
+from wmkit.keying import (
+    ZETA_TAG,
+    WatermarkKey,
+    derive_seed_batch,
+    derive_zeta,
+    green_mask,
+    green_mask_batch,
+    is_green,
+)
 from wmkit.lm import MarkovSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
@@ -121,6 +134,42 @@ def dipmark_q(P, perm, alpha_dip):
     q = np.zeros(len(order))
     q[order] = _dipmark_reweight(P[order], alpha_dip)
     return q
+
+
+def masked_mc_weights(probs, green, zeta):
+    """Reference for :func:`wmkit.decoders._mc_weights`, written with masked
+    selects: P on the pivot's side, P itself at zero green mass."""
+    mass = np.where(green, probs, 0.0).sum(axis=-1)
+    side = np.where(np.asarray(zeta <= mass)[..., None], green, ~green)
+    keep = side | np.asarray(mass == 0.0)[..., None]
+    return np.where(keep, probs, 0.0), mass
+
+
+def masked_soft_weights(probs, green, delta):
+    """Reference for :func:`wmkit.decoders._soft_weights`."""
+    return np.where(green, probs * math.exp(delta), probs)
+
+
+def masked_gumbel_argmax(P, seeds):
+    """Reference for :func:`wmkit.decoders._gumbel_argmax`: scores only the
+    tokens with P > 0, every other token scores -inf."""
+    u = counter_uniforms(seeds[:, None], np.arange(1, len(P) + 1, dtype=np.uint64)[None, :])
+    scores = np.full(u.shape, -np.inf)
+    pos = P > 0.0
+    scores[:, pos] = np.log(u[:, pos]) / P[pos]
+    return scores.argmax(axis=1).astype(np.int64)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _sparse_law(rng, vocab):
+    # About half the tokens have probability exactly zero.
+    probs = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.5)
+    probs[rng.integers(vocab)] += 0.1
+    return make_ntp(probs)
 
 
 def _contexts(n, seed=0):
@@ -432,8 +481,87 @@ class TestMcOracle:
         assert 20 <= zero_green <= 380
 
 
+class TestKernelReferences:
+    # Each kernel against its masked-select form, bit for bit.
+
+    def test_mc_weights_one_row(self):
+        rng = np.random.default_rng(51)
+        cases = 0
+        for trial in range(300):
+            vocab = int(rng.integers(2, 40))
+            P = _sparse_law(rng, vocab)
+            green = rng.random(vocab) < 0.5
+            if trial % 3 == 0:
+                green &= P == 0.0  # zero green mass
+            mass = masked_mc_weights(P, green, 0.0)[1]
+            for zeta in (float(rng.random()), float(mass), 0.0, 1.0 - 2**-53):
+                weights, got_mass = _mc_weights(P, green, zeta)
+                ref_weights, ref_mass = masked_mc_weights(P, green, zeta)
+                assert _same_bits(weights, ref_weights) and _same_bits(got_mass, ref_mass)
+                cases += 1
+        assert cases == 1200
+
+    def test_mc_weights_matrix(self):
+        rng = np.random.default_rng(52)
+        P = _sparse_law(rng, 500)
+        green = green_mask_batch(KEY, _contexts(64, seed=52), 500)
+        green[:8] &= P == 0.0  # zero green mass
+        mass = masked_mc_weights(P, green, np.zeros(64))[1]
+        zeta = rng.random(64)
+        zeta[8:16] = mass[8:16]  # zeta == mass, the overlap side
+        weights, got_mass = _mc_weights(P, green, zeta)
+        ref_weights, ref_mass = masked_mc_weights(P, green, zeta)
+        assert _same_bits(weights, ref_weights) and _same_bits(got_mass, ref_mass)
+        assert np.all(got_mass[:8] == 0.0) and np.array_equal(weights[:8], np.tile(P, (8, 1)))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5, _MAX_DELTA])
+    def test_soft_weights(self, delta):
+        rng = np.random.default_rng(53)
+        P = _sparse_law(rng, 700)
+        green = green_mask_batch(KEY, _contexts(16, seed=53), 700)
+        assert _same_bits(_soft_weights(P, green, delta), masked_soft_weights(P, green, delta))
+        assert _same_bits(_soft_weights(P, green[0], delta), masked_soft_weights(P, green[0], delta))
+
+    @pytest.mark.parametrize("vocab", [1, 7, 64, 32000])
+    def test_green_mass(self, vocab):
+        rng = np.random.default_rng(vocab)
+        P = make_ntp(rng.dirichlet(np.ones(vocab)))
+        for green in (rng.random(vocab) < 0.3, np.zeros(vocab, bool), np.ones(vocab, bool)):
+            assert _same_bits(_green_mass(P, green), float(P[green].sum()))
+
+    @pytest.mark.parametrize("vocab", [3, 64, 5000])
+    def test_gumbel_argmax_with_zero_probability_tokens(self, vocab):
+        rng = np.random.default_rng(54)
+        P = _sparse_law(rng, vocab)
+        seeds = derive_seed_batch(KEY, _contexts(500, seed=vocab), ZETA_TAG)
+        tokens = _gumbel_argmax(P, seeds)
+        assert np.array_equal(tokens, masked_gumbel_argmax(P, seeds))
+        assert np.all(P[tokens] > 0.0)
+
+    def test_gumbel_never_emits_a_negative_zero_token(self):
+        # make_ntp keeps the -0.0, which log(U) / P would score +inf.
+        P = make_ntp([-0.0, 0.5, 0.5])
+        assert np.signbit(P[0])
+        ctxs = _contexts(199, seed=55)
+        assert np.all(sample_gumbel_batch(P, KEY, ctxs) != 0)
+        for ctx in ctxs:
+            assert gumbel_max_step_full(P, KEY, tuple(int(t) for t in ctx)).token != 0
+
+
 class TestBatchAgreement:
     N = 300
+
+    def test_mc_and_gumbel_at_v131072(self):
+        rng = np.random.default_rng(35)
+        P = _sparse_law(rng, 131072)
+        ctxs = _contexts(6, seed=35)
+        u_aux = np.array([RngStream(4000 + i).value_at(1) for i in range(6)])
+        mc = sample_mc_batch(P, KEY, ctxs, u_aux)
+        gumbel = sample_gumbel_batch(P, KEY, ctxs)
+        for i in range(6):
+            ctx = tuple(int(t) for t in ctxs[i])
+            assert mc_step_full(P, KEY, ctx, RngStream(4000 + i)).token == mc[i]
+            assert gumbel_max_step_full(P, KEY, ctx).token == gumbel[i]
 
     def test_mc(self):
         rng = np.random.default_rng(31)

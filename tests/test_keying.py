@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from wmkit.core import GOLDEN, MASK64, GeneratedText, RngStream, counter_words, mix64
+from wmkit.core import (
+    GOLDEN,
+    MASK64,
+    GeneratedText,
+    RngStream,
+    counter_uniforms,
+    counter_words,
+    mix64,
+)
 from wmkit.detection import detect_baseline
 from wmkit.keying import (
     GREEN_TAG,
@@ -18,6 +26,8 @@ from wmkit.keying import (
     ContextLengthMismatch,
     KeyFormatError,
     WatermarkKey,
+    _below_gamma,
+    _token_hashes,
     derive_seed,
     derive_seed_batch,
     derive_zeta,
@@ -193,6 +203,55 @@ class TestGreenLists:
             is_green(key, (4, 5), token, 64)
         with pytest.raises(ValueError, match="must lie in"):
             is_green_batch(key, np.array([[4, 5], [6, 7]]), [3, token], 64)
+
+
+def _unmix64(z):
+    # Inverse of core.mix64: undo each xorshift, and each multiply by its
+    # inverse modulo 2^64.
+    def unshift(x, r):
+        y = x
+        for _ in range(64 // r + 1):
+            y = x ^ (y >> r)
+        return y
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return unshift(z, 30)
+
+
+class TestGammaThreshold:
+    # The parent formula, kept as the reference: a hash-mode token is green
+    # iff its draw, counter_uniforms(state, 1), is below gamma.
+    GAMMAS = [5e-324, 0.1, 0.25, 0.5, 1 - 2**-53]
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_matches_uniform_compare_at_the_threshold(self, gamma):
+        c = math.ceil(gamma * 2**53)
+        words = [0, 1, 2**11 - 1, 2**11, c * 2**11 - 1, c * 2**11, c * 2**11 + 1, MASK64]
+        words += np.random.default_rng(5).integers(0, MASK64, 200, dtype=np.uint64).tolist()
+        # States whose first counter word is each hand-picked word.
+        states = np.array([(_unmix64(w) - GOLDEN) & MASK64 for w in words], dtype=np.uint64)
+        assert counter_words(states, 1).tolist() == words
+        expected = counter_uniforms(states, 1) < gamma
+        got = _below_gamma(np.array(words, dtype=np.uint64), gamma)
+        assert np.array_equal(got, expected)
+        assert got[words.index(c * 2**11 - 1)] and not got[words.index(c * 2**11)]
+
+    @pytest.mark.parametrize("mode", ["hash", "single"])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_masks_and_membership_match_uniform_compare(self, mode, gamma):
+        key = WatermarkKey(master=0x5EED, k=2, gamma=gamma, green_mode=mode)
+        ctxs = _random_contexts(40, key.k, seed=6)
+        seeds = np.array([mix64(key.master ^ GREEN_TAG)] * 40, dtype=np.uint64)
+        if mode == "hash":
+            seeds = derive_seed_batch(key, ctxs, GREEN_TAG)
+        hashes = _token_hashes(np.arange(1000))
+        expected = counter_uniforms(seeds[:, None] ^ hashes[None, :], 1) < gamma
+        assert np.array_equal(green_mask_batch(key, ctxs, 1000), expected)
+        toks = np.random.default_rng(6).integers(0, 1000, 40)
+        assert np.array_equal(is_green_batch(key, ctxs, toks), expected[np.arange(40), toks])
 
 
 def _reference_permutation(seed, vocab_size):

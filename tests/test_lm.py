@@ -201,6 +201,32 @@ class TestMarkovSource:
         for ctx in range(200):
             assert src.next([ctx % 64]).max() > 0.999
 
+    def test_overflowing_log_gamma_keeps_finite_rows_silently(self):
+        # At concentration 1e-308, log(U) / a overflows to -inf over most of
+        # each row.  Rows with a finite entry keep the bits they had while
+        # the overflow still warned (digest captured then).
+        src = MarkovSource(order=1, vocab_size=64, seed=11, concentration=1e-308)
+        h = hashlib.sha256()
+        for ctx in range(64):
+            h.update(src.next([ctx]).tobytes())
+        assert h.hexdigest() == "34fd6eb57acfbe529282c9ce021c68f5fc307a62ab03171372d450d243d847d6"
+
+    def test_log_gamma_overflowing_everywhere_is_one_hot_at_largest_uniform(self):
+        assert MarkovSource(order=1, vocab_size=1, seed=11, concentration=1e-308).next(
+            [0]
+        ).tolist() == [1.0]
+        everywhere = 0
+        for seed in range(300):
+            log_g = _log_gamma(np.random.default_rng(seed), 1e-308, 2)
+            gen = np.random.default_rng(seed)
+            gen.standard_gamma(1.0 + 1e-308, 2)
+            u = gen.random(2)
+            assert log_g.max() > -math.inf and int(log_g.argmax()) == int(u.argmax())
+            if log_g.max() == 0.0:
+                everywhere += 1
+                assert sorted(log_g.tolist()) == [-math.inf, 0.0]
+        assert everywhere > 0
+
     def test_huge_concentration_gives_uniform_rows(self):
         # The raw Gamma(1e308) variates sum past the largest float.
         src = MarkovSource(order=1, vocab_size=8, seed=1, concentration=1e308)
