@@ -26,8 +26,7 @@ from .detection import (
     HcDenom,
     Side,
     Statistic,
-    _check_alpha,
-    _check_reps,
+    _check_detect_levels,
     _check_seed,
     calibrate_null,
     detect,
@@ -158,8 +157,7 @@ def cmd_detect(args) -> int:
     key = _parse_key_arg(args.key)
     statistic = Statistic(args.stat)
     try:
-        _check_alpha(args.alpha)
-        _check_reps(args.calib_reps)
+        _check_detect_levels(statistic, args.alpha, args.calib_reps)
         _check_seed(args.calib_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -382,6 +382,8 @@ def _categorical_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draws; mirrors :func:`categorical_from_uniform`."""
     cdf = np.cumsum(weights, axis=1)
     total = cdf[:, -1]
+    if np.any(total <= 0.0):
+        raise ValueError("categorical draw over all-zero weights")
     x = u * total
     hit = cdf > x[:, None]
     idx = hit.argmax(axis=1)

@@ -234,6 +234,25 @@ def _check_seed(seed: int) -> None:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
 
 
+def _check_tail(alpha: float, reps: int) -> None:
+    # A threshold set by a simulated null rests on the alpha * reps draws in
+    # its rejection tail.  With fewer than 10 its size is far above alpha:
+    # hc+ at n = 100, alpha = 1e-6 and 1000 reps rejects 1.3e-3 of nulls.
+    if alpha * reps < 10:
+        raise OutOfRange(
+            f"alpha * reps must be >= 10 for a simulated threshold, got {alpha} * {reps}"
+        )
+
+
+def _check_detect_levels(statistic: Statistic, alpha: float, reps: int) -> None:
+    # The sum and max tests are exact; only HC takes its threshold from reps
+    # simulated nulls.
+    _check_alpha(alpha)
+    _check_reps(reps)
+    if statistic in _HC_STATISTICS:
+        _check_tail(alpha, reps)
+
+
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     """Reject when the score sum is too small: the watermark pulls folded
     pivots toward 0, so the signal sits in the lower tail."""
@@ -259,10 +278,12 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
 # HC block's three float64 buffers takes about 8 MiB whatever m is.
 _BLOCK_ELEMENTS = 1 << 20
 
+_HC_STATISTICS = (Statistic.HC_PLUS, Statistic.HC_STAR)
+
 
 def _hc_variant(variant) -> Statistic:
     variant = Statistic(variant)
-    if variant not in (Statistic.HC_PLUS, Statistic.HC_STAR):
+    if variant not in _HC_STATISTICS:
         raise ValueError(f"variant must be hc+ or hc*, got {variant.value}")
     return variant
 
@@ -272,49 +293,30 @@ class RowStream:
     that :func:`hc_batch` draws, sorts and scores each block in its own
     buffer instead of holding the whole matrix.
 
-    The draws come from the PCG64 stream seeded with ``entropy`` (the stream
-    of ``np.random.default_rng(entropy)``), read at offsets: rows are laid out
-    in chunks of ``chunk_rows`` rows (default: one chunk), each holding its
-    rows' m uniforms and then their ``extra`` uniforms, so chunk j starts at
-    draw j * chunk_rows * (m + extra).  With no extra draws, row r starts at
-    draw r * m.  ``transform(x, u)``, when given, changes rows x in place
-    given their extra uniforms u (None when there are none).  With a
-    ``reduce`` ufunc, each filled row's reduction (``np.add``: its sum) is
-    written to ``reduced`` before anything sorts the row.
+    Row r is draws r * m .. (r + 1) * m - 1 of the PCG64 stream seeded with
+    ``entropy`` (the stream of ``np.random.default_rng(entropy)``).
+    ``transform(x, lo)``, when given, changes the drawn rows x, which start
+    at row lo, in place.  With a ``reduce`` ufunc, each filled row's
+    reduction (``np.add``: its sum) is written to ``reduced`` before anything
+    sorts the row.
     """
 
-    def __init__(self, entropy, shape, *, extra=0, chunk_rows=None, transform=None, reduce=None):
+    def __init__(self, entropy, shape, *, transform=None, reduce=None):
         self.entropy = [int(e) for e in entropy]
         self.shape = (int(shape[0]), int(shape[1]))
         self.size = self.shape[0] * self.shape[1]
-        self.extra = int(extra)
-        self.chunk_rows = int(chunk_rows or max(1, self.shape[0]))
         self.transform = transform
         self.reduce = reduce
         self.reduced = None if reduce is None else np.empty(self.shape[0])
 
-    def _draws(self, offset: int) -> np.random.Generator:
-        # A fresh generator at the given draw of the stream: each block is
-        # drawn on its own, in any thread.
-        return np.random.Generator(np.random.PCG64(self.entropy).advance(offset))
-
     def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Draw rows lo..hi-1 into ``out``, a C-contiguous (hi - lo, m)
-        float64 array, one chunk segment at a time."""
-        reps, m = self.shape
-        k, rows_per_chunk = self.extra, self.chunk_rows
-        a = lo
-        while a < hi:
-            first = a - a % rows_per_chunk
-            c = min(rows_per_chunk, reps - first)
-            b = min(hi, first + c)
-            x = out[a - lo : b - lo]
-            base = first * (m + k)
-            self._draws(base + (a - first) * m).random(out=x)
-            if self.transform is not None:
-                u = self._draws(base + c * m + (a - first) * k).random((b - a, k)) if k else None
-                self.transform(x, u)
-            a = b
+        float64 array, from a fresh generator advanced to row lo: each block
+        is drawn on its own, in any thread."""
+        bits = np.random.PCG64(self.entropy).advance(lo * self.shape[1])
+        np.random.Generator(bits).random(out=out)
+        if self.transform is not None:
+            self.transform(out, lo)
         if self.reduce is not None:
             self.reduce.reduce(out, axis=1, out=self.reduced[lo:hi])
 
@@ -336,8 +338,8 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
     drawing, sort and ufuncs); a call of one block runs inline.
     """
     reps, m = rows.shape
-    if m < 1:
-        raise TooFewScores("higher criticism needs at least one score per row")
+    if m < 2:
+        raise TooFewScores("higher criticism needs at least two scores per row")
     if isinstance(rows, RowStream):
         fill = rows.fill
     else:
@@ -393,11 +395,8 @@ def hc_statistic(
     the heavy null tail; with no eligible order statistic it returns -inf
     (never rejects).
     """
-    variant = _hc_variant(variant)
     values = np.asarray(scores, dtype=np.float64)
-    if len(values) < 2:
-        raise TooFewScores("higher criticism needs at least two scores")
-    return float(_hc_blocks(values[None, :], variant, HcDenom(denom))[0])
+    return float(_hc_blocks(values[None, :], _hc_variant(variant), HcDenom(denom))[0])
 
 
 def hc_batch(
@@ -441,8 +440,15 @@ _LOWER_TAIL = (Statistic.SUM, Statistic.MAX)
 
 def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float) -> float:
     """The null quantile at level alpha in the statistic's rejection tail:
-    the alpha quantile for SUM and MAX, the 1 - alpha quantile for HC."""
-    return float(np.quantile(null_values, alpha if statistic in _LOWER_TAIL else 1.0 - alpha))
+    the alpha quantile for SUM and MAX, the 1 - alpha quantile for HC.  A
+    quantile that is not finite, as among HC+ values of -inf (rows with no
+    score >= 1/n), is refused."""
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(null_values, alpha if statistic in _LOWER_TAIL else 1.0 - alpha)
+    if not np.isfinite(q):
+        raise OutOfRange(f"the simulated {statistic.value} null has no finite critical value "
+                         f"at alpha {alpha}")
+    return float(q)
 
 
 def _rejects(statistic: Statistic, values, critical: float):
@@ -486,7 +492,7 @@ def _cache_statistic(statistic: Statistic, denom: HcDenom) -> str:
     # The statistic field of a cache row.  Only the HC nulls depend on the
     # denominator, so HC rows carry it ("hc+:sqrt"); an HC row written
     # without one ("hc+") never matches and is never reused.
-    if statistic in (Statistic.HC_PLUS, Statistic.HC_STAR):
+    if statistic in _HC_STATISTICS:
         return f"{statistic.value}:{denom.value}"
     return statistic.value
 
@@ -565,7 +571,8 @@ def calibrate_null(
     statistics (HC) and the alpha quantile for lower-tail ones (SUM, MAX).
 
     Results are cached in a CSV keyed by (statistic, n, alpha, reps, seed)
-    and, for HC, the denominator.
+    and, for HC, the denominator.  HC needs n >= 2, and every statistic
+    needs alpha * reps >= 10.
     """
     statistic = Statistic(statistic)
     denom = HcDenom(denom)
@@ -573,9 +580,11 @@ def calibrate_null(
         raise ValueError(f"no simulated null for statistic {statistic}")
     _check_reps(reps)
     _check_alpha(alpha)
+    _check_tail(alpha, reps)
     _check_seed(seed)
-    if n < 1:
-        raise OutOfRange(f"calibration needs n >= 1, got {n}")
+    least = 2 if statistic in _HC_STATISTICS else 1
+    if n < least:
+        raise OutOfRange(f"calibration of {statistic.value} needs n >= {least}, got {n}")
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
     hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
@@ -605,8 +614,7 @@ def detect(
     """
     statistic = Statistic(statistic)
     side = Side(side)
-    _check_alpha(alpha)
-    _check_reps(reps)
+    _check_detect_levels(statistic, alpha, reps)
     scores = extract_scores(text, key, vocab_size)
     keep_red = side is Side.COMBINED and statistic is not Statistic.MAX
     values = np.array([s.zeta_prime for s in scores if s.is_green or keep_red], dtype=np.float64)

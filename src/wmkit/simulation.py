@@ -19,7 +19,8 @@ from functools import partial
 import numpy as np
 
 from .detection import HcDenom, RowStream, Statistic, hc_batch
-from .detection import _check_alpha, _check_reps, _check_seed, _critical_value, _rejects
+from .detection import _check_alpha, _check_reps, _check_seed, _check_tail
+from .detection import _critical_value, _rejects
 
 __all__ = [
     "Regime",
@@ -34,10 +35,9 @@ __all__ = [
 
 POWER_CSV_HEADER = "regime,p,q_or_r,m,statistic,reps,alpha,critical_value,power,seed"
 
-# The STRONG alternative's stream layout: chunks of max(1, 1e7 // m) rows,
-# each with its rows' m scores and then their P_G draws, as whole chunks of
-# about 1e7 scores were once drawn.
-_CHUNK_ELEMENTS = int(1e7)
+# Last entropy word of a STRONG cell's P_G stream (seed, m, 1, _PG_STREAM):
+# not 0, which numpy would seed as the cell's own (seed, m, 1) stream.
+_PG_STREAM = 0x5047
 
 _STATISTICS = (Statistic.SUM, Statistic.HC_PLUS)
 
@@ -78,12 +78,13 @@ class RegimeConfig:
             raise ValueError("WEAK regime requires q > 0")
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")
-        if any(m < 1 for m in self.m_grid):
-            raise ValueError("m_grid entries must be >= 1")
+        if any(m < 2 for m in self.m_grid):
+            raise ValueError("m_grid entries must be >= 2: higher criticism needs two scores")
         if list(self.m_grid) != sorted(self.m_grid):
             raise ValueError("m_grid must be ascending")
         _check_reps(self.reps)
         _check_alpha(self.alpha)
+        _check_tail(self.alpha, self.reps)
         _check_seed(self.seed)
 
     @property
@@ -133,16 +134,19 @@ def signal_count(config: RegimeConfig, m: int) -> int:
     return int(m * m ** (-config.p) + 0.5)
 
 
-def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, u: np.ndarray | None) -> None:
-    """Turn rows x of null uniforms into alternative scores in place, with
-    the signals in the leading columns: STRONG scales them by P_G, uniform
-    on [m**(-r), 1] from the rows' extra uniforms u; WEAK by 1 - m**(-q)."""
+def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, lo: int) -> None:
+    """Turn rows x of null uniforms, from row lo of the cell, into
+    alternative scores in place, with the signals in the leading columns:
+    STRONG scales them by P_G, uniform on [m**(-r), 1], with one row of n_sig
+    P_G draws per cell row from the cell's P_G stream; WEAK by 1 - m**(-q)."""
     n_sig = signal_count(config, m)
     if n_sig == 0:
         return
     if config.regime is Regime.STRONG:
-        lo = m ** (-config.r)
-        x[:, :n_sig] *= lo + (1.0 - lo) * u
+        u = np.empty((len(x), n_sig))
+        RowStream((config.seed, m, 1, _PG_STREAM), (config.reps, n_sig)).fill(lo, lo + len(x), u)
+        floor = m ** (-config.r)
+        x[:, :n_sig] *= floor + (1.0 - floor) * u
     else:
         x[:, :n_sig] *= 1.0 - m ** (-config.q)
 
@@ -151,15 +155,11 @@ def _cell_rows(config: RegimeConfig, m: int, role: int) -> RowStream:
     """The (reps, m) scores of one (m, role) cell, drawn lazily with their
     row sums; role 0 = null, role 1 = alternative, which needs no per-row
     shuffle because the tests are permutation-invariant.  Streams are
-    derived from (seed, m, role) so the two roles never share draws.  A
-    STRONG alternative row draws one P_G per signal after its m scores."""
-    alt = role == 1
+    derived from (seed, m, role) so the two roles never share draws."""
     return RowStream(
         (config.seed, m, role),
         (config.reps, m),
-        extra=signal_count(config, m) if alt and config.regime is Regime.STRONG else 0,
-        chunk_rows=max(1, _CHUNK_ELEMENTS // m),
-        transform=partial(_add_signal, config, m) if alt else None,
+        transform=partial(_add_signal, config, m) if role == 1 else None,
         reduce=np.add,
     )
 

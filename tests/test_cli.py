@@ -389,7 +389,7 @@ class TestDetect:
     @pytest.mark.parametrize(
         "flags",
         [("--alpha", "1.5"), ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "0"),
-         ("--stat", "hc+", "--calib-reps", "10")],
+         ("--stat", "hc+", "--calib-reps", "10"), ("--stat", "hc*", "--alpha", "1e-6")],
     )
     def test_bad_level_or_reps_is_usage_error_before_reading(self, tmp_path, flags):
         # The input does not exist: reading it would exit 1.
@@ -616,6 +616,18 @@ class TestSimulate:
         assert lines[0] == POWER_CSV_HEADER
         assert len(lines) == 5
 
+    @pytest.mark.parametrize(
+        "flags", [("--m", "1,3"), ("--m", "100", "--alpha", "0.005")], ids=["m=1", "alpha*reps=5"]
+    )
+    def test_unresolvable_cell_is_usage_error(self, tmp_path, capsys, flags):
+        # hc+ needs two scores per row; 1000 reps resolve no level below 0.01.
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--regime", "weak", "--p", "0.5", "--q", "0.5", *flags,
+                   "--reps", "1000", "--out", str(out)])
+        assert rc == 2
+        assert "must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reps_floor_is_usage_error(self, tmp_path):
         rc = main(
             [
@@ -748,24 +760,26 @@ class TestSimulate:
         assert sorted(drawn) == [(50, 0), (50, 1), (100, 0), (100, 1)]
 
 
-# sha256 of `wmkit simulate` output, captured before HC moved onto the row
-# block kernel and before the histogram reused run_power's draws: the power
-# CSV, and for the --histogram run the power CSV then the histogram CSV.
+# sha256 of `wmkit simulate` output: the power CSV, and for the --histogram
+# run the power CSV then the histogram CSV.  The WEAK digests were captured
+# before HC moved onto the row block kernel and before the histogram reused
+# run_power's draws; the STRONG ones when each cell's P_G draws moved to a
+# stream of their own.
 GOLDEN_SIMULATE = {
     ("weak", "--p", "0.2", "--q", "0.5", "--m", "1000,10000"):
         ("71dca491cf7d562fed15dcd2e729dbdf28cd9c49bb162610ff43e4e3aa55cc1a",),
     ("strong", "--p", "0.3", "--r", "0.5", "--m", "3000"):
-        ("ec0921c5949013e8520087bda047019594529f79de3180024c6eabd11cf47025",),
+        ("bda287909781ef1ac5f67740e5e576eb71f2dc22c3688bfeba956971aa297ad5",),
     ("weak", "--p", "0.2", "--q", "0.4", "--m", "300,3000", "--hist-bins", "30"): (
         "f87dcde21678433be5e5afa77dc435db58079a541960cb09bc7142ac55b7fc80",
         "db48eab8afc8a74d6c099931970f550d88d8d75e610a50c94a23a04d844634f5",
     ),
-    # Captured before the cells were drawn inside the HC kernel from offsets
-    # in their streams; each spans more than one of the old draw chunks of
-    # about 1e7 scores: two STRONG chunks (x draws, then P_G draws, per
-    # chunk) and four WEAK ones.
+    # Each spans several HC blocks of about 2**20 scores.  The WEAK digest
+    # was captured before the cells were drawn inside the HC kernel from
+    # offsets in their streams, when it spanned four draw chunks of about
+    # 1e7 scores.
     ("strong", "--p", "0.3", "--r", "0.5", "--m", "20000"):
-        ("09ab641defb0a55a539d7be245e926a381407a10493abad7c092928853249678",),
+        ("aaa725fbc8c72a4424f52670a53e85c611e84085960206ca884a81241c8b684d",),
     ("weak", "--p", "0.2", "--q", "0.5", "--m", "30000"):
         ("6f41901e8e4f8437c2930bd61f75a8e7dbb1ff531c412cff4f4ae6c7545a3ded",),
 }
@@ -873,6 +887,21 @@ class TestCalibrate:
         )
         assert rc == 2
         assert "n >= 1" in capsys.readouterr().err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(("--stat", "hc+", "--n", "1"), "n >= 2"),
+         (("--stat", "hc*", "--n", "1"), "n >= 2"),
+         (("--stat", "hc+", "--n", "100", "--alpha", "1e-6"), "alpha * reps must be >= 10")],
+    )
+    def test_unresolvable_hc_null_is_usage_error(self, tmp_path, capsys, flags, message):
+        # n = 1 has no finite HC null quantile (and NaN is not JSON); 1000
+        # reps put no draw in a tail of 1e-6.
+        cache = tmp_path / "cache"
+        rc = main(["calibrate", *flags, "--reps", "1000", "--cache-dir", str(cache)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not cache.exists()
 
 

@@ -18,6 +18,7 @@ from wmkit.decoders import (
     DecoderConfig,
     DegenerateExcess,
     Scheme,
+    _categorical_batch,
     _check_vocab,
     _dipmark_reweight,
     _green_mass,
@@ -199,6 +200,27 @@ class TestCategorical:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             categorical_from_uniform(np.zeros(3), 0.5)
+
+    @pytest.mark.parametrize(
+        "w,us",
+        [
+            ([0.25, 0.25, 0.5], [0.0, 0.2499, 0.25, 0.4999, 0.5, 0.9999]),
+            ([0.0, 1.0, 0.0], np.linspace(0, 0.999999, 50)),
+            # u = 1.0 puts u * total at the top of the CDF, past every bin.
+            ([0.5, 0.5, 0.0], [1.0 - 1e-16, 1.0]),
+        ],
+        ids=["intervals", "zero-weight", "top-clamp"],
+    )
+    def test_batch_picks_the_scalar_index(self, w, us):
+        weights = np.tile(np.array(w), (len(us), 1))
+        got = _categorical_batch(weights, np.asarray(us))
+        assert got.tolist() == [categorical_from_uniform(np.array(w), u) for u in us]
+
+    def test_batch_all_zero_row_rejected(self):
+        # Refused as the scalar draw refuses it, not an IndexError.
+        weights = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="all-zero weights"):
+            _categorical_batch(weights, np.array([0.3, 0.3]))
 
 
 class TestRestrictions:

@@ -137,6 +137,18 @@ class TestLevelChecks:
         with pytest.raises(OutOfRange, match="reps"):
             detect(short, KEY, statistic, reps=10, cache_dir=tmp_path)
 
+    @pytest.mark.parametrize("statistic", [Statistic.HC_PLUS, Statistic.HC_STAR])
+    def test_detect_refuses_unresolved_hc_level_before_scoring(self, tmp_path, statistic):
+        short = GeneratedText(tokens=(1, 2))
+        with pytest.raises(OutOfRange, match=r"alpha \* reps"):
+            detect(short, KEY, statistic, alpha=1e-6, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("statistic", [Statistic.SUM, Statistic.MAX])
+    def test_exact_tests_take_any_level(self, statistic):
+        # Their thresholds are exact, so alpha * reps does not matter.
+        text = _random_text(np.random.default_rng(0), length=40)
+        assert detect(text, KEY, statistic, alpha=1e-6).alpha == 1e-6
+
 
 class TestHigherCriticism:
     def test_hand_values_sqrt_denominator(self):
@@ -353,6 +365,33 @@ class TestCalibration:
     def test_reps_floor(self, tmp_path):
         with pytest.raises(ValueError):
             calibrate_null(Statistic.SUM, 30, 0.05, reps=500, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "statistic,n,alpha",
+        [
+            (Statistic.HC_PLUS, 1, 0.01),
+            (Statistic.HC_STAR, 1, 0.01),
+            # The tail holds 1e-3 of a draw; the threshold it gives rejects
+            # 1.3e-3 of fresh null rows, not 1e-6.
+            (Statistic.HC_PLUS, 100, 1e-6),
+            (Statistic.SUM, 30, 0.005),
+        ],
+    )
+    def test_refused_before_drawing(self, tmp_path, monkeypatch, statistic, n, alpha):
+        def no_draws(*args):
+            raise AssertionError("the null was drawn")
+
+        monkeypatch.setattr(detection, "_null_statistics", no_draws)
+        with pytest.raises(OutOfRange, match=r"n >= 2|alpha \* reps"):
+            calibrate_null(statistic, n, alpha, reps=1000, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_critical_value_neither_returned_nor_cached(self, tmp_path):
+        # A quarter of n = 2 null rows have no score >= 1/2, so their HC+ is
+        # -inf, and the 0.1 quantile falls among them.
+        with pytest.raises(OutOfRange, match="no finite critical value"):
+            calibrate_null(Statistic.HC_PLUS, 2, 0.9, reps=1000, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_floor_checked_before_cache(self, tmp_path, n):

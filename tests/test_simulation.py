@@ -51,6 +51,9 @@ class TestRegimeConfig:
             (_strong, {"r": -1.0}),
             (_weak, {"alpha": 1.5}),
             (_weak, {"alpha": float("nan")}),
+            (_weak, {"m_grid": (1, 100)}),
+            (_weak, {"alpha": 0.005}),
+            (_strong, {"alpha": 0.005, "reps": 1999}),
         ],
     )
     def test_validation(self, factory, kwargs):
@@ -170,34 +173,28 @@ class TestRunPower:
         )
 
 
-def _chunked_draws(config, m, role):
-    # A cell as it was drawn before its rows came from stream offsets: whole
-    # chunks of max(1, _CHUNK_ELEMENTS // m) rows from one generator, the
-    # STRONG alternative drawing each chunk's P_G after its scores.
-    rng = np.random.default_rng([config.seed, m, role])
-    rows_per_chunk = max(1, simulation._CHUNK_ELEMENTS // m)
+def _whole_draws(config, m, role):
+    # A cell drawn whole: each row's m scores, then for the STRONG
+    # alternative each row's P_G draws from the cell's own P_G stream.
+    x = np.random.default_rng((config.seed, m, role)).random((config.reps, m))
     n_sig = signal_count(config, m)
-    chunks = []
-    for lo in range(0, config.reps, rows_per_chunk):
-        x = rng.random((min(rows_per_chunk, config.reps - lo), m))
-        if role == 1 and config.regime is Regime.STRONG:
-            floor = m ** (-config.r)
-            x[:, :n_sig] *= floor + (1.0 - floor) * rng.random((len(x), n_sig))
-        elif role == 1:
-            x[:, :n_sig] *= 1.0 - m ** (-config.q)
-        chunks.append(x)
-    return np.concatenate(chunks)
+    if role == 1 and config.regime is Regime.STRONG:
+        pg = np.random.default_rng((config.seed, m, 1, simulation._PG_STREAM))
+        floor = m ** (-config.r)
+        x[:, :n_sig] *= floor + (1.0 - floor) * pg.random((config.reps, n_sig))
+    elif role == 1:
+        x[:, :n_sig] *= 1.0 - m ** (-config.q)
+    return x
 
 
 class TestDrawnCells:
     @pytest.mark.parametrize(
         "config,role", [(_weak(), 0), (_weak(), 1), (_strong(), 1)], ids=["null", "weak", "strong"]
     )
-    def test_blocks_match_chunked_draws(self, monkeypatch, config, role):
-        # Chunks of 33 rows at m = 300; blocks of 7 and 50 rows cross them.
-        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 10_000)
+    def test_blocks_match_chunked_draws(self, config, role):
+        # Filled in blocks of 7 and of 50 rows, a cell is the cell drawn whole.
         m = 300
-        want = _chunked_draws(config, m, role)
+        want = _whole_draws(config, m, role)
         for block in (7, 50):
             rows = simulation._cell_rows(config, m, role)
             got = np.empty_like(want)
@@ -212,20 +209,25 @@ class TestDrawnCells:
 
     @pytest.mark.parametrize("config", [_weak(), _strong()], ids=["weak", "strong"])
     def test_stream_matches_its_materialized_matrix(self, config):
-        # Three HC blocks of the m = 3000 alternative, scored in threads.
+        # Three HC blocks of the m = 3000 alternative, scored in threads; a
+        # STRONG block draws its own rows of the P_G stream.
         rows = simulation._cell_rows(config, 3000, 1)
         whole = np.asarray(rows)
+        assert whole.tobytes() == _whole_draws(config, 3000, 1).tobytes()
         assert hc_batch(rows).tobytes() == hc_batch(whole).tobytes()
         assert rows.reduced.tobytes() == whole.sum(axis=1).tobytes()
 
-    @pytest.mark.parametrize("role", [0, 1])
-    def test_peak_memory_bounded_by_blocks(self, role):
+    @pytest.mark.parametrize(
+        "config,role", [(_weak(), 0), (_weak(), 1), (_strong(), 1)], ids=["0", "1", "strong"]
+    )
+    def test_peak_memory_bounded_by_blocks(self, config, role):
         # Each thread draws and scores blocks of 10 rows in three (10, 1e5)
-        # float64 buffers; no (reps, m) chunk is held.
+        # float64 buffers, plus a STRONG block's (10, n_sig) P_G draws; no
+        # (reps, m) chunk is held.
         workers = min(100, len(os.sched_getaffinity(0)))
         tracemalloc.start()
         try:
-            simulation._stats_over_draws(_weak(m_grid=(100_000,)), 100_000, role)
+            simulation._stats_over_draws(config, 100_000, role)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
