@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from wmkit import detection
+from wmkit import detection, simulation
 from wmkit.core import GeneratedText, RngStream, make_ntp
 from wmkit.decoders import DecoderConfig, generate
 from wmkit.detection import (
@@ -201,6 +201,18 @@ class TestHigherCriticism:
         alt[:100] *= 0.05
         assert hc_statistic(alt) > hc_statistic(null)
 
+    @pytest.mark.parametrize("scores", [[np.nan, 0.5, 0.7], [-0.5, 0.5, 0.7], [1.5, 0.5, 0.2]])
+    def test_scores_outside_unit_interval_refused(self, scores):
+        with pytest.raises(OutOfRange):
+            hc_statistic(np.array(scores))
+        with pytest.raises(OutOfRange):
+            hc_batch(np.array([[0.1, 0.2, 0.3], scores]))
+
+    def test_exact_zero_and_one_are_scores(self):
+        x = np.array([[0.0, 0.5, 1.0]])
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            assert hc_batch(x, variant).tobytes() == _hc_oracle(x, variant, HcDenom.STANDARD_SQRT).tobytes()
+
     def test_variant_given_by_name(self):
         x = np.random.default_rng(5).random((3, 200))
         for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
@@ -227,22 +239,39 @@ def _hc_oracle(rows, variant, denom):
 
 def _hc_rows(reps, m, seed):
     # Uniform rows with the edge cases the kernel must keep: exact 0 and 1,
-    # scores below 1/m, ties, and scores equal to some t = i/m.
-    x = np.random.default_rng(seed).random((reps, m))
+    # scores below 1/m, ties, scores equal to some t = i/m, and, for the
+    # bucketed kernel, scores at the bucket edges k/B and their neighbours,
+    # a row inside one bucket, and a row wholly below 1/m.
+    rng = np.random.default_rng(seed)
+    x = rng.random((reps, m))
+    buckets = max(1, m // 16)
+    edges = np.arange(m) % (buckets + 1) / buckets
+    hard = [
+        np.arange(1, m + 1) / m,
+        edges,
+        np.nextafter(edges, np.where(np.arange(m) % 2, 2.0, -1.0)).clip(0.0, 1.0),
+        (buckets // 3 + 0.25 + 0.5 * rng.random(m)) / buckets,
+        0.99 * rng.random(m) / m,
+    ]
     x[0, :2] = (0.0, 1.0)
     if reps > 1:
         x[1, : max(1, m // 2)] = 0.4 / m
     if reps > 2:
         x[2] = np.round(x[2], 1)
-    if reps > 3:
-        x[3] = np.arange(1, m + 1) / m
+    for row, values in zip(x[3:], hard):
+        row[:] = values
     return x
 
 
 class TestHcKernel:
     # (reps, m): the smallest m; one block; three blocks, the last one
-    # partial, shared over the allowed CPUs; one row per block.
-    @pytest.mark.parametrize("reps,m", [(7, 2), (50, 300), (1000, 3000), (2, 2**20 + 1)])
+    # partial, shared over the allowed CPUs; one row per block; and each
+    # side of the bucketed kernel's crossover, up to m = 1e5.
+    @pytest.mark.parametrize("reps,m", [
+        (7, 2), (50, 300), (1000, 3000), (2, 2**20 + 1),
+        (9, detection._HC_PRUNE_FROM - 1), (9, detection._HC_PRUNE_FROM), (300, 10_000),
+        (9, 100_000),
+    ])
     def test_bytes_match_whole_matrix_oracle(self, reps, m):
         rows = _hc_rows(reps, m, seed=reps + m)
         before = rows.copy()
@@ -251,6 +280,32 @@ class TestHcKernel:
                 got = hc_batch(rows, variant, denom)
                 assert got.tobytes() == _hc_oracle(rows, variant, denom).tobytes()
         assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("regime,role", [("weak", 0), ("weak", 1), ("strong", 1)])
+    def test_cell_streams_match_oracle_at_1e5(self, regime, role):
+        # The first 9 rows of a cell: a stream with the cell's entropy and
+        # signal transform.
+        config = simulation.RegimeConfig(regime, p=0.2, q=0.5, r=0.5, reps=1000, seed=6)
+        cell = simulation._cell_rows(config, 100_000, role)
+        rows = RowStream(cell.entropy, (9, 100_000), transform=cell.transform)
+        whole = np.asarray(rows)
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            for denom in HcDenom:
+                got = hc_batch(rows, variant, denom)
+                assert got.tobytes() == _hc_oracle(whole, variant, denom).tobytes()
+
+    def test_null_rows_at_1e5_score_few_terms(self, monkeypatch):
+        # Whole-row scoring would score all 1e6 terms; a null row keeps about
+        # 750 of its 1e5 scores.
+        scored, terms = [], detection._hc_terms
+        monkeypatch.setattr(
+            detection, "_hc_terms", lambda s, *a, **k: scored.append(np.size(s)) or terms(s, *a, **k)
+        )
+        rows = np.random.default_rng(14).random((10, 100_000))
+        for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
+            scored.clear()
+            hc_batch(rows, variant)
+            assert 0 < sum(scored) < rows.size // 20
 
     def test_threads_only_for_more_than_one_block(self, monkeypatch):
         pools = []
@@ -275,9 +330,9 @@ class TestHcKernel:
         assert np.array_equal(x, before)
 
     def test_peak_memory_bounded_by_blocks(self):
-        # Ten blocks of 10 rows; each thread holds three (10, 1e5) float64
-        # buffers (about 23 MiB), where the whole-matrix kernel held about
-        # 390 MiB of (100, 1e5) temporaries.
+        # Ten blocks of 10 rows; each thread holds a (10, 1e5) float64 score
+        # buffer and an intp bucket-index buffer (about 15 MiB), where the
+        # whole-matrix kernel held about 390 MiB of (100, 1e5) temporaries.
         rows = np.random.default_rng(11).random((100, 100_000))
         workers = min(10, len(os.sched_getaffinity(0)))
         tracemalloc.start()
@@ -484,7 +539,7 @@ class TestCalibration:
     @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
     def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
         # The null is drawn in blocks of about 2**20 scores (8 MiB): on this
-        # thread for the sum, and in the HC kernel's three buffers per thread
+        # thread for the sum, and in the HC kernel's two buffers per thread
         # for HC.  A draw chunk of 2e7 scores (153 MiB) breaks the bound.
         threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))
         tracemalloc.start()

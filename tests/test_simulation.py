@@ -221,9 +221,9 @@ class TestDrawnCells:
         "config,role", [(_weak(), 0), (_weak(), 1), (_strong(), 1)], ids=["0", "1", "strong"]
     )
     def test_peak_memory_bounded_by_blocks(self, config, role):
-        # Each thread draws and scores blocks of 10 rows in three (10, 1e5)
-        # float64 buffers, plus a STRONG block's (10, n_sig) P_G draws; no
-        # (reps, m) chunk is held.
+        # Each thread draws and scores blocks of 10 rows in a (10, 1e5)
+        # float64 score buffer and an intp bucket-index buffer, plus a STRONG
+        # block's (10, n_sig) P_G draws; no (reps, m) chunk is held.
         workers = min(100, len(os.sched_getaffinity(0)))
         tracemalloc.start()
         try:
