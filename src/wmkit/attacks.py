@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GeneratedText, RngStream, context_window
+from .core import MASK64, GeneratedText, RngStream, context_window
 from .decoders import (
     Scheme,
     VocabMismatch,
@@ -143,7 +143,9 @@ def specdec_postprocess(
     """Generate ``n`` tokens by speculative decoding: the watermarked draft
     proposes up to ``lookahead`` tokens per round, the target accepts a
     prefix under the scaled rejection rule and resamples the first rejected
-    position from the excess.
+    position from the excess.  The draft proposes lazily, once the target
+    has accepted the proposal before, yet each round reserves ``lookahead``
+    ``aux`` draws: proposal j reads the round's draw j, as if drafted eagerly.
 
     Models must derive their distribution from the passed history, so a
     :class:`~wmkit.lm.TraceSource`, whose cursor advances whatever the
@@ -166,27 +168,21 @@ def specdec_postprocess(
     target_n = len(prompt.tokens) + n
     while len(history) < target_n:
         lookahead = min(config.lookahead, target_n - len(history))
-        draft_hist = list(history)
-        proposals: list[tuple[int, np.ndarray]] = []
-        for _ in range(lookahead):
-            q = _draft_q(draft_model, key, draft_hist, scheme)
-            w = categorical_from_uniform(q, aux.next_uniform())
-            proposals.append((w, q))
-            draft_hist.append(w)
+        base = aux.counter
         accepted = 0
-        rejected = False
-        for w, q in proposals:
+        for j in range(1, lookahead + 1):
+            q = _draft_q(draft_model, key, history, scheme)
+            w = categorical_from_uniform(q, aux.value_at(base + j))
             p = target_model.next(history)
             stats.n_evaluated += 1
             token, ok = accept_or_resample(p, q, w, accept_u(), accept_u, config.accept_scale)
             history.append(token)
-            if ok:
-                accepted += 1
-                continue
-            stats.n_rejected += 1
-            rejected = True
-            break
-        if not rejected and len(history) < target_n:
+            if not ok:
+                stats.n_rejected += 1
+                break
+            accepted += 1
+        aux.counter = (base + lookahead) & MASK64
+        if accepted == lookahead and len(history) < target_n:
             # Bonus token from the target after a fully accepted run.
             p = target_model.next(history)
             history.append(categorical_from_uniform(p, accept_u()))

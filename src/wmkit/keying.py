@@ -9,6 +9,7 @@ the mixer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,11 +146,25 @@ def _token_hashes(tokens: np.ndarray) -> np.ndarray:
     return mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
 
 
+@functools.lru_cache(maxsize=4)
+def _vocab_hashes(vocab_size: int) -> np.ndarray:
+    """The vocabulary hash row ``_token_hashes(np.arange(vocab_size))``,
+    read-only: it does not depend on the key, so each V builds it once."""
+    row = _token_hashes(np.arange(vocab_size))
+    row.setflags(write=False)
+    return row
+
+
+def _gamma_threshold(gamma: float) -> int:
+    """Green-word threshold: a draw (w >> 11) * 2^-53 is below gamma exactly
+    when the word w is below ceil(gamma * 2^53) * 2^11, which is below 2^64
+    for gamma < 1."""
+    return math.ceil(gamma * 2**53) << 11
+
+
 def _below_gamma(words: np.ndarray, gamma: float) -> np.ndarray:
-    """``counter_uniforms``-style draws below gamma, compared on the words:
-    (w >> 11) * 2^-53 < gamma exactly when w < ceil(gamma * 2^53) * 2^11, a
-    threshold below 2^64 for gamma < 1."""
-    return words < np.uint64(math.ceil(gamma * 2**53) << 11)
+    """``counter_uniforms``-style draws below gamma, compared on the words."""
+    return words < np.uint64(_gamma_threshold(gamma))
 
 
 def _green_seed(key: WatermarkKey, ctx) -> int:
@@ -180,7 +195,7 @@ def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.nda
     of a PERM seed (perm mode)."""
     if key.green_mode == "perm":
         return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
-    hashes = _token_hashes(np.arange(vocab_size))
+    hashes = _vocab_hashes(vocab_size)
     return _below_gamma(counter_words(seeds[:, None] ^ hashes[None, :], 1), key.gamma)
 
 
@@ -188,8 +203,9 @@ def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) 
     """Green-list membership of one token under the keyed partition."""
     if key.green_mode == "perm":
         return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
-    state = _green_seed(key, ctx) ^ _token_hash(token)
-    return RngStream(state).next_uniform() < key.gamma
+    # The first counter word of the (seed ^ token hash) stream, as _below_gamma.
+    word = mix64((_green_seed(key, ctx) ^ _token_hash(token)) + GOLDEN)
+    return word < _gamma_threshold(key.gamma)
 
 
 def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from wmkit.core import GeneratedText, RngStream, make_ntp
-from wmkit.decoders import Scheme, sample_rejection_coupling
+from wmkit.decoders import (
+    Scheme,
+    accept_or_resample,
+    categorical_from_uniform,
+    sample_rejection_coupling,
+)
 from wmkit.attacks import (
     AttackConfig,
     SpecDecStats,
+    _draft_q,
     merge_specdec_stats,
     specdec_postprocess,
     substitute,
@@ -317,3 +323,87 @@ class TestSpecDecPostprocess:
         text, stats = self._run(Scheme.GUMBEL, n=200, accept_scale=1.0, lookahead=8)
         assert all(0 <= t < 64 for t in text.tokens)
         assert stats.n_rejected > 0
+
+
+def _eager_specdec(draft_model, target_model, key, config, scheme, prompt, n, aux, accept_rng):
+    """Reference two-phase loop: each round drafts all its proposals before
+    the target evaluates any of them, reading one aux draw per proposal."""
+
+    def accept_u():
+        return float(accept_rng.random())
+
+    history = list(prompt.tokens)
+    stats = SpecDecStats()
+    target_n = len(prompt.tokens) + n
+    while len(history) < target_n:
+        lookahead = min(config.lookahead, target_n - len(history))
+        draft_hist = list(history)
+        proposals = []
+        for _ in range(lookahead):
+            q = _draft_q(draft_model, key, draft_hist, scheme)
+            w = categorical_from_uniform(q, aux.next_uniform())
+            proposals.append((w, q))
+            draft_hist.append(w)
+        accepted = 0
+        for w, q in proposals:
+            p = target_model.next(history)
+            stats.n_evaluated += 1
+            token, ok = accept_or_resample(p, q, w, accept_u(), accept_u, config.accept_scale)
+            history.append(token)
+            if not ok:
+                stats.n_rejected += 1
+                break
+            accepted += 1
+        if accepted == lookahead and len(history) < target_n:
+            p = target_model.next(history)
+            history.append(categorical_from_uniform(p, accept_u()))
+        stats.accepted_run_lengths[accepted] += 1
+    return GeneratedText(tuple(history[:target_n]), len(prompt.tokens)), stats
+
+
+class TestLazyDrafting:
+    # n = 37 leaves a truncated last round at lookahead 3, 4 and 8.
+    N = 37
+
+    def _models(self, same):
+        if same:
+            # One-hot rows: the watermarked draft law is the target's, so
+            # every proposal is accepted and full rounds earn a bonus token.
+            model = MarkovSource(order=2, vocab_size=16, seed=5, concentration=1e-308)
+            return model, model
+        return (MarkovSource(order=2, vocab_size=16, seed=5),
+                MarkovSource(order=2, vocab_size=16, seed=6))
+
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("accept_scale", [0.5, 1.0])
+    @pytest.mark.parametrize("lookahead", [1, 3, 4, 8])
+    @pytest.mark.parametrize("scheme", [Scheme.MC, Scheme.GUMBEL])
+    def test_matches_eager_reference(self, scheme, lookahead, accept_scale, same):
+        config = AttackConfig(accept_scale=accept_scale, lookahead=lookahead)
+        runs = []
+        for loop in (specdec_postprocess, _eager_specdec):
+            draft, target = self._models(same)
+            aux = RngStream(21)
+            text, stats = loop(draft, target, KEY, config, scheme, GeneratedText((1, 2), 2),
+                               self.N, aux, np.random.default_rng(21))
+            runs.append((text.tokens, stats.to_dict(), aux.counter))
+        assert runs[0] == runs[1]
+        stats = runs[0][1]
+        if same:
+            assert stats["n_rejected"] == 0
+            assert stats["accepted_run_lengths"].get(str(lookahead), 0) >= 1
+        else:
+            assert stats["n_rejected"] > 0
+
+    @pytest.mark.parametrize("scheme", [Scheme.MC, Scheme.GUMBEL])
+    def test_draft_called_once_per_evaluated_proposal(self, scheme):
+        draft, target = self._models(False)
+        calls = []
+        next_row = draft.next
+        draft.next = lambda history: calls.append(len(history)) or next_row(history)
+        _, stats = specdec_postprocess(
+            draft, target, KEY, AttackConfig(accept_scale=0.5), scheme,
+            GeneratedText((1, 2), 2), 200, RngStream(3), np.random.default_rng(3),
+        )
+        assert stats.n_rejected > 0
+        assert len(calls) == stats.n_evaluated

@@ -28,6 +28,7 @@ from wmkit.keying import (
     WatermarkKey,
     _below_gamma,
     _token_hashes,
+    _vocab_hashes,
     derive_seed,
     derive_seed_batch,
     derive_zeta,
@@ -252,6 +253,32 @@ class TestGammaThreshold:
         assert np.array_equal(green_mask_batch(key, ctxs, 1000), expected)
         toks = np.random.default_rng(6).integers(0, 1000, 40)
         assert np.array_equal(is_green_batch(key, ctxs, toks), expected[np.arange(40), toks])
+        scalar = [is_green(key, tuple(c), int(t)) for c, t in zip(ctxs, toks)]
+        assert scalar == expected[np.arange(40), toks].tolist()
+
+
+class TestVocabHashes:
+    @pytest.mark.parametrize("vocab", [1, 64, 32000])
+    def test_cached_row_matches_token_hashes(self, vocab):
+        row = _vocab_hashes(vocab)
+        assert np.array_equal(row, _token_hashes(np.arange(vocab)))
+        assert _vocab_hashes(vocab) is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+
+    @pytest.mark.parametrize("mode", ["hash", "single", "perm"])
+    def test_written_masks_leave_the_next_unchanged(self, mode):
+        key = WatermarkKey(master=0x5EED, k=2, gamma=0.5, green_mode=mode)
+        ctxs = _random_contexts(3, key.k, seed=8)
+        mask = green_mask(key, tuple(ctxs[0]), 64)
+        expected = mask.copy()
+        mask[:] = ~mask
+        assert np.array_equal(green_mask(key, tuple(ctxs[0]), 64), expected)
+        masks = green_mask_batch(key, ctxs, 64)
+        expected = masks.copy()
+        masks[:] = True
+        assert np.array_equal(green_mask_batch(key, ctxs, 64), expected)
 
 
 def _reference_permutation(seed, vocab_size):
