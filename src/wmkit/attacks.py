@@ -129,6 +129,17 @@ def _draft_q(model, key: WatermarkKey, history: list[int], scheme: Scheme) -> np
     raise ValueError(f"specdec drafts support mc and gumbel schemes, got {scheme.value}")
 
 
+def _check_specdec_models(draft_model, target_model) -> None:
+    """Both models read the history and share one vocabulary.  A
+    :class:`~wmkit.lm.TraceSource` advances its cursor whatever the history,
+    so it raises ValueError, and different vocabularies raise VocabMismatch."""
+    if isinstance(draft_model, TraceSource) or isinstance(target_model, TraceSource):
+        raise ValueError("specdec needs models that read the history, not trace sources")
+    if draft_model.vocab_size != target_model.vocab_size:
+        raise VocabMismatch(f"draft and target models must share a vocabulary, got "
+                            f"{draft_model.vocab_size} and {target_model.vocab_size}")
+
+
 def specdec_postprocess(
     draft_model,
     target_model,
@@ -147,16 +158,12 @@ def specdec_postprocess(
     has accepted the proposal before, yet each round reserves ``lookahead``
     ``aux`` draws: proposal j reads the round's draw j, as if drafted eagerly.
 
-    Models must derive their distribution from the passed history, so a
-    :class:`~wmkit.lm.TraceSource`, whose cursor advances whatever the
-    history, raises ValueError.  A fully accepted run earns one bonus token
-    sampled from the target; it does not count as an evaluated proposal.
+    The models must pass :func:`_check_specdec_models`.  A fully accepted
+    run earns one bonus token sampled from the target; it does not count as
+    an evaluated proposal.
     """
     scheme = Scheme(scheme)
-    if isinstance(draft_model, TraceSource) or isinstance(target_model, TraceSource):
-        raise ValueError("specdec needs models that read the history, not trace sources")
-    if draft_model.vocab_size != target_model.vocab_size:
-        raise VocabMismatch("draft and target models must share a vocabulary")
+    _check_specdec_models(draft_model, target_model)
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -11,6 +11,7 @@ byte-identical outputs.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -18,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, merge_specdec_stats, specdec_postprocess, substitute
+from .attacks import (
+    AttackConfig,
+    _check_specdec_models,
+    merge_specdec_stats,
+    specdec_postprocess,
+    substitute,
+)
 from .core import MASK64, GeneratedText, RngStream, fold64, mix64
 from .decoders import DecoderConfig, Scheme, generate
 from .detection import (
@@ -26,13 +33,14 @@ from .detection import (
     HcDenom,
     Side,
     Statistic,
+    _check_calibration,
     _check_detect_levels,
     _check_seed,
     calibrate_null,
     detect,
     default_cache_dir,
 )
-from .keying import KeyFormatError, parse_key
+from .keying import parse_key
 from .lm import EndOfTrace, MalformedTrace, TraceSource, parse_model_spec
 from .simulation import Regime, RegimeConfig, csv_text, run_power
 
@@ -51,20 +59,28 @@ def _text_stream(seed: int, index: int, role: int) -> RngStream:
     return RngStream(mix64(fold64(seed & MASK64, (role, index))))
 
 
-def _parse_key_arg(text: str):
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """The one place where a ValueError becomes a usage error (exit 2).  A
+    command turns its flags into a configuration inside this guard, and
+    reads input, draws scores or writes files only after it.  A malformed
+    trace file stays a runtime error."""
     try:
-        return parse_key(text)
-    except KeyFormatError as exc:
-        raise UsageError(f"bad key: {exc}") from exc
-
-
-def _parse_model_arg(spec: str):
-    try:
-        return parse_model_spec(spec)
+        yield
     except MalformedTrace:
         raise
     except ValueError as exc:
-        raise UsageError(f"bad model spec: {exc}") from exc
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
+def _parse_key_arg(text: str):
+    with _usage("bad key: "):
+        return parse_key(text)
+
+
+def _parse_model_arg(spec: str):
+    with _usage("bad model spec: "):
+        return parse_model_spec(spec)
 
 
 def text_record(text_id, text: GeneratedText, scheme, vocab_size, watermarked, **fields) -> str:
@@ -93,8 +109,9 @@ def text_from_record(record) -> GeneratedText:
     return GeneratedText(tokens=tuple(tokens), prompt_len=prompt_len)
 
 
-def _emit_lines(lines: list[str], out: str | None) -> None:
-    payload = "\n".join(lines) + "\n" if lines else ""
+def _emit(lines, out: str | None) -> None:
+    """Write ``lines``, each ending in a newline, to ``out`` or to stdout."""
+    payload = "".join(f"{line}\n" for line in lines)
     if out is None:
         sys.stdout.write(payload)
     else:
@@ -108,26 +125,19 @@ def _random_prompt(aux: RngStream, k: int, vocab_size: int) -> GeneratedText:
 
 def _check_lengths(args) -> None:
     if args.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if args.texts < 1:
-        raise UsageError("--texts must be >= 1")
+        raise ValueError("--texts must be >= 1")
 
 
 def cmd_generate(args) -> int:
-    key = _parse_key_arg(args.key)
-    _check_lengths(args)
-    model = _parse_model_arg(args.model)
-    config = None
-    if not args.plain:
-        try:
-            config = DecoderConfig(
-                scheme=args.scheme,
-                delta=args.delta,
-                alpha_dip=args.alpha_dip,
-                masking=args.masking,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    with _usage():
+        key = _parse_key_arg(args.key)
+        _check_lengths(args)
+        model = _parse_model_arg(args.model)
+        config = None if args.plain else DecoderConfig(
+            scheme=args.scheme, delta=args.delta, alpha_dip=args.alpha_dip, masking=args.masking
+        )
     scheme = "plain" if config is None else config.scheme.value
     lines = []
     for i in range(args.texts):
@@ -142,7 +152,7 @@ def cmd_generate(args) -> int:
                 diagnostics=[step.to_dict() for step in result.steps],
             )
         )
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -154,13 +164,11 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_detect(args) -> int:
-    key = _parse_key_arg(args.key)
-    statistic = Statistic(args.stat)
-    try:
+    with _usage():
+        key = _parse_key_arg(args.key)
+        statistic, side, denom = Statistic(args.stat), Side(args.side), HcDenom(args.hc_denom)
         _check_detect_levels(statistic, args.alpha, args.calib_reps)
         _check_seed(args.calib_seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     records = _read_lines(args.input)
     lines = []
     n_wm = n_plain = rej_wm = rej_plain = 0
@@ -178,9 +186,9 @@ def cmd_detect(args) -> int:
                 key,
                 statistic=statistic,
                 alpha=args.alpha,
-                side=Side(args.side),
+                side=side,
                 vocab_size=fields.get("vocab_size"),
-                denom=HcDenom(args.hc_denom),
+                denom=denom,
                 reps=args.calib_reps,
                 seed=args.calib_seed,
             )
@@ -194,7 +202,7 @@ def cmd_detect(args) -> int:
         elif label is False:
             n_plain += 1
             rej_plain += int(report.reject)
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     summary = f"texts={len(records)}"
     if n_wm:
         summary += f" TPR={rej_wm / n_wm:.4f} (watermarked={n_wm})"
@@ -205,11 +213,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    try:
+    with _usage():
         config = AttackConfig(sub_rate=args.rate)
         _check_seed(args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     lines = []
     for idx, line in enumerate(_read_lines(args.input)):
         rec = json.loads(line)
@@ -225,28 +231,20 @@ def cmd_attack(args) -> int:
                 rec.get("watermarked"), attack={"kind": args.kind, "rate": config.sub_rate},
             )
         )
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     return 0
 
 
 def cmd_specdec(args) -> int:
-    key = _parse_key_arg(args.key)
-    try:
+    with _usage():
+        key = _parse_key_arg(args.key)
         scheme = Scheme(args.scheme)
         config = AttackConfig(accept_scale=args.accept_scale, lookahead=args.lookahead)
         _check_seed(args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _check_lengths(args)
-    draft = _parse_model_arg(args.draft)
-    target = _parse_model_arg(args.target)
-    if isinstance(draft, TraceSource) or isinstance(target, TraceSource):
-        raise UsageError("specdec needs models that read the history, not trace sources")
-    if draft.vocab_size != target.vocab_size:
-        raise UsageError(
-            f"draft and target models must share a vocabulary, got {draft.vocab_size} "
-            f"and {target.vocab_size}"
-        )
+        _check_lengths(args)
+        draft, target = _parse_model_arg(args.draft), _parse_model_arg(args.target)
+        _check_specdec_models(draft, target)
+    attack = {"kind": "specdec", "accept_scale": config.accept_scale, "lookahead": config.lookahead}
     lines = []
     all_stats = []
     for i in range(args.texts):
@@ -257,18 +255,13 @@ def cmd_specdec(args) -> int:
             draft, target, key, config, scheme, prompt, args.n, aux, accept_rng
         )
         all_stats.append(stats)
-        attack = {
-            "kind": "specdec",
-            "accept_scale": config.accept_scale,
-            "lookahead": config.lookahead,
-        }
         lines.append(
             text_record(
                 i, text, scheme.value, draft.vocab_size, True,
                 attack=attack, specdec_stats=stats.to_dict(),
             )
         )
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     aggregate = json.dumps(merge_specdec_stats(all_stats).to_dict())
     if args.stats_out is None:
         print(aggregate, file=sys.stderr)
@@ -278,10 +271,9 @@ def cmd_specdec(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        regime = Regime(args.regime)
+    with _usage():
         config = RegimeConfig(
-            regime=regime,
+            regime=Regime(args.regime),
             p=args.p,
             r=args.r,
             q=args.q,
@@ -290,16 +282,10 @@ def cmd_simulate(args) -> int:
             alpha=args.alpha,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.hist_bins < 1:
-        raise UsageError("--hist-bins must be >= 1")
+        if args.hist_bins < 1:
+            raise ValueError("--hist-bins must be >= 1")
     curve = run_power(config)
-    csv = curve.to_csv()
-    if args.out is None:
-        sys.stdout.write(csv)
-    else:
-        Path(args.out).write_text(csv)
+    _emit(curve.to_csv().splitlines(), args.out)
     if args.histogram is not None:
         Path(args.histogram).write_text(csv_text(curve.histogram(args.hist_bins)))
     return 0
@@ -307,18 +293,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir is not None else default_cache_dir()
-    try:
-        critical = calibrate_null(
-            Statistic(args.stat),
-            n=args.n,
-            alpha=args.alpha,
-            reps=args.reps,
-            seed=args.seed,
-            denom=HcDenom(args.hc_denom),
-            cache_dir=cache_dir,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _usage():
+        statistic, denom = Statistic(args.stat), HcDenom(args.hc_denom)
+        _check_calibration(statistic, args.n, args.alpha, args.reps, args.seed)
+    critical = calibrate_null(
+        statistic, n=args.n, alpha=args.alpha, reps=args.reps, seed=args.seed, denom=denom,
+        cache_dir=cache_dir,
+    )
     print(
         json.dumps(
             {

@@ -668,6 +668,19 @@ def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_v
         os.close(fd)
 
 
+def _check_calibration(statistic: Statistic, n: int, alpha: float, reps: int, seed: int) -> None:
+    """The refusals of :func:`calibrate_null` before any cache lookup or draw."""
+    if statistic not in _CALIBRATABLE:
+        raise ValueError(f"no simulated null for statistic {statistic}")
+    _check_reps(reps)
+    _check_alpha(alpha)
+    _check_tail(alpha, reps)
+    _check_seed(seed)
+    least = 2 if statistic in _HC_STATISTICS else 1
+    if n < least:
+        raise OutOfRange(f"calibration of {statistic.value} needs n >= {least}, got {n}")
+
+
 def calibrate_null(
     statistic: Statistic,
     n: int,
@@ -687,15 +700,7 @@ def calibrate_null(
     """
     statistic = Statistic(statistic)
     denom = HcDenom(denom)
-    if statistic not in _CALIBRATABLE:
-        raise ValueError(f"no simulated null for statistic {statistic}")
-    _check_reps(reps)
-    _check_alpha(alpha)
-    _check_tail(alpha, reps)
-    _check_seed(seed)
-    least = 2 if statistic in _HC_STATISTICS else 1
-    if n < least:
-        raise OutOfRange(f"calibration of {statistic.value} needs n >= {least}, got {n}")
+    _check_calibration(statistic, n, alpha, reps, seed)
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
     hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)

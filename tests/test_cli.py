@@ -954,6 +954,53 @@ def test_bad_length_is_usage_error_before_reading_a_model(tmp_path, capsys, argv
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["detect", "--in", "{missing}", "--key", "zz:k=2"], "bad key: "),
+        (["specdec", "--draft", MODEL_ARG, "--target", MODEL_ARG, "--key", "zz:k=2",
+          "--n", "5", "--stats-out", "{stats}"], "bad key: "),
+        (["generate", "--model", "markov:seed=1", "--key", KEY_ARG, "--n", "5"],
+         "bad model spec: "),
+        (["specdec", "--draft", "markov:seed=1", "--target", MODEL_ARG, "--key", KEY_ARG,
+          "--n", "5", "--stats-out", "{stats}"], "bad model spec: "),
+        (["specdec", "--draft", MODEL_ARG, "--target", "markov:seed=1,vocab=64", "--key", KEY_ARG,
+          "--n", "5", "--stats-out", "{stats}"], "bad model spec: "),
+    ],
+    ids=["detect-key", "specdec-key", "generate-model", "specdec-draft", "specdec-target"],
+)
+def test_bad_key_or_model_spec_is_usage_error_before_reading(tmp_path, capsys, monkeypatch,
+                                                             argv, prefix):
+    monkeypatch.setattr(cli, "_random_prompt", lambda *args: pytest.fail("a text was drawn"))
+    paths = {"missing": tmp_path / "missing.jsonl", "stats": tmp_path / "stats.json"}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--stat", "hc+", "--n", "2", "--alpha", "0.9", "--reps", "1000",
+         "--cache-dir", "{cache}"],
+        ["simulate", "--regime", "weak", "--p", "0.5", "--q", "0.5", "--m", "2",
+         "--reps", "1000", "--alpha", "0.9", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_refusal_after_drawing_is_runtime_error(tmp_path, capsys, monkeypatch, argv):
+    # Valid flags whose simulated hc+ null has no finite quantile at level
+    # 0.9: a quarter of n = 2 rows have no score >= 1/2, so their hc+ is
+    # -inf.  Only the draws show it, so both commands exit 1.
+    cache, out = tmp_path / "cache", tmp_path / "F"
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(cache))
+    assert main([arg.format(cache=cache, out=out) for arg in argv]) == 1
+    assert "no finite critical value" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (cache / "calibrations.csv").exists()
+
+
 def test_generate_accepts_any_seed(tmp_path):
     # generate masks its seed to 64 bits.
     assert _records(_generate(tmp_path, texts=1, n=5, seed=-1))[0]["tokens"]

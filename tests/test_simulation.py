@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from wmkit import simulation
 from wmkit.detection import HcDenom, Statistic, hc_batch
@@ -171,6 +172,74 @@ class TestRunPower:
         assert any(
             x.critical_value != y.critical_value for x, y in zip(a.rows, b.rows)
         )
+
+
+def _sum_power_normal_law(config, m, critical):
+    """Sum-test power at ``critical`` from the exact mean and variance of the
+    alternative's score sum, under a normal law.  The sum holds m - n_sig
+    null uniforms and n_sig signal scores U * P_G: P_G = 1 - m**-q in WEAK,
+    P_G ~ U[f, 1] with f = m**-r in STRONG."""
+    n_sig = signal_count(config, m)
+    if config.regime is Regime.WEAK:
+        c = 1.0 - m ** (-config.q)
+        mean, second = c / 2.0, c * c / 3.0
+    else:
+        f = m ** (-config.r)
+        mean, second = (1.0 + f) / 4.0, (1.0 + f + f * f) / 9.0
+    mu = (m - n_sig) / 2.0 + n_sig * mean
+    var = (m - n_sig) / 12.0 + n_sig * (second - mean * mean)
+    return float(ndtr((critical - mu) / np.sqrt(var)))
+
+
+def _np_count_power(config, m):
+    """Power of the exact binomial Neyman-Pearson test of a WEAK cell.  A
+    score's likelihood ratio takes one value below c = 1 - m**-q and another
+    above it, so the test counts the scores above c: Binomial(m, m**-q)
+    under the null, Binomial(m - n_sig, m**-q) under the alternative.  It
+    rejects at counts k with null CDF(k) <= alpha, without randomizing."""
+    from scipy.stats import binom
+
+    tail = m ** (-config.q)
+    k = int(binom.ppf(config.alpha, m, tail))
+    if binom.cdf(k, m, tail) > config.alpha:
+        k -= 1
+    return float(binom.cdf(k, m - signal_count(config, m), tail))
+
+
+class TestClosedFormPower:
+    # m = 100 is left out: a normal law for a sum of 100 scores is coarse
+    # in the 1% tail (z = -2.75 at STRONG (0.75, 0.2), seed 0).
+    @pytest.mark.parametrize(
+        "regime,p,exponent",
+        [(Regime.WEAK, 0.2, 0.3), (Regime.WEAK, 0.1, 0.5), (Regime.WEAK, 0.2, 0.2),
+         (Regime.STRONG, 0.25, 0.2), (Regime.STRONG, 0.75, 0.2)],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_sum_power_matches_normal_law(self, regime, p, exponent):
+        signal = {"q" if regime is Regime.WEAK else "r": exponent}
+        config = RegimeConfig(regime=regime, p=p, m_grid=(1000, 10_000), reps=2000, seed=0,
+                              **signal)
+        rows = [row for row in run_power(config).rows if row.statistic is Statistic.SUM]
+        assert [row.m for row in rows] == [1000, 10_000]
+        for row in rows:
+            want = _sum_power_normal_law(config, row.m, row.critical_value)
+            se = np.sqrt(want * (1.0 - want) / config.reps)
+            assert abs(row.power - want) <= 3 * se, (row.m, row.power, want)
+
+    @pytest.mark.parametrize("m,power", [(1000, 0.138), (10_000, 0.236), (100_000, 0.297)])
+    def test_neyman_pearson_count_power(self, m, power):
+        # README quotes the m = 1e5 figure for (p, q) = (0.2, 0.5).
+        assert _np_count_power(_weak(p=0.2, q=0.5), m) == pytest.approx(power, abs=5e-4)
+
+    def test_simulated_power_within_neyman_pearson_bound(self):
+        # The count test's size falls below alpha (0.0056 at m = 1000), so a
+        # randomized count test of size alpha has more power (0.192 there)
+        # and is the exact ceiling; the bound below is the stricter one.
+        config = _weak(p=0.2, q=0.5, m_grid=(1000, 10_000), reps=2000)
+        for row in run_power(config).rows:
+            bound = _np_count_power(config, row.m)
+            se = np.sqrt(bound * (1.0 - bound) / config.reps)
+            assert row.power <= bound + 3 * se, (row.m, row.statistic, row.power, bound)
 
 
 def _whole_draws(config, m, role):
