@@ -39,6 +39,12 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
 
+# The same constants as numpy scalars, so array steps build none per call.
+_GOLDEN_U64 = np.uint64(GOLDEN)
+_MIX_A_U64 = np.uint64(_MIX_A)
+_MIX_B_U64 = np.uint64(_MIX_B)
+_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+
 
 class EmptyVector(ValueError):
     """Raised for empty or zero-length probability input."""
@@ -66,12 +72,17 @@ def mix64(z: int) -> int:
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array; wraps modulo 2**64."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
+    return _mix64_inplace(z.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64_array` written over ``z``, a writable uint64 array;
+    returns ``z``."""
+    z ^= z >> _U30
+    z *= _MIX_A_U64
+    z ^= z >> _U27
+    z *= _MIX_B_U64
+    z ^= z >> _U31
     return z
 
 
@@ -93,7 +104,7 @@ def counter_words(states, counters) -> np.ndarray:
     streams seeded by ``states``, broadcast over uint64 arrays."""
     states = np.asarray(states, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    return mix64_array(states + counters * np.uint64(GOLDEN))
+    return _mix64_inplace(states + counters * _GOLDEN_U64)
 
 
 def counter_uniforms(states, counters) -> np.ndarray:
@@ -101,7 +112,7 @@ def counter_uniforms(states, counters) -> np.ndarray:
     :func:`counter_words` shifted right by 11 and scaled to [0, 1).  Entry for
     entry equal to ``RngStream(state).value_at(c)``.
     """
-    return (counter_words(states, counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return (counter_words(states, counters) >> _U11).astype(np.float64) * _INV_2_53
 
 
 def context_window(history: Sequence[int], k: int) -> tuple[int, ...]:
@@ -109,7 +120,7 @@ def context_window(history: Sequence[int], k: int) -> tuple[int, ...]:
     history is shorter than k."""
     if k == 0:
         return ()
-    tail = tuple(int(t) for t in history[-k:])
+    tail = tuple(map(int, history[-k:]))
     if len(tail) < k:
         tail = (0,) * (k - len(tail)) + tail
     return tail

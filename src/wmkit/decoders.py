@@ -145,7 +145,7 @@ def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
 
     Deterministic given ``u``; zero-weight tokens are never returned.
     """
-    cdf = np.cumsum(weights)
+    cdf = np.add.accumulate(weights)  # np.cumsum's loop, without its wrapper
     total = cdf[-1]
     if total <= 0.0:
         raise ValueError("categorical draw over all-zero weights")

@@ -274,11 +274,13 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     )
 
 
-# Rows per block of drawn or scored rows: about 2**20 scores, so each of an
+# Rows per block of drawn or scored rows: about 2**18 scores, so each of an
 # HC block's two buffers (the scores, and their bucket indices) takes about
-# 8 MiB whatever m is; rows too short to prune take two scoring buffers in
-# place of the indices.
-_BLOCK_ELEMENTS = 1 << 20
+# 2 MiB whatever m is; rows too short to prune take two scoring buffers in
+# place of the indices.  Blocks this small stay in cache and let a desk
+# calibration null of (2000, ~300) scores split into three blocks, so it
+# runs on two threads.
+_BLOCK_ELEMENTS = 1 << 18
 
 # HC rows of at least _HC_PRUNE_FROM scores are scored through value buckets
 # of about _HC_BUCKET_SCORES scores each; shorter rows are sorted and scored
@@ -464,24 +466,30 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(len(starts), cpus))
 
+    # Each worker's block buffers are allocated on this thread: allocated on
+    # the workers, they stayed in the workers' malloc arenas and raised a
+    # desk run's peak RSS by about 4 MB.
+    def block_buffers() -> list[np.ndarray]:
+        if pruned:
+            return [np.empty((block, m)), np.empty((block, m), dtype=np.intp)]
+        return [np.empty((block, m)), np.empty((block, m)), np.empty((block, m))]
+
+    buffers = [block_buffers() for _ in range(workers)]
+
     def run(first: int) -> None:
         # Blocks first, first + workers, ...; each writes its own slice of out.
-        s_buf = np.empty((block, m))
-        if pruned:
-            idx_buf = np.empty((block, m), dtype=np.intp)
-        else:
-            x_buf, hc_buf = np.empty((block, m)), np.empty((block, m))
+        s_buf, *scratch = buffers[first]
         for lo in starts[first::workers]:
             hi = min(lo + block, reps)
             s = s_buf[: hi - lo]
             fill(lo, hi, s)
             if pruned:
-                scores, ranks, row_starts = _hc_candidates(s, idx_buf[: hi - lo], edges)
+                scores, ranks, row_starts = _hc_candidates(s, scratch[0][: hi - lo], edges)
                 hc = _hc_terms(scores, ranks / m, m, variant, denom)
                 np.maximum.reduceat(hc, row_starts, out=out[lo:hi])
             else:
                 s.sort(axis=1)
-                hc = _hc_terms(s, t, m, variant, denom, x_buf[: hi - lo], hc_buf[: hi - lo])
+                hc = _hc_terms(s, t, m, variant, denom, *(buf[: hi - lo] for buf in scratch))
                 hc.max(axis=1, out=out[lo:hi])
 
     if workers == 1:
@@ -591,7 +599,7 @@ def _null_statistics(
     )
     if rows.reduce is None:
         return hc_batch(rows, statistic, denom)
-    # Sum and max: blocks of about 2**20 scores on this thread, reduced by fill.
+    # Sum and max: blocks of about 2**18 scores on this thread, reduced by fill.
     buf = np.empty((max(1, min(reps, _BLOCK_ELEMENTS // n)), n))
     for lo in range(0, reps, len(buf)):
         hi = min(lo + len(buf), reps)

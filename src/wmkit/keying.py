@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GOLDEN, MASK64, RngStream, counter_uniforms, counter_words, fold64
-from .core import mix64, mix64_array
+from .core import GOLDEN, MASK64, counter_uniforms, counter_words, fold64, mix64, mix64_array
+from .core import _GOLDEN_U64, _INV_2_53, _mix64_inplace
 
 __all__ = [
     "GREEN_TAG",
@@ -133,7 +133,7 @@ def derive_seed_batch(key: WatermarkKey, ctxs: np.ndarray, tag: int) -> np.ndarr
     s = np.full(ctxs.shape[0], (key.master ^ tag) & MASK64, dtype=np.uint64)
     for col in range(key.k):
         tok = ctxs[:, col].astype(np.uint64)
-        s = mix64_array(s * np.uint64(GOLDEN) + tok + np.uint64(1))
+        s = mix64_array(s * _GOLDEN_U64 + tok + np.uint64(1))
     return mix64_array(s)
 
 
@@ -143,7 +143,7 @@ def _token_hash(token: int) -> int:
 
 def _token_hashes(tokens: np.ndarray) -> np.ndarray:
     # Vectorized _token_hash; over np.arange(V) it is the vocabulary hash row.
-    return mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
+    return mix64_array((tokens.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -192,20 +192,25 @@ def _perm_mask(perms: np.ndarray, gamma: float) -> np.ndarray:
 def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.ndarray:
     """(n, vocab_size) membership, one row per seed: a GREEN seed (hash and
     single modes) against the vocabulary hash row, or the permutation head
-    of a PERM seed (perm mode)."""
+    of a PERM seed (perm mode).  A hash-mode row is the first counter word
+    of each (seed ^ token hash) stream, built in one buffer."""
     if key.green_mode == "perm":
         return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
-    hashes = _vocab_hashes(vocab_size)
-    return _below_gamma(counter_words(seeds[:, None] ^ hashes[None, :], 1), key.gamma)
+    words = _vocab_hashes(vocab_size) ^ seeds[:, None]
+    words += _GOLDEN_U64
+    return _below_gamma(_mix64_inplace(words), key.gamma)
 
 
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
     """Green-list membership of one token under the keyed partition."""
-    if key.green_mode == "perm":
+    mode = key.green_mode
+    if mode == "perm":
         return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
-    # The first counter word of the (seed ^ token hash) stream, as _below_gamma.
-    word = mix64((_green_seed(key, ctx) ^ _token_hash(token)) + GOLDEN)
-    return word < _gamma_threshold(key.gamma)
+    # _green_seed, then the first counter word of the (seed ^ token hash)
+    # stream against _gamma_threshold, inlined: this runs once per position.
+    seed = derive_seed(key, ctx, GREEN_TAG) if mode == "hash" else mix64(key.master ^ GREEN_TAG)
+    word = mix64((seed ^ _token_hash(token)) + GOLDEN)
+    return word < math.ceil(key.gamma * 2**53) << 11
 
 
 def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
@@ -274,8 +279,9 @@ def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
 
 
 def derive_zeta(key: WatermarkKey, ctx) -> float:
-    """Keyed pivot uniform for one context: first draw of the ZETA stream."""
-    return RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()
+    """Keyed pivot uniform for one context: first draw of the ZETA stream,
+    ``RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()``."""
+    return (mix64(derive_seed(key, ctx, ZETA_TAG) + GOLDEN) >> 11) * _INV_2_53
 
 
 def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:

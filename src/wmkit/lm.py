@@ -61,16 +61,19 @@ def _log_gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     uniforms), so a tiny shape gives very negative logs, not zeros.  If
     log(U) / shape overflows to -inf on every entry, the logs are 0 at the
     largest U and -inf elsewhere: the one-hot law that the row tends to as
-    the shape goes to 0."""
-    if shape < 1.0:
-        log_g = np.log(gen.standard_gamma(shape + 1.0, n))
-        log_u = np.log(gen.random(n))
-        with np.errstate(over="ignore"):
-            log_g += log_u / shape
-        if log_g.max() == -np.inf:
-            return np.where(log_u == log_u.max(), 0.0, -np.inf)
-        return log_g
-    return np.log(gen.standard_gamma(shape, n))
+    the shape goes to 0.  Both rows of draws share one buffer and one log."""
+    boost = shape < 1.0
+    buf = np.empty((1 + boost, n))
+    gen.standard_gamma(shape + 1.0 if boost else shape, out=buf[0])
+    if not boost:
+        return np.log(buf[0], out=buf[0])
+    gen.random(out=buf[1])
+    log_g, log_u = np.log(buf, out=buf)
+    with np.errstate(over="ignore"):
+        log_g += log_u / shape
+    if log_g.max() == -np.inf:
+        return np.where(log_u == log_u.max(), 0.0, -np.inf)
+    return log_g
 
 
 @dataclass
@@ -126,14 +129,19 @@ class MarkovSource:
         # exponentiated relative to its max, so it never underflows to zeros.
         # A scale that overflows the max is applied to logs relative to the
         # untempered max instead, where overflow only sends entries to -inf.
+        # Normalized twice in place, as make_ntp(row / row.sum()) would be;
+        # make_ntp's checks cannot fail on a row whose max is exp(0) = 1.
         log_g = _log_gamma(self._gen, self.concentration, self.vocab_size)
         with np.errstate(over="ignore"):
             x = log_g / self.temperature
             top = x.max()
             if not math.isfinite(top):
                 x, top = (log_g - log_g.max()) / self.temperature, 0.0
-            row = np.exp(x - top)
-        dist = make_ntp(row / row.sum())
+            x -= top
+        dist = np.exp(x, out=x)
+        dist /= dist.sum()
+        dist /= dist.sum()
+        dist.setflags(write=False)
         self._cache[ctx] = dist
         if len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)

@@ -774,7 +774,7 @@ GOLDEN_SIMULATE = {
         "f87dcde21678433be5e5afa77dc435db58079a541960cb09bc7142ac55b7fc80",
         "db48eab8afc8a74d6c099931970f550d88d8d75e610a50c94a23a04d844634f5",
     ),
-    # Each spans several HC blocks of about 2**20 scores.  The WEAK digest
+    # Each spans several HC blocks of about 2**18 scores.  The WEAK digest
     # was captured before the cells were drawn inside the HC kernel from
     # offsets in their streams, when it spanned four draw chunks of about
     # 1e7 scores.

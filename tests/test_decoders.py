@@ -208,8 +208,14 @@ class TestCategorical:
             ([0.0, 1.0, 0.0], np.linspace(0, 0.999999, 50)),
             # u = 1.0 puts u * total at the top of the CDF, past every bin.
             ([0.5, 0.5, 0.0], [1.0 - 1e-16, 1.0]),
+            # Markov rows, whose float CDFs the scalar and batch draws must
+            # accumulate bit for bit to agree at every u.
+            *(
+                (MarkovSource(order=0, vocab_size=v, seed=5).next([]), np.linspace(0.0, 1.0, 257))
+                for v in (64, 32_000)
+            ),
         ],
-        ids=["intervals", "zero-weight", "top-clamp"],
+        ids=["intervals", "zero-weight", "top-clamp", "markov-v64", "markov-v32k"],
     )
     def test_batch_picks_the_scalar_index(self, w, us):
         weights = np.tile(np.array(w), (len(us), 1))

@@ -265,7 +265,7 @@ def _hc_rows(reps, m, seed):
 
 
 class TestHcKernel:
-    # (reps, m): the smallest m; one block; three blocks, the last one
+    # (reps, m): the smallest m; one block; twelve blocks, the last one
     # partial, shared over the allowed CPUs; one row per block; and each
     # side of the bucketed kernel's crossover, up to m = 1e5.
     @pytest.mark.parametrize("reps,m", [
@@ -316,11 +316,13 @@ class TestHcKernel:
             return ThreadPoolExecutor(workers)
 
         monkeypatch.setattr(detection, "ThreadPoolExecutor", recording_pool)
-        one_block = np.random.default_rng(12).random((2000, 300))
+        # 2**18 // 300 = 873 rows fit one block; 2**18 // 3000 = 87 rows
+        # make three blocks of (250, 3000).
+        one_block = np.random.default_rng(12).random((800, 300))
         hc_batch(one_block)
         hc_statistic(one_block[0])
         assert pools == []
-        hc_batch(np.random.default_rng(13).random((1000, 3000)))
+        hc_batch(np.random.default_rng(13).random((250, 3000)))
         cpus = len(os.sched_getaffinity(0))
         assert pools == ([] if cpus == 1 else [min(3, cpus)])
 
@@ -331,8 +333,8 @@ class TestHcKernel:
         assert np.array_equal(x, before)
 
     def test_peak_memory_bounded_by_blocks(self):
-        # Ten blocks of 10 rows; each thread holds a (10, 1e5) float64 score
-        # buffer and an intp bucket-index buffer (about 15 MiB), where the
+        # Fifty blocks of 2 rows; each thread holds a (2, 1e5) float64 score
+        # buffer and an intp bucket-index buffer (about 3 MiB), where the
         # whole-matrix kernel held about 390 MiB of (100, 1e5) temporaries.
         rows = np.random.default_rng(11).random((100, 100_000))
         workers = min(10, len(os.sched_getaffinity(0)))
@@ -355,8 +357,9 @@ class TestHcKernel:
                 assert got.tobytes() == hc_batch(whole, variant, denom).tobytes()
 
     def test_fill_covers_every_row_once(self):
-        # 1000 rows of 3000 scores: three blocks, shared over the threads.
-        rows = RowStream((5,), (1000, 3000), reduce=np.add)
+        # 250 rows of 3000 scores: three blocks of at most 87 rows, shared
+        # over the threads.
+        rows = RowStream((5,), (250, 3000), reduce=np.add)
         spans, lock, fill = [], threading.Lock(), rows.fill
 
         def recording_fill(lo, hi, out):
@@ -367,9 +370,9 @@ class TestHcKernel:
         rows.fill = recording_fill
         hc_batch(rows)
         spans.sort()
-        assert spans[0][0] == 0 and spans[-1][1] == 1000 and len(spans) == 3
+        assert spans[0][0] == 0 and spans[-1][1] == 250 and len(spans) == 3
         assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(spans, spans[1:]))
-        sums = np.random.default_rng([5]).random((1000, 3000)).sum(axis=1)
+        sums = np.random.default_rng([5]).random((250, 3000)).sum(axis=1)
         assert rows.reduced.tobytes() == sums.tobytes()
 
 
@@ -539,7 +542,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
     def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
-        # The null is drawn in blocks of about 2**20 scores (8 MiB): on this
+        # The null is drawn in blocks of about 2**18 scores (2 MiB): on this
         # thread for the sum, and in the HC kernel's two buffers per thread
         # for HC.  A draw chunk of 2e7 scores (153 MiB) breaks the bound.
         threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))

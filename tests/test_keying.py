@@ -257,6 +257,38 @@ class TestGammaThreshold:
         assert scalar == expected[np.arange(40), toks].tolist()
 
 
+def _reference_green(key: WatermarkKey, ctx, token: int) -> bool:
+    # Per-token membership in Python-int arithmetic: the first draw of the
+    # stream seeded by (green seed ^ token hash) is below gamma.
+    if key.green_mode == "single":
+        seed = mix64(key.master ^ GREEN_TAG)
+    else:
+        seed = derive_seed(key, ctx, GREEN_TAG)
+    token_hash = mix64(((token + 1) * GOLDEN) & MASK64)
+    return RngStream(seed ^ token_hash).next_uniform() < key.gamma
+
+
+class TestKeyedKernelOracles:
+    @pytest.mark.parametrize("mode", ["hash", "single"])
+    @pytest.mark.parametrize("vocab", [1, 64, 32000])
+    def test_masks_and_membership_match_per_token_reference(self, mode, vocab):
+        key = WatermarkKey(master=0xC0FFEE, k=2, gamma=0.3, green_mode=mode)
+        n_ctx = 2 if vocab == 32000 else 20
+        for ctx in map(tuple, _random_contexts(n_ctx, key.k, seed=vocab).tolist()):
+            expected = [_reference_green(key, ctx, t) for t in range(vocab)]
+            assert green_mask(key, ctx, vocab).tolist() == expected
+            toks = range(0, vocab, 1 if vocab <= 64 else 97)
+            assert [is_green(key, ctx, t) for t in toks] == [expected[t] for t in toks]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_zeta_is_first_draw_of_the_zeta_stream(self, k):
+        for master in (0, 0x9E3779B97F4A7C15, MASK64):
+            key = WatermarkKey(master=master, k=k, gamma=0.5)
+            for ctx in map(tuple, _random_contexts(50, k, seed=k).tolist()):
+                expected = RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()
+                assert derive_zeta(key, ctx) == expected
+
+
 class TestVocabHashes:
     @pytest.mark.parametrize("vocab", [1, 64, 32000])
     def test_cached_row_matches_token_hashes(self, vocab):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from wmkit.core import GeneratedText, RngStream
+from wmkit.core import MASK64, GeneratedText, RngStream, fold64, make_ntp, mix64
 from wmkit.decoders import DecoderConfig, generate
 from wmkit.keying import WatermarkKey
 from wmkit.lm import (
+    _ROW_INC,
+    _ROW_TAG,
     EndOfTrace,
     MalformedTrace,
     MarkovSource,
@@ -39,7 +41,48 @@ ROW_CONFIGS = (
 GOLDEN_ROWS = "70dac63c94f17f6aec30e07299e0efcc2e271005dc975cc0446fc44ec448c0cc"
 
 
+def _reference_row(src: MarkovSource, ctx: tuple[int, ...]) -> np.ndarray:
+    """A row as MarkovSource drew it before its draws shared one buffer: a
+    log of each draw row, one errstate for the boost and one for tempering,
+    then make_ntp."""
+    bits = np.random.PCG64(0)
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": mix64(fold64((src.seed ^ _ROW_TAG) & MASK64, ctx)), "inc": _ROW_INC},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    gen, shape, n = np.random.Generator(bits), src.concentration, src.vocab_size
+    if shape < 1.0:
+        log_g = np.log(gen.standard_gamma(shape + 1.0, n))
+        log_u = np.log(gen.random(n))
+        with np.errstate(over="ignore"):
+            log_g += log_u / shape
+        if log_g.max() == -np.inf:
+            log_g = np.where(log_u == log_u.max(), 0.0, -np.inf)
+    else:
+        log_g = np.log(gen.standard_gamma(shape, n))
+    with np.errstate(over="ignore"):
+        x = log_g / src.temperature
+        top = x.max()
+        if not math.isfinite(top):
+            x, top = (log_g - log_g.max()) / src.temperature, 0.0
+        row = np.exp(x - top)
+    return make_ntp(row / row.sum())
+
+
 class TestGammaRow:
+    @pytest.mark.parametrize("concentration", [1e-308, 0.3, 1.0, 2.5, 1e308])
+    @pytest.mark.parametrize("vocab", [1, 2, 64, 1000])
+    def test_row_bytes_match_reference(self, vocab, concentration):
+        for temperature, seed in itertools.product((1e-308, 0.5, 1.0, 5.0), (0, 11, MASK64)):
+            src = MarkovSource(
+                order=2, vocab_size=vocab, concentration=concentration, seed=seed,
+                temperature=temperature,
+            )
+            for ctx in ((0, 0), (1, vocab - 1), (vocab // 2, 7 % vocab), (3 % vocab, 2 % vocab)):
+                assert src.next(ctx).tobytes() == _reference_row(src, ctx).tobytes()
+
     def test_golden_rows(self):
         h = hashlib.sha256()
         for kwargs, n_ctx in ROW_CONFIGS:
