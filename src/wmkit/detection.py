@@ -277,9 +277,8 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
 # Rows per block of drawn or scored rows: about 2**18 scores, so each of an
 # HC block's two buffers (the scores, and their bucket indices) takes about
 # 2 MiB whatever m is; rows too short to prune take two scoring buffers in
-# place of the indices.  Blocks this small stay in cache and let a desk
-# calibration null of (2000, ~300) scores split into three blocks, so it
-# runs on two threads.
+# place of the indices.  A calibration null of 2000 rows of about 300
+# scores is then three blocks, so it runs on two threads.
 _BLOCK_ELEMENTS = 1 << 18
 
 # HC rows of at least _HC_PRUNE_FROM scores are scored through value buckets
@@ -467,8 +466,9 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
     workers = max(1, min(len(starts), cpus))
 
     # Each worker's block buffers are allocated on this thread: allocated on
-    # the workers, they stayed in the workers' malloc arenas and raised a
-    # desk run's peak RSS by about 4 MB.
+    # the workers, they stayed in the workers' malloc arenas, and a process
+    # that ran a CLI corpus loop twelve times (three cold calibrations each)
+    # peaked about 4 MB higher in RSS.
     def block_buffers() -> list[np.ndarray]:
         if pruned:
             return [np.empty((block, m)), np.empty((block, m), dtype=np.intp)]

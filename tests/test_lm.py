@@ -42,9 +42,9 @@ GOLDEN_ROWS = "70dac63c94f17f6aec30e07299e0efcc2e271005dc975cc0446fc44ec448c0cc"
 
 
 def _reference_row(src: MarkovSource, ctx: tuple[int, ...]) -> np.ndarray:
-    """A row as MarkovSource drew it before its draws shared one buffer: a
-    log of each draw row, one errstate for the boost and one for tempering,
-    then make_ntp."""
+    """The row formula written plainly: a log of each draw row, an errstate
+    for the boost and one for tempering, then make_ntp.  MarkovSource's
+    one-buffer, in-place form must match it byte for byte."""
     bits = np.random.PCG64(0)
     bits.state = {
         "bit_generator": "PCG64",
