@@ -44,7 +44,6 @@ from .decoders import (
 from .detection import (
     DetectionReport,
     HcDenom,
-    ScoredToken,
     Side,
     Statistic,
     calibrate_null,

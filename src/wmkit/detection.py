@@ -14,6 +14,7 @@ schemes are included for comparisons.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import warnings
@@ -38,7 +39,6 @@ __all__ = [
     "Statistic",
     "HcDenom",
     "Side",
-    "ScoredToken",
     "DetectionReport",
     "extract_scores",
     "extract_zeta_primes_batch",
@@ -97,17 +97,6 @@ class Side(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ScoredToken:
-    """One detection observation: token, its context, and the folded pivot."""
-
-    position: int
-    token: int
-    context: tuple[int, ...]
-    is_green: bool
-    zeta_prime: float
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     """Outcome of one test; either a p-value or a calibrated threshold
     drives the decision, never both."""
@@ -122,72 +111,75 @@ class DetectionReport:
 
 
 def _check_tokens(tokens: tuple[int, ...], vocab_size: int | None) -> None:
-    """Raise :class:`OutOfRange` for a token outside [0, vocab_size), or a
-    negative one when vocab_size is unknown."""
+    """Raise :class:`OutOfRange` for a token outside [0, vocab_size), or,
+    when vocab_size is unknown, outside [0, 2**63): every array path holds
+    tokens as int64."""
     lo, hi = min(tokens, default=0), max(tokens, default=0)
-    if lo < 0 or (vocab_size is not None and hi >= vocab_size):
+    if lo < 0 or hi >= (1 << 63 if vocab_size is None else vocab_size):
         top = "vocab_size" if vocab_size is None else vocab_size
         raise OutOfRange(f"token {lo if lo < 0 else hi} outside [0, {top})")
 
 
-def _first_occurrences(tokens: tuple[int, ...], k: int, vocab_size: int | None) -> list[int]:
-    """Positions whose (context, token) tuple has not been seen before,
-    walking the received tokens from the first full context window.  Tokens
-    are checked by :func:`_check_tokens`."""
+def _first_occurrences(
+    tokens: tuple[int, ...], k: int, vocab_size: int | None
+) -> list[tuple[int, ...]]:
+    """The (context..., token) tuples of the received tokens, from the first
+    full context window, each kept at its first occurrence and in that
+    order.  Tokens are checked by :func:`_check_tokens`."""
     if len(tokens) <= k:
         raise TooShort(f"text of length {len(tokens)} has no scorable position for k={k}")
     _check_tokens(tokens, vocab_size)
-    first: dict[tuple[int, ...], int] = {}
-    for t in range(k, len(tokens)):
-        first.setdefault(tokens[t - k : t + 1], t)
-    return list(first.values())
+    # Zipping k + 1 shifted slices yields the windows tokens[t - k : t + 1],
+    # t >= k, in half the time of slicing each one.
+    return list(dict.fromkeys(zip(*(tokens[i:] for i in range(k + 1)))))
 
 
 def _first_tuples(
     tokens: tuple[int, ...], k: int, vocab_size: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n, k) contexts and (n,) tokens at the :func:`_first_occurrences`
-    positions."""
-    keep = np.array(_first_occurrences(tokens, k, vocab_size), dtype=np.int64)
-    row = np.array(tokens, dtype=np.int64)
-    return row[keep[:, None] + np.arange(-k, 0)], row[keep]
+    """The :func:`_first_occurrences` table as (n, k) contexts and (n,)
+    tokens."""
+    tuples = _first_occurrences(tokens, k, vocab_size)
+    # fromiter over the flattened tuples takes about half the time of np.array.
+    table = np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.int64).reshape(-1, k + 1)
+    return table[:, :k], table[:, k]
 
 
 def extract_scores(
     text: GeneratedText, key: WatermarkKey, vocab_size: int | None = None
-) -> list[ScoredToken]:
-    """Score each first occurrence of a (context, token) tuple: recompute the
-    keyed pivot, test green membership, and fold red pivots to 1 - zeta."""
-    tokens, k = text.tokens, key.k
+) -> list[tuple[float, bool]]:
+    """(folded pivot, green) for each first occurrence of a (context, token)
+    tuple: recompute the keyed pivot, test green membership, and fold red
+    pivots to 1 - zeta."""
+    k = key.k
     scores = []
-    for pos in _first_occurrences(tokens, k, vocab_size):
-        ctx, tok = tokens[pos - k : pos], tokens[pos]
+    for row in _first_occurrences(text.tokens, k, vocab_size):
+        ctx = row[:k]
         zeta = derive_zeta(key, ctx)
-        green = is_green(key, ctx, tok, vocab_size)
-        scores.append(
-            ScoredToken(
-                position=pos,
-                token=tok,
-                context=ctx,
-                is_green=green,
-                zeta_prime=zeta if green else 1.0 - zeta,
-            )
-        )
+        green = is_green(key, ctx, row[k], vocab_size)
+        scores.append((zeta if green else 1.0 - zeta, green))
     return scores
 
 
 def extract_zeta_primes_batch(
     tokens_2d: np.ndarray, key: WatermarkKey, vocab_size: int | None = None
 ) -> list[np.ndarray]:
-    """Folded pivots for a batch of equal-length texts (rows), at the
-    positions :func:`extract_scores` scores.
+    """Folded pivots for a batch of equal-length texts (rows), in the order
+    :func:`extract_scores` returns them: one per first occurrence of a
+    (context, token) tuple.  Rows of any dtype but a numpy integer one (such
+    as an object array of Python ints beyond int64) are read as a
+    :class:`GeneratedText` is, and every row is checked before its int64
+    conversion.
 
     Perm-mode membership ranks each token's keyed word within its row (see
     :func:`is_green_batch`), which needs ``vocab_size``.
     """
+    rows = np.asarray(tokens_2d)
     out = []
-    for row in np.asarray(tokens_2d, dtype=np.int64):
-        ctxs, toks = _first_tuples(tuple(row.tolist()), key.k, vocab_size)
+    for row in rows.tolist():
+        if rows.dtype.kind not in "iu":
+            row = GeneratedText(row).tokens
+        ctxs, toks = _first_tuples(tuple(row), key.k, vocab_size)
         zetas = derive_zeta_batch(key, ctxs)
         green = is_green_batch(key, ctxs, toks, vocab_size)
         out.append(np.where(green, zetas, 1.0 - zetas))
@@ -741,7 +733,7 @@ def detect(
     _check_detect_levels(statistic, alpha, reps)
     scores = extract_scores(text, key, vocab_size)
     keep_red = side is Side.COMBINED and statistic is not Statistic.MAX
-    values = np.array([s.zeta_prime for s in scores if s.is_green or keep_red], dtype=np.float64)
+    values = np.array([z for z, green in scores if green or keep_red], dtype=np.float64)
     if statistic is Statistic.SUM:
         return sum_test(values, alpha)
     if statistic is Statistic.MAX:

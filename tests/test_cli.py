@@ -406,15 +406,17 @@ class TestDetect:
         src.write_text("".join(json.dumps(r) + "\n" for r in (
             {"tokens": [*good, 32], "vocab_size": 32},
             {"tokens": [*good, -1]},
+            {"tokens": [*good, 2**64 + 3]},
             {"tokens": good, "vocab_size": 32},
         )))
         out = tmp_path / "r.jsonl"
         rc = main(["detect", "--in", str(src), "--key", f"9e3779b97f4a7c15:k=2:g=0.5:mode={mode}",
                    "--out", str(out)])
         assert rc == 0
-        bad_high, bad_low, ok = _records(out)
+        bad_high, bad_low, beyond_int64, ok = _records(out)
         assert bad_high["error"] == "token 32 outside [0, 32)"
         assert bad_low["error"] == "token -1 outside [0, vocab_size)"
+        assert beyond_int64["error"] == f"token {2**64 + 3} outside [0, vocab_size)"
         assert ok["n_scored"] == 18
 
     @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)

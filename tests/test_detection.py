@@ -41,7 +41,14 @@ from wmkit.detection import (
     sum_pvalue,
     sum_test,
 )
-from wmkit.keying import WatermarkKey, derive_zeta, is_green, keyed_permutation, perm_head
+from wmkit.keying import (
+    WatermarkKey,
+    derive_zeta,
+    is_green,
+    is_green_batch,
+    keyed_permutation,
+    perm_head,
+)
 from wmkit.lm import MarkovSource
 
 KEY = WatermarkKey(master=0x9E3779B97F4A7C15, k=2, gamma=0.5, green_mode="hash")
@@ -611,35 +618,48 @@ class TestExtractScores:
             extract_scores(GeneratedText(tokens=(1, 2)), KEY)
 
     def test_tuple_dedup(self):
-        scores = extract_scores(GeneratedText(tokens=(1, 2, 3, 1, 2, 3)), KEY)
-        assert [s.position for s in scores] == [2, 3, 4]
+        tokens = (1, 2, 3, 1, 2, 3)
+        assert detection._first_occurrences(tokens, 2, None) == [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+        assert len(extract_scores(GeneratedText(tokens), KEY)) == 3
 
     def test_same_context_new_token_scored(self):
-        scores = extract_scores(GeneratedText(tokens=(1, 2, 3, 1, 2, 4)), KEY)
-        assert [s.position for s in scores] == [2, 3, 4, 5]
-        assert scores[-1].context == (1, 2) and scores[-1].token == 4
+        tokens = (1, 2, 3, 1, 2, 4)
+        table = detection._first_occurrences(tokens, 2, None)
+        assert table == [(1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 2, 4)]
+        assert len(extract_scores(GeneratedText(tokens), KEY)) == 4
 
     def test_fold_rule(self):
         rng = np.random.default_rng(6)
         text = _random_text(rng)
-        for s in extract_scores(text, KEY):
-            zeta = derive_zeta(KEY, s.context)
-            assert s.is_green == is_green(KEY, s.context, s.token)
-            expected = zeta if s.is_green else 1.0 - zeta
-            assert s.zeta_prime == expected
+        table = detection._first_occurrences(text.tokens, KEY.k, None)
+        scores = extract_scores(text, KEY)
+        assert len(scores) == len(table)
+        for row, (zeta_prime, green) in zip(table, scores):
+            ctx, tok = row[:2], row[2]
+            zeta = derive_zeta(KEY, ctx)
+            assert green == is_green(KEY, ctx, tok)
+            expected = zeta if green else 1.0 - zeta
+            assert zeta_prime == expected
 
-    def test_batch_matches_scalar(self):
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_batch_matches_scalar(self, k):
+        # k = 0 makes the tuple table (n, 1) and its contexts (n, 0).
         rng = np.random.default_rng(7)
         tokens = rng.integers(0, 32, size=(20, 80))
         for mode in ("hash", "single", "perm"):
-            key = WatermarkKey(master=99, k=2, gamma=0.5, green_mode=mode)
+            key = WatermarkKey(master=99, k=k, gamma=0.5, green_mode=mode)
             batch = extract_zeta_primes_batch(tokens, key, vocab_size=32)
             for i in range(20):
-                scalar = [
-                    s.zeta_prime
-                    for s in extract_scores(GeneratedText(tuple(tokens[i])), key, vocab_size=32)
-                ]
-                assert batch[i].tolist() == scalar
+                text = GeneratedText(tuple(tokens[i].tolist()))
+                scalar = extract_scores(text, key, vocab_size=32)
+                assert batch[i].tolist() == [zeta_prime for zeta_prime, _ in scalar]
+                ctxs, toks = detection._first_tuples(text.tokens, k, 32)
+                assert ctxs.shape == (len(scalar), k)
+                green = is_green_batch(key, ctxs, toks, 32).tolist()
+                assert [g for _, g in scalar] == green
+                for scheme in ("gumbel", "soft"):
+                    report = detect_baseline(text, key, scheme, vocab_size=32)
+                    assert report.n_scored == len(scalar)
 
     def test_perm_extraction_memory_bounded(self):
         # Perm-mode membership must not build a V-wide permutation and mask
@@ -681,10 +701,16 @@ class TestExtractScores:
     @pytest.mark.parametrize("mode", ["hash", "perm"])
     @pytest.mark.parametrize(
         "tokens,vocab_size",
-        [((1, 2, 32, 4), 32), ((1, -1, 3, 4), 32), ((1, -1, 3, 4), None)],
+        [
+            ((1, 2, 32, 4), 32),
+            ((1, -1, 3, 4), 32),
+            ((1, -1, 3, 4), None),
+            ((1, 2, 2**64 + 3, 4), None),
+        ],
     )
     def test_tokens_outside_vocabulary_rejected(self, mode, tokens, vocab_size):
-        # Negative tokens are refused even when the vocabulary is unknown.
+        # Negative tokens, and tokens beyond int64, are refused even when the
+        # vocabulary is unknown.
         key = WatermarkKey(master=99, k=2, gamma=0.5, green_mode=mode)
         text = GeneratedText(tokens)
         for call in (
@@ -695,6 +721,11 @@ class TestExtractScores:
         ):
             with pytest.raises(OutOfRange, match="outside"):
                 call()
+
+    def test_batch_refuses_fractional_tokens(self):
+        # As GeneratedText does for the scalar path: 1.9 is not truncated to 1.
+        with pytest.raises(ValueError, match="integers"):
+            extract_zeta_primes_batch(np.array([[1.9, 2.2, 3.7, 4.1]]), KEY)
 
     def test_null_scores_uniform(self):
         rng = np.random.default_rng(8)
@@ -729,7 +760,7 @@ class TestDetectPipeline:
     def test_green_side_restricts_scores(self):
         text = self._watermarked_text()
         scores = extract_scores(text, KEY)
-        greens = [s.zeta_prime for s in scores if s.is_green]
+        greens = [zeta_prime for zeta_prime, green in scores if green]
         report = detect(text, KEY, Statistic.SUM, side=Side.GREEN_ONLY)
         assert report.n_scored == len(greens)
         assert report.value == pytest.approx(sum(greens))
@@ -772,7 +803,7 @@ class TestBaselines:
         for seed in range(20_000):
             text = _random_text(np.random.default_rng(seed), length=12)
             scores = extract_scores(text, KEY)
-            if len(scores) == 10 and all(s.is_green for s in scores):
+            if len(scores) == 10 and all(green for _, green in scores):
                 break
         else:
             pytest.fail("no all-green text among the seeds searched")

@@ -1,10 +1,12 @@
 """The package's public names: each module's ``__all__`` and the names that
 ``wmkit`` re-exports, so that deleting a function cannot leave a stale
-export behind."""
+export behind; and the README's API quick start, run as written."""
 
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,13 @@ def test_package_exports_are_module_exports():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert sorted(public - exported) == []
+
+
+def test_readme_api_quick_start_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (API)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].reject is True
