@@ -83,12 +83,11 @@ def _parse_model_arg(spec: str):
         return parse_model_spec(spec)
 
 
-def text_record(text_id, text: GeneratedText, scheme, vocab_size, watermarked, **fields) -> str:
-    """One JSON Lines text record: the text and its provenance, then the
-    command's own ``fields`` in the order given."""
-    record = {"text_id": text_id, "tokens": list(text.tokens), "prompt_len": text.prompt_len,
-              "scheme": scheme, "vocab_size": vocab_size, "watermarked": watermarked}
-    return json.dumps({**record, **fields})
+def text_record(text_id, text: GeneratedText, scheme, vocab_size, watermarked, **fields) -> dict:
+    """One text record, as :func:`_emit` writes it: the text and its
+    provenance, then the command's own ``fields`` in the order given."""
+    return {"text_id": text_id, "tokens": list(text.tokens), "prompt_len": text.prompt_len,
+            "scheme": scheme, "vocab_size": vocab_size, "watermarked": watermarked, **fields}
 
 
 def text_from_record(record) -> GeneratedText:
@@ -109,13 +108,18 @@ def text_from_record(record) -> GeneratedText:
     return GeneratedText(tokens=tuple(tokens), prompt_len=prompt_len)
 
 
-def _emit(lines, out: str | None) -> None:
-    """Write ``lines``, each ending in a newline, to ``out`` or to stdout."""
-    payload = "".join(f"{line}\n" for line in lines)
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout."""
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(payload)
+        Path(out).write_text(text)
+
+
+def _emit(records, out: str | None) -> None:
+    """Write each record (a dict) as one line of strict JSON to ``out`` or to
+    stdout: a NaN or infinity raises ValueError, and nothing is written."""
+    _write("".join(json.dumps(record, allow_nan=False) + "\n" for record in records), out)
 
 
 def _random_prompt(aux: RngStream, k: int, vocab_size: int) -> GeneratedText:
@@ -134,25 +138,25 @@ def cmd_generate(args) -> int:
     with _usage():
         key = _parse_key_arg(args.key)
         _check_lengths(args)
-        model = _parse_model_arg(args.model)
         config = None if args.plain else DecoderConfig(
             scheme=args.scheme, delta=args.delta, alpha_dip=args.alpha_dip, masking=args.masking
         )
+        model = _parse_model_arg(args.model)
     scheme = "plain" if config is None else config.scheme.value
-    lines = []
+    records = []
     for i in range(args.texts):
         if isinstance(model, TraceSource):
             model.cursor = 0  # every text replays the trace from its first step
         aux = _text_stream(args.seed, i, _GEN_ROLE)
         prompt = _random_prompt(aux, key.k, model.vocab_size)
         result = generate(model, key, config, prompt, args.n, aux)
-        lines.append(
+        records.append(
             text_record(
                 i, result.text, scheme, model.vocab_size, config is not None,
                 diagnostics=[step.to_dict() for step in result.steps],
             )
         )
-    _emit(lines, args.out)
+    _emit(records, args.out)
     return 0
 
 
@@ -169,10 +173,10 @@ def cmd_detect(args) -> int:
         statistic, side, denom = Statistic(args.stat), Side(args.side), HcDenom(args.hc_denom)
         _check_detect_levels(statistic, args.alpha, args.calib_reps)
         _check_seed(args.calib_seed)
-    records = _read_lines(args.input)
-    lines = []
+    lines = _read_lines(args.input)
+    records = []
     n_wm = n_plain = rej_wm = rej_plain = 0
-    for idx, line in enumerate(records):
+    for idx, line in enumerate(lines):
         base = {"text_id": idx}
         try:
             rec = json.loads(line)
@@ -193,17 +197,18 @@ def cmd_detect(args) -> int:
                 seed=args.calib_seed,
             )
         except ValueError as exc:
-            lines.append(json.dumps({**base, "error": str(exc)}))
+            records.append({**base, "error": str(exc)})
             continue
-        lines.append(json.dumps({**base, **dataclasses.asdict(report)}))
+        value = None if report.value == -np.inf else report.value  # HC+ with no score >= 1/n
+        records.append({**base, **dataclasses.asdict(report), "value": value})
         if label is True:
             n_wm += 1
             rej_wm += int(report.reject)
         elif label is False:
             n_plain += 1
             rej_plain += int(report.reject)
-    _emit(lines, args.out)
-    summary = f"texts={len(records)}"
+    _emit(records, args.out)
+    summary = f"texts={len(lines)}"
     if n_wm:
         summary += f" TPR={rej_wm / n_wm:.4f} (watermarked={n_wm})"
     if n_plain:
@@ -216,7 +221,7 @@ def cmd_attack(args) -> int:
     with _usage():
         config = AttackConfig(sub_rate=args.rate)
         _check_seed(args.seed)
-    lines = []
+    records = []
     for idx, line in enumerate(_read_lines(args.input)):
         rec = json.loads(line)
         text = text_from_record(rec)
@@ -225,13 +230,13 @@ def cmd_attack(args) -> int:
             raise ValueError("records must carry vocab_size for substitution")
         rng = np.random.default_rng([args.seed, idx])
         attacked = substitute(text, config.sub_rate, rng, vocab_size)
-        lines.append(
+        records.append(
             text_record(
                 rec.get("text_id", idx), attacked, rec.get("scheme"), vocab_size,
                 rec.get("watermarked"), attack={"kind": args.kind, "rate": config.sub_rate},
             )
         )
-    _emit(lines, args.out)
+    _emit(records, args.out)
     return 0
 
 
@@ -245,7 +250,7 @@ def cmd_specdec(args) -> int:
         draft, target = _parse_model_arg(args.draft), _parse_model_arg(args.target)
         _check_specdec_models(draft, target)
     attack = {"kind": "specdec", "accept_scale": config.accept_scale, "lookahead": config.lookahead}
-    lines = []
+    records = []
     all_stats = []
     for i in range(args.texts):
         aux = _text_stream(args.seed, i, _GEN_ROLE)
@@ -255,18 +260,18 @@ def cmd_specdec(args) -> int:
             draft, target, key, config, scheme, prompt, args.n, aux, accept_rng
         )
         all_stats.append(stats)
-        lines.append(
+        records.append(
             text_record(
                 i, text, scheme.value, draft.vocab_size, True,
                 attack=attack, specdec_stats=stats.to_dict(),
             )
         )
-    _emit(lines, args.out)
-    aggregate = json.dumps(merge_specdec_stats(all_stats).to_dict())
+    _emit(records, args.out)
+    aggregate = merge_specdec_stats(all_stats).to_dict()
     if args.stats_out is None:
-        print(aggregate, file=sys.stderr)
+        print(json.dumps(aggregate), file=sys.stderr)
     else:
-        Path(args.stats_out).write_text(aggregate + "\n")
+        _emit([aggregate], args.stats_out)
     return 0
 
 
@@ -285,9 +290,9 @@ def cmd_simulate(args) -> int:
         if args.hist_bins < 1:
             raise ValueError("--hist-bins must be >= 1")
     curve = run_power(config)
-    _emit(curve.to_csv().splitlines(), args.out)
+    _write(curve.to_csv(), args.out)
     if args.histogram is not None:
-        Path(args.histogram).write_text(csv_text(curve.histogram(args.hist_bins)))
+        _write(csv_text(curve.histogram(args.hist_bins)), args.histogram)
     return 0
 
 
@@ -300,19 +305,16 @@ def cmd_calibrate(args) -> int:
         statistic, n=args.n, alpha=args.alpha, reps=args.reps, seed=args.seed, denom=denom,
         cache_dir=cache_dir,
     )
-    print(
-        json.dumps(
-            {
-                "statistic": args.stat,
-                "n": args.n,
-                "alpha": args.alpha,
-                "reps": args.reps,
-                "seed": args.seed,
-                "critical_value": critical,
-                "cache_dir": str(cache_dir),
-            }
-        )
-    )
+    record = {
+        "statistic": args.stat,
+        "n": args.n,
+        "alpha": args.alpha,
+        "reps": args.reps,
+        "seed": args.seed,
+        "critical_value": critical,
+        "cache_dir": str(cache_dir),
+    }
+    _emit([record], None)
     return 0
 
 

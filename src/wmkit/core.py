@@ -45,6 +45,10 @@ _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
 _U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
+# Elements per block where a kernel works on a (rows, width) array a block of
+# rows at a time: a float64 or 64-bit integer block buffer takes about 2 MiB.
+_BLOCK_ELEMENTS = 1 << 18
+
 
 class EmptyVector(ValueError):
     """Raised for empty or zero-length probability input."""
@@ -99,6 +103,12 @@ def _unit_float(z: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
+def _block_rows(rows: int, width: int) -> int:
+    """Rows per block when a (rows, width) array is worked on in blocks of
+    about ``_BLOCK_ELEMENTS`` elements; at least one row."""
+    return max(1, min(rows, _BLOCK_ELEMENTS // max(width, 1)))
+
+
 def counter_words(states, counters) -> np.ndarray:
     """64-bit words ``mix64(state + c * GOLDEN)`` at the given counters of the
     streams seeded by ``states``, broadcast over uint64 arrays."""
@@ -143,13 +153,11 @@ class RngStream:
 
     def next_uniform(self) -> float:
         self.counter = (self.counter + 1) & MASK64
-        z = mix64((self.state + self.counter * GOLDEN) & MASK64)
-        return _unit_float(z)
+        return self.value_at(self.counter)
 
     def value_at(self, counter: int) -> float:
         """Draw at an absolute counter position without advancing the stream."""
-        z = mix64((self.state + (counter & MASK64) * GOLDEN) & MASK64)
-        return _unit_float(z)
+        return _unit_float(mix64((self.state + (counter & MASK64) * GOLDEN) & MASK64))
 
 
 def make_ntp(raw, strict: bool = False) -> np.ndarray:

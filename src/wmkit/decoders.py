@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -106,12 +106,17 @@ class DecoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
+        # None means not given: a scheme refuses a parameter it would ignore.
         if self.scheme in (Scheme.MC_SOFT, Scheme.SOFT):
             if self.delta is None or not 0.0 <= self.delta <= _MAX_DELTA:
                 raise ValueError(f"scheme {self.scheme.value} needs delta in [0, {_MAX_DELTA!r}]")
+        elif self.delta is not None:
+            raise ValueError(f"delta applies to the soft and mc-soft schemes, not {self.scheme.value}")
         if self.scheme is Scheme.DIPMARK:
             if self.alpha_dip is None or not 0.0 <= self.alpha_dip < 0.5:
                 raise ValueError("dipmark requires alpha_dip in [0, 0.5)")
+        elif self.alpha_dip is not None:
+            raise ValueError(f"alpha_dip applies to the dipmark scheme, not {self.scheme.value}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,9 @@ class StepResult:
     zero_green: bool = False
 
     def to_dict(self) -> dict:
-        """The step's diagnostics, as a text record lists them."""
-        return {
-            "masked": self.masked,
-            "branch": self.branch.value if self.branch is not None else None,
-            "green_mass": self.green_mass,
-            "zero_green": self.zero_green,
-        }
+        """The step's diagnostics, as a text record lists them: every field
+        but the token.  A :class:`Branch` is a str enum; JSON writes its value."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "token"}
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GeneratedText, counter_uniforms
+from .core import GeneratedText, _block_rows, counter_uniforms
+from .decoders import Scheme
 from .keying import (
     ZETA_TAG,
     WatermarkKey,
@@ -266,13 +267,6 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     )
 
 
-# Rows per block of drawn or scored rows: about 2**18 scores, so each of an
-# HC block's two buffers (the scores, and their bucket indices) takes about
-# 2 MiB whatever m is; rows too short to prune take two scoring buffers in
-# place of the indices.  A calibration null of 2000 rows of about 300
-# scores is then three blocks, so it runs on two threads.
-_BLOCK_ELEMENTS = 1 << 18
-
 # HC rows of at least _HC_PRUNE_FROM scores are scored through value buckets
 # of about _HC_BUCKET_SCORES scores each; shorter rows are sorted and scored
 # whole, which is faster there because nearly every bucket survives (on 2
@@ -447,7 +441,9 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
             np.copyto(out, rows[lo:hi])
 
     out = np.empty(reps)
-    block = max(1, min(reps, _BLOCK_ELEMENTS // m))
+    # Blocks of about 2**18 scores: a calibration null of 2000 rows of about
+    # 300 scores is three blocks, so it runs on two threads.
+    block = _block_rows(reps, m)
     starts = range(0, reps, block)
     pruned = m >= _HC_PRUNE_FROM
     if pruned:
@@ -592,7 +588,7 @@ def _null_statistics(
     if rows.reduce is None:
         return hc_batch(rows, statistic, denom)
     # Sum and max: blocks of about 2**18 scores on this thread, reduced by fill.
-    buf = np.empty((max(1, min(reps, _BLOCK_ELEMENTS // n)), n))
+    buf = np.empty((_block_rows(reps, n), n))
     for lo in range(0, reps, len(buf)):
         hi = min(lo + len(buf), reps)
         rows.fill(lo, hi, buf[: hi - lo])
@@ -767,8 +763,6 @@ def detect_baseline(
     against the exact Binomial(n, gamma) upper tail.  DiPmark's green set is
     the keyed permutation's head under every key mode, as it generates.
     """
-    from .decoders import Scheme
-
     _check_alpha(alpha)
     scheme = Scheme(scheme)
     ctxs, toks = _first_tuples(text.tokens, key.k, vocab_size)

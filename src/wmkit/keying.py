@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GOLDEN, MASK64, counter_uniforms, counter_words, fold64, mix64, mix64_array
-from .core import _GOLDEN_U64, _INV_2_53, _mix64_inplace
+from .core import _GOLDEN_U64, _block_rows, _mix64_inplace, _unit_float
 
 __all__ = [
     "GREEN_TAG",
@@ -49,9 +49,6 @@ PERM_TAG = 0x33
 # single: one context-independent membership hash shared by every step
 # perm:   per-context keyed permutation, exactly floor(gamma * V) green tokens
 GREEN_MODES = ("hash", "single", "perm")
-
-# Keyed words per block of perm-mode membership rows: a few MiB at V = 128k.
-_BLOCK_WORDS = 1 << 18
 
 
 class ContextLengthMismatch(ValueError):
@@ -114,14 +111,10 @@ def parse_key(text: str) -> WatermarkKey:
         raise KeyFormatError(str(exc)) from None
 
 
-def _check_context(key: WatermarkKey, ctx) -> None:
-    if len(ctx) != key.k:
-        raise ContextLengthMismatch(f"context has {len(ctx)} tokens, key expects {key.k}")
-
-
 def derive_seed(key: WatermarkKey, ctx, tag: int) -> int:
     """Deterministic 64-bit seed from (master XOR tag) folded with the context."""
-    _check_context(key, ctx)
+    if len(ctx) != key.k:
+        raise ContextLengthMismatch(f"context has {len(ctx)} tokens, key expects {key.k}")
     return mix64(fold64(key.master ^ tag, ctx))
 
 
@@ -203,14 +196,11 @@ def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.nda
 
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
     """Green-list membership of one token under the keyed partition."""
-    mode = key.green_mode
-    if mode == "perm":
+    if key.green_mode == "perm":
         return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
-    # _green_seed, then the first counter word of the (seed ^ token hash)
-    # stream against _gamma_threshold, inlined: this runs once per position.
-    seed = derive_seed(key, ctx, GREEN_TAG) if mode == "hash" else mix64(key.master ^ GREEN_TAG)
-    word = mix64((seed ^ _token_hash(token)) + GOLDEN)
-    return word < math.ceil(key.gamma * 2**53) << 11
+    # The first counter word of the (seed ^ token hash) stream.
+    word = mix64((_green_seed(key, ctx) ^ _token_hash(token)) + GOLDEN)
+    return word < _gamma_threshold(key.gamma)
 
 
 def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
@@ -241,7 +231,8 @@ def is_green_batch(
     """Vectorized :func:`is_green` for paired (n, k) contexts and (n,) tokens.
     Perm mode needs ``vocab_size`` and builds no permutation: a token is green
     iff fewer than floor(gamma * V) words of its row (see :func:`_perm_words`)
-    are smaller than its own, counted in blocks of ``_BLOCK_WORDS`` words."""
+    are smaller than its own, counted in blocks of rows of about
+    ``core._BLOCK_ELEMENTS`` words."""
     tokens = np.asarray(tokens, dtype=np.int64)
     seeds = _green_seeds(key, ctxs)
     if key.green_mode != "perm":
@@ -251,7 +242,7 @@ def is_green_batch(
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab_size:
         raise ValueError(f"perm-mode tokens must lie in [0, {vocab_size})")
     own = counter_words(seeds, tokens.astype(np.uint64) + np.uint64(1))
-    rows = max(1, _BLOCK_WORDS // max(vocab_size, 1))
+    rows = _block_rows(len(tokens), vocab_size)
     ranks = np.empty(len(tokens), dtype=np.int64)
     for lo in range(0, len(tokens), rows):
         below = _perm_words(seeds[lo : lo + rows], vocab_size) < own[lo : lo + rows, None]
@@ -281,7 +272,7 @@ def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
 def derive_zeta(key: WatermarkKey, ctx) -> float:
     """Keyed pivot uniform for one context: first draw of the ZETA stream,
     ``RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()``."""
-    return (mix64(derive_seed(key, ctx, ZETA_TAG) + GOLDEN) >> 11) * _INV_2_53
+    return _unit_float(mix64(derive_seed(key, ctx, ZETA_TAG) + GOLDEN))
 
 
 def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:

@@ -76,6 +76,10 @@ class RegimeConfig:
             raise ValueError("STRONG regime requires r > 0")
         if self.regime is Regime.WEAK and (self.q is None or not self.q > 0.0):
             raise ValueError("WEAK regime requires q > 0")
+        # None means not given: a regime refuses the exponent it would ignore.
+        unused = "q" if self.regime is Regime.STRONG else "r"
+        if getattr(self, unused) is not None:
+            raise ValueError(f"{unused} does not apply to the {self.regime.value} regime")
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")
         if any(m < 2 for m in self.m_grid):
@@ -106,7 +110,7 @@ class PowerCurve:
     rows: tuple[PowerRow, ...]
     # Null and alternative values of each statistic at the largest m, kept
     # so that :meth:`histogram` bins them instead of drawing them again.
-    largest_cell: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
+    largest_cell: tuple[dict, dict] = field(compare=False, repr=False)
 
     def to_csv(self) -> str:
         c, names = self.config, POWER_CSV_HEADER.split(",")
@@ -120,8 +124,6 @@ class PowerCurve:
         """Binned null and alternative counts of each statistic at the
         largest m, from the draws :func:`run_power` made there.  Bins cover
         the pooled finite values."""
-        if self.largest_cell is None:
-            raise ValueError("this curve keeps no draws to bin")
         null_stats, alt_stats = self.largest_cell
         rows = []
         for stat in _STATISTICS:
@@ -138,10 +140,9 @@ def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, lo: int) -> None:
     """Turn rows x of null uniforms, from row lo of the cell, into
     alternative scores in place, with the signals in the leading columns:
     STRONG scales them by P_G, uniform on [m**(-r), 1], with one row of n_sig
-    P_G draws per cell row from the cell's P_G stream; WEAK by 1 - m**(-q)."""
+    P_G draws per cell row from the cell's P_G stream; WEAK by 1 - m**(-q).
+    As m >= 2 and 0 < p < 1, m * m**(-p) > 1, so there is at least one."""
     n_sig = signal_count(config, m)
-    if n_sig == 0:
-        return
     if config.regime is Regime.STRONG:
         u = np.empty((len(x), n_sig))
         RowStream((config.seed, m, 1, _PG_STREAM), (config.reps, n_sig)).fill(lo, lo + len(x), u)

@@ -294,6 +294,10 @@ class TestSpecDecPostprocess:
         with pytest.raises(ValueError):
             self._run(Scheme.SOFT)
 
+    def test_nothing_to_generate_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            self._run(Scheme.MC, n=0)
+
     def test_vocab_mismatch(self):
         a = MarkovSource(order=2, vocab_size=64, seed=11)
         b = MarkovSource(order=2, vocab_size=32, seed=11)

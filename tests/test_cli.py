@@ -38,8 +38,14 @@ def _generate(tmp_path, name="texts.jsonl", extra=(), n=60, texts=3, seed=0):
     return out
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _records(path):
-    return [json.loads(ln) for ln in path.read_text().splitlines() if ln.strip()]
+    # Strict JSON: NaN, Infinity and -Infinity are refused.
+    return [json.loads(ln, parse_constant=_refuse_constant)
+            for ln in path.read_text().splitlines() if ln.strip()]
 
 
 # Records that are not text records; each once raised a traceback or was
@@ -459,6 +465,23 @@ class TestDetect:
         assert rec["statistic"] == "hc+"
         assert rec["threshold"] is not None
 
+    def test_hc_plus_without_eligible_score_writes_json_null(self, tmp_path, capsys):
+        # Both scored tuples of this text score below 1/2, so HC+ has no
+        # eligible score and is -inf, which JSON has no literal for.
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"tokens":[0,0,0,1],"vocab_size":64}\n')
+        assert main(["detect", "--in", str(src), "--key", KEY_ARG, "--stat", "hc+"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        rec = json.loads(line, parse_constant=_refuse_constant)
+        assert rec["value"] is None and rec["reject"] is False
+        assert rec["n_scored"] == 2 and rec["threshold"] == 1.3815055492905763
+
+    def test_non_finite_record_is_refused_and_nothing_written(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(ValueError):
+            cli._emit([{"value": 1.0}, {"value": float("nan")}], str(out))
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         rc = main(["detect", "--in", str(tmp_path / "nope.jsonl"), "--key", KEY_ARG])
         assert rc == 1
@@ -583,6 +606,17 @@ class TestSpecDec:
         assert rc == 2
         assert "must share a vocabulary, got 64 and 32" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stats_on_stderr_without_stats_out(self, tmp_path, capsys):
+        argv = ["specdec", "--draft", MODEL_ARG, "--target", MODEL_ARG, "--key", KEY_ARG,
+                "--n", "40", "--texts", "2", "--out", str(tmp_path / "sd.jsonl")]
+        assert main(argv) == 0
+        printed = capsys.readouterr().err
+        stats_out = tmp_path / "stats.json"
+        assert main([*argv, "--stats-out", str(stats_out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert printed == stats_out.read_text()
+        assert json.loads(printed)["n_evaluated"] > 0
 
     def test_scheme_restricted(self, tmp_path):
         rc = main(
@@ -957,6 +991,35 @@ def test_bad_length_is_usage_error_before_reading_a_model(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--scheme", "mc", "--delta", "5"],
+         "delta applies to the soft and mc-soft schemes, not mc"),
+        (["generate", "--scheme", "gumbel", "--alpha-dip", "0.3"],
+         "alpha_dip applies to the dipmark scheme, not gumbel"),
+        (["generate", "--scheme", "soft", "--delta", "1", "--alpha-dip", "0.3"],
+         "alpha_dip applies to the dipmark scheme, not soft"),
+        (["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.5", "--r", "0.9"],
+         "r does not apply to the weak regime"),
+        (["simulate", "--regime", "strong", "--p", "0.2", "--r", "0.5", "--q", "0.5"],
+         "q does not apply to the strong regime"),
+    ],
+    ids=["mc-delta", "gumbel-alpha-dip", "soft-alpha-dip", "weak-r", "strong-q"],
+)
+def test_flag_the_scheme_or_regime_ignores_is_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                                          message):
+    # generate's model is a missing trace file, which exit 1 would show was read.
+    monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
+    out = tmp_path / "out"
+    extra = {"generate": ["--model", f"trace:path={tmp_path / 'missing.jsonl'}", "--key", KEY_ARG,
+                          "--n", "20"],
+             "simulate": ["--m", "100", "--reps", "1000"]}[argv[0]]
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,prefix",
     [
         (["detect", "--in", "{missing}", "--key", "zz:k=2"], "bad key: "),
@@ -968,8 +1031,12 @@ def test_bad_length_is_usage_error_before_reading_a_model(tmp_path, capsys, argv
           "--n", "5", "--stats-out", "{stats}"], "bad model spec: "),
         (["specdec", "--draft", MODEL_ARG, "--target", "markov:seed=1,vocab=64", "--key", KEY_ARG,
           "--n", "5", "--stats-out", "{stats}"], "bad model spec: "),
+        *((["generate", "--model", MODEL_ARG, "--key", f"9e3779b97f4a7c15:{fields}", "--n", "5"],
+           "bad key: ") for fields in ("k=-1:g=0.5:mode=hash", "k=2:g=1.5:mode=hash",
+                                       "k=2:g=0.5:mode=foo")),
     ],
-    ids=["detect-key", "specdec-key", "generate-model", "specdec-draft", "specdec-target"],
+    ids=["detect-key", "specdec-key", "generate-model", "specdec-draft", "specdec-target",
+         "key-k", "key-gamma", "key-mode"],
 )
 def test_bad_key_or_model_spec_is_usage_error_before_reading(tmp_path, capsys, monkeypatch,
                                                              argv, prefix):

@@ -38,6 +38,7 @@ from wmkit.decoders import (
     sample_rejection_coupling,
     sample_soft_batch,
     soft_step_full,
+    VocabMismatch,
 )
 from wmkit.keying import (
     ZETA_TAG,
@@ -337,6 +338,11 @@ class TestRejectionCoupling:
         for zeta in (0.1, 0.5, 0.99):
             _, accepted = sample_rejection_coupling(P, P, zeta, RngStream(3))
             assert accepted
+
+    def test_vocabulary_mismatch_rejected(self):
+        with pytest.raises(VocabMismatch, match="vocab sizes differ: 2 vs 3"):
+            sample_rejection_coupling(make_ntp([0.5, 0.5]), make_ntp([0.2, 0.3, 0.5]), 0.5,
+                                      RngStream(3))
 
     def test_one_hot_q_hand_case(self):
         P = make_ntp([0.5, 0.5])
@@ -644,6 +650,20 @@ class TestConfig:
         assert DecoderConfig(scheme="soft", delta=1.0).delta == 1.0
         assert DecoderConfig(scheme="soft", delta=709.0).delta == 709.0
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scheme": "mc", "delta": 5.0},
+            {"scheme": "gumbel", "delta": 0.0},
+            {"scheme": "dipmark", "alpha_dip": 0.3, "delta": 1.0},
+            {"scheme": "mc", "alpha_dip": 0.3},
+            {"scheme": "soft", "delta": 1.0, "alpha_dip": 0.0},
+        ],
+    )
+    def test_parameter_the_scheme_ignores_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="applies to the"):
+            DecoderConfig(**kwargs)
+
     def test_dipmark_needs_alpha(self):
         with pytest.raises(ValueError):
             DecoderConfig(scheme="dipmark")
@@ -706,6 +726,11 @@ class TestGeneration:
         assert res.text.tokens == (1, 2, 2, 1, 0)
         assert res.steps == ()
 
+    @pytest.mark.parametrize("config", [None, DecoderConfig(scheme="mc")])
+    def test_nothing_to_generate_is_refused(self, config):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate(self._model(), KEY, config, GeneratedText((1, 2), 2), 0, RngStream(0))
+
     def test_masking_off_never_masks(self):
         key0 = WatermarkKey(master=77, k=0, gamma=0.5, green_mode="hash")
         model = MarkovSource(order=1, vocab_size=8, seed=2)
@@ -718,11 +743,11 @@ class TestGeneration:
         cfg = DecoderConfig(scheme="dipmark", alpha_dip=0.45)
         prompt = GeneratedText(tokens=(0, 1), prompt_len=2)
         res = generate(model, PERM_KEY, cfg, prompt, 15, RngStream(4))
-        line = text_record(
+        record = text_record(
             0, res.text, cfg.scheme.value, model.vocab_size, True,
             diagnostics=[step.to_dict() for step in res.steps],
         )
-        rec = json.loads(line)
+        rec = json.loads(json.dumps(record, allow_nan=False))
         assert list(rec) == ["text_id", "tokens", "prompt_len", "scheme", "vocab_size",
                              "watermarked", "diagnostics"]
         assert rec["scheme"] == "dipmark" and rec["watermarked"] is True

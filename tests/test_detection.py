@@ -293,7 +293,8 @@ class TestHcKernel:
     def test_cell_streams_match_oracle_at_1e5(self, regime, role):
         # The first 9 rows of a cell: a stream with the cell's entropy and
         # signal transform.
-        config = simulation.RegimeConfig(regime, p=0.2, q=0.5, r=0.5, reps=1000, seed=6)
+        exponent = {"q": 0.5} if regime == "weak" else {"r": 0.5}
+        config = simulation.RegimeConfig(regime, p=0.2, reps=1000, seed=6, **exponent)
         cell = simulation._cell_rows(config, 100_000, role)
         rows = RowStream(cell.entropy, (9, 100_000), transform=cell.transform)
         whole = np.asarray(rows)
@@ -484,6 +485,11 @@ class TestCalibration:
 
     def test_env_var_controls_default_dir(self):
         assert default_cache_dir() == Path(os.environ["WMKIT_CALIB_DIR"])
+
+    def test_default_dir_under_home_without_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("WMKIT_CALIB_DIR")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_cache_dir() == tmp_path / ".cache" / "wmkit"
 
     def test_negative_seed_rejected_before_lookup(self, tmp_path):
         # A cached row for seed -1 is not an answer to the request.

@@ -74,6 +74,10 @@ class TestKeySerialization:
             "ff:k=2:g=0.5:mode=nope",
             "ff:g=0.5:k=2:mode=hash",
             "ff:k=2:g=0.5:mode=hash:extra=1",
+            ":k=2:g=0.5:mode=hash",
+            "1" * 17 + ":k=2:g=0.5:mode=hash",
+            "ff:k=two:g=0.5:mode=hash",
+            "ff:k=2:g=half:mode=hash",
         ],
     )
     def test_malformed_rejected(self, text):
@@ -91,6 +95,9 @@ class TestKeySerialization:
         assert parse_key(format_key(key)) == key
 
     def test_invalid_fields_rejected(self):
+        for master in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="master must be a 64-bit integer"):
+                WatermarkKey(master=master, k=2, gamma=0.5, green_mode="hash")
         with pytest.raises(ValueError):
             WatermarkKey(master=1, k=-1, gamma=0.5, green_mode="hash")
         with pytest.raises(ValueError):

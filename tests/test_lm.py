@@ -426,6 +426,13 @@ class TestTraceValidation:
         with pytest.raises(MalformedTrace):
             load_trace(path)
 
+    def test_step_line_not_json(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        lines[2] = lines[2][:-1]  # the object's closing brace
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTrace, match="bad step line 1"):
+            load_trace(path)
+
     # Each header was once truncated by int() or let through unchecked.
     @pytest.mark.parametrize("header, probs", [
         ({"vocab_size": 2.7, "n_steps": 1}, [0.5, 0.5]),

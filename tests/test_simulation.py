@@ -86,6 +86,12 @@ class TestRegimeConfig:
         with pytest.raises(ValueError):
             RegimeConfig(regime=Regime.STRONG, p=0.2, m_grid=(100,))
 
+    def test_exponent_the_regime_ignores_is_refused(self):
+        with pytest.raises(ValueError, match="r does not apply to the weak regime"):
+            RegimeConfig(regime=Regime.WEAK, p=0.2, q=0.5, r=0.9, m_grid=(100,))
+        with pytest.raises(ValueError, match="q does not apply to the strong regime"):
+            RegimeConfig(regime=Regime.STRONG, p=0.2, r=0.5, q=0.5, m_grid=(100,))
+
 
 class TestSampling:
     def test_signal_count(self):
@@ -311,6 +317,10 @@ class TestBoundaryScan:
         assert regions[(0.1, 0.2)] == "sum-detectable"
         assert regions[(0.3, 0.2)] == "hc-only"
         assert regions[(0.6, 0.5)] == "undetectable"
+
+    def test_empty_grid_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
+        assert boundary_scan([], [0.2, 0.5], m=200, reps=1000) == []
 
     def test_rows_carry_power(self):
         table = boundary_scan([0.2], [0.3], m=200, reps=1000)
