@@ -138,9 +138,19 @@ def cmd_generate(args) -> int:
     with _usage():
         key = _parse_key_arg(args.key)
         _check_lengths(args)
-        config = None if args.plain else DecoderConfig(
-            scheme=args.scheme, delta=args.delta, alpha_dip=args.alpha_dip, masking=args.masking
-        )
+        if args.plain:
+            # None means not given: --plain refuses a decoder flag it would ignore.
+            masking_flag = "--masking" if args.masking else "--no-masking"
+            for flag, value in (("--scheme", args.scheme), ("--delta", args.delta),
+                                ("--alpha-dip", args.alpha_dip), (masking_flag, args.masking)):
+                if value is not None:
+                    raise ValueError(f"{flag} does not apply to --plain")
+            config = None
+        else:
+            config = DecoderConfig(
+                scheme=args.scheme or Scheme.MC.value, delta=args.delta,
+                alpha_dip=args.alpha_dip, masking=args.masking is not False,
+            )
         model = _parse_model_arg(args.model)
     scheme = "plain" if config is None else config.scheme.value
     records = []
@@ -275,6 +285,10 @@ def cmd_specdec(args) -> int:
     return 0
 
 
+# Bins of the statistic histogram when --histogram is given without --hist-bins.
+_HIST_BINS = 50
+
+
 def cmd_simulate(args) -> int:
     with _usage():
         config = RegimeConfig(
@@ -287,12 +301,15 @@ def cmd_simulate(args) -> int:
             alpha=args.alpha,
             seed=args.seed,
         )
-        if args.hist_bins < 1:
+        if args.histogram is None and args.hist_bins is not None:
+            raise ValueError("--hist-bins does not apply without --histogram")
+        hist_bins = _HIST_BINS if args.hist_bins is None else args.hist_bins
+        if hist_bins < 1:
             raise ValueError("--hist-bins must be >= 1")
     curve = run_power(config)
     _write(curve.to_csv(), args.out)
     if args.histogram is not None:
-        _write(csv_text(curve.histogram(args.hist_bins)), args.histogram)
+        _write(csv_text(curve.histogram(hist_bins)), args.histogram)
     return 0
 
 
@@ -328,13 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate watermarked (or plain) texts as JSONL")
     g.add_argument("--model", required=True, help="markov:seed=S,vocab=V,order=K or trace:path=F")
     g.add_argument("--key", required=True, help="key string MASTER:k=K:g=G:mode=M")
-    g.add_argument("--scheme", default=Scheme.MC.value, choices=[s.value for s in Scheme])
+    g.add_argument("--scheme", default=None, choices=[s.value for s in Scheme],
+                   help=f"watermark scheme (default {Scheme.MC.value})")
     g.add_argument("--n", type=int, required=True, help="tokens to generate per text")
     g.add_argument("--texts", type=int, default=1)
     g.add_argument("--delta", type=float, default=None, help="bias for soft schemes")
     g.add_argument("--alpha-dip", type=float, default=None, help="reweight parameter for dipmark")
-    g.add_argument("--masking", action=argparse.BooleanOptionalAction, default=True,
-                   help="skip watermarking at repeated contexts")
+    g.add_argument("--masking", action=argparse.BooleanOptionalAction, default=None,
+                   help="skip watermarking at repeated contexts (default on)")
     g.add_argument("--plain", action="store_true", help="sample from the model without watermark")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None, help="output JSONL path (default stdout)")
@@ -387,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None, help="power CSV path (default stdout)")
     m.add_argument("--histogram", default=None, help="optional statistic-histogram CSV path")
-    m.add_argument("--hist-bins", type=int, default=50)
+    m.add_argument("--hist-bins", type=int, default=None,
+                   help=f"histogram bins, with --histogram only (default {_HIST_BINS})")
     m.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("calibrate", help="simulate and cache a null critical value")

@@ -16,11 +16,10 @@ one context; the batch samplers (``*_batch``) run it on an array of
 contexts, so statistical tests on 1e5 samples take seconds, and the
 speculative-decoding draft reads its law from the same kernels.  Kernels
 over a V-length row select by multiplication (P times a membership mask
-or a factor looked up by membership) rather than by masked selects, which
-cost several times more at V = 32k; on a finite law both give the same
-bits.  Plain
-draws, both for unwatermarked texts and for repeated contexts under
-masking, are made only in :func:`generate`.
+or a factor looked up by membership) or by a ufunc's ``where=``, not by
+``np.where``, which costs several times more at V = 32k; on a finite law
+both give the same bits.  Plain draws, both for unwatermarked texts and
+for repeated contexts under masking, are made only in :func:`generate`.
 """
 
 from __future__ import annotations
@@ -132,7 +131,10 @@ class StepResult:
     def to_dict(self) -> dict:
         """The step's diagnostics, as a text record lists them: every field
         but the token.  A :class:`Branch` is a str enum; JSON writes its value."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "token"}
+        return {name: getattr(self, name) for name in _DIAGNOSTICS}
+
+
+_DIAGNOSTICS = tuple(f.name for f in fields(StepResult) if f.name != "token")
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
     total = cdf[-1]
     if total <= 0.0:
         raise ValueError("categorical draw over all-zero weights")
-    idx = int(np.searchsorted(cdf, u * total, side="right"))
+    idx = int(cdf.searchsorted(u * total, side="right"))
     if idx >= len(weights):
         idx = int(np.flatnonzero(weights)[-1])
     return idx
@@ -232,17 +234,16 @@ def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray,
     pivot or an (n, V) matrix and (n,) pivots.
 
     Returns the unnormalized token weights and the green mass
-    P_green = sum(P on green): P on green when zeta <= P_green (the overlap
-    min(P, Q), of mass P_green), P on red otherwise (the excess
-    max(0, P - Q)), and P itself when P_green = 0.  Both the mass and the
-    weights select by multiplying with a membership mask; on a finite law
-    that gives the bits of a masked select, up to the sign of a zero, which
-    no draw reads.
+    P_green = sum(P on green).  One product P * green gives both: it is the
+    overlap min(P, Q), of mass P_green, taken when zeta <= P_green; on the
+    other side it is replaced in place by P - P * green, the excess
+    max(0, P - Q), which is also P itself when P_green = 0.  That has the
+    bits of a masked select: P - P = +0.0 on green, P - 0.0 = P on red.
     """
-    mass = (probs * green).sum(axis=-1)
-    side = green == np.asarray(zeta <= mass)[..., None]
-    keep = side | np.asarray(mass == 0.0)[..., None]
-    return probs * keep, mass
+    weights = probs * green
+    mass = np.add.reduce(weights, axis=-1)
+    excess = np.asarray((mass < zeta) | (mass == 0.0))[..., None]
+    return np.subtract(probs, weights, out=weights, where=excess), mass
 
 
 def mc_step_full(P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream) -> StepResult:

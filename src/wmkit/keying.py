@@ -182,16 +182,13 @@ def _perm_mask(perms: np.ndarray, gamma: float) -> np.ndarray:
     return mask
 
 
-def _green_rows(key: WatermarkKey, seeds: np.ndarray, vocab_size: int) -> np.ndarray:
-    """(n, vocab_size) membership, one row per seed: a GREEN seed (hash and
-    single modes) against the vocabulary hash row, or the permutation head
-    of a PERM seed (perm mode).  A hash-mode row is the first counter word
-    of each (seed ^ token hash) stream, built in one buffer."""
-    if key.green_mode == "perm":
-        return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
-    words = _vocab_hashes(vocab_size) ^ seeds[:, None]
+def _hash_rows(seeds, vocab_size: int, gamma: float) -> np.ndarray:
+    """Hash-mode membership against the vocabulary hash row, for one uint64
+    seed (one row) or an (n, 1) column of seeds (n rows): the first counter
+    word of each (seed ^ token hash) stream, built in one buffer."""
+    words = _vocab_hashes(vocab_size) ^ seeds
     words += _GOLDEN_U64
-    return _below_gamma(_mix64_inplace(words), key.gamma)
+    return _below_gamma(_mix64_inplace(words), gamma)
 
 
 def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) -> bool:
@@ -207,12 +204,11 @@ def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
     """Boolean membership vector over the whole vocabulary."""
     if key.green_mode == "perm":
         return _perm_mask(keyed_permutation(key, ctx, vocab_size)[None, :], key.gamma)[0]
-    seed = np.array([_green_seed(key, ctx)], dtype=np.uint64)
-    return _green_rows(key, seed, vocab_size)[0]
+    return _hash_rows(np.uint64(_green_seed(key, ctx)), vocab_size, key.gamma)
 
 
 def _green_seeds(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
-    # The seed of each context's green row, as _green_rows takes it.
+    # The seed of each context's green row: GREEN (hash, single) or PERM.
     if key.green_mode == "perm":
         return derive_seed_batch(key, ctxs, PERM_TAG)
     if key.green_mode == "single":
@@ -222,7 +218,10 @@ def _green_seeds(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:
 
 def green_mask_batch(key: WatermarkKey, ctxs: np.ndarray, vocab_size: int) -> np.ndarray:
     """(n, vocab_size) membership matrix for an (n, k) array of contexts."""
-    return _green_rows(key, _green_seeds(key, ctxs), vocab_size)
+    seeds = _green_seeds(key, ctxs)
+    if key.green_mode == "perm":
+        return _perm_mask(keyed_permutation_batch(seeds, vocab_size), key.gamma)
+    return _hash_rows(seeds[:, None], vocab_size, key.gamma)
 
 
 def is_green_batch(

@@ -61,19 +61,25 @@ def _log_gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
     uniforms), so a tiny shape gives very negative logs, not zeros.  If
     log(U) / shape overflows to -inf on every entry, the logs are 0 at the
     largest U and -inf elsewhere: the one-hot law that the row tends to as
-    the shape goes to 0.  Both rows of draws share one buffer and one log."""
+    the shape goes to 0."""
+    with np.errstate(over="ignore"):
+        return _gamma_logs(gen, shape, n)[0]
+
+
+def _gamma_logs(gen: np.random.Generator, shape: float, n: int) -> tuple[np.ndarray, float]:
+    """:func:`_log_gamma` and its max under the caller's errstate, from one
+    buffer and one log; the logs are an array of their own, n floats long."""
     boost = shape < 1.0
     buf = np.empty((1 + boost, n))
     gen.standard_gamma(shape + 1.0 if boost else shape, out=buf[0])
-    if not boost:
-        return np.log(buf[0], out=buf[0])
-    gen.random(out=buf[1])
-    log_g, log_u = np.log(buf, out=buf)
-    with np.errstate(over="ignore"):
-        log_g += log_u / shape
-    if log_g.max() == -np.inf:
-        return np.where(log_u == log_u.max(), 0.0, -np.inf)
-    return log_g
+    if boost:
+        gen.random(out=buf[1])
+    np.log(buf, out=buf)
+    log_g = buf[0] + buf[1] / shape if boost else buf[0]
+    top = np.maximum.reduce(log_g)
+    if top == -np.inf:
+        return np.where(buf[1] == np.maximum.reduce(buf[1]), 0.0, -np.inf), 0.0
+    return log_g, top
 
 
 @dataclass
@@ -129,18 +135,21 @@ class MarkovSource:
         # exponentiated relative to its max, so it never underflows to zeros.
         # A scale that overflows the max is applied to logs relative to the
         # untempered max instead, where overflow only sends entries to -inf.
+        # The tempered max is the scaled max, as division is monotone.
         # Normalized twice in place, as make_ntp(row / row.sum()) would be;
         # make_ntp's checks cannot fail on a row whose max is exp(0) = 1.
-        log_g = _log_gamma(self._gen, self.concentration, self.vocab_size)
         with np.errstate(over="ignore"):
-            x = log_g / self.temperature
-            top = x.max()
-            if not math.isfinite(top):
-                x, top = (log_g - log_g.max()) / self.temperature, 0.0
-            x -= top
-        dist = np.exp(x, out=x)
-        dist /= dist.sum()
-        dist /= dist.sum()
+            dist, top = _gamma_logs(self._gen, self.concentration, self.vocab_size)
+            scaled = top / self.temperature
+            if math.isfinite(scaled):
+                dist /= self.temperature
+                dist -= scaled
+            else:
+                dist -= top
+                dist /= self.temperature
+        np.exp(dist, out=dist)
+        dist /= np.add.reduce(dist)
+        dist /= np.add.reduce(dist)
         dist.setflags(write=False)
         self._cache[ctx] = dist
         if len(self._cache) > self.cache_size:

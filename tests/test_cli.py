@@ -735,6 +735,15 @@ class TestSimulate:
         assert drawn == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_histogram_defaults_to_fifty_bins(self, tmp_path):
+        hists = []
+        for bins in ((), ("--hist-bins", "50")):
+            hists.append(tmp_path / f"hist{len(hists)}.csv")
+            assert main(["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.4", "--m", "100",
+                         "--reps", "1000", "--out", str(tmp_path / "p.csv"),
+                         "--histogram", str(hists[-1]), *bins]) == 0
+        assert hists[0].read_bytes() == hists[1].read_bytes()
+
     def test_non_integral_m_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
         out = tmp_path / "p.csv"
@@ -1003,8 +1012,17 @@ def test_bad_length_is_usage_error_before_reading_a_model(tmp_path, capsys, argv
          "r does not apply to the weak regime"),
         (["simulate", "--regime", "strong", "--p", "0.2", "--r", "0.5", "--q", "0.5"],
          "q does not apply to the strong regime"),
+        (["generate", "--plain", "--scheme", "mc"], "--scheme does not apply to --plain"),
+        (["generate", "--plain", "--delta", "5"], "--delta does not apply to --plain"),
+        (["generate", "--plain", "--alpha-dip", "0.3"], "--alpha-dip does not apply to --plain"),
+        (["generate", "--plain", "--no-masking"], "--no-masking does not apply to --plain"),
+        (["generate", "--plain", "--masking"], "--masking does not apply to --plain"),
+        (["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.5", "--hist-bins", "7"],
+         "--hist-bins does not apply without --histogram"),
     ],
-    ids=["mc-delta", "gumbel-alpha-dip", "soft-alpha-dip", "weak-r", "strong-q"],
+    ids=["mc-delta", "gumbel-alpha-dip", "soft-alpha-dip", "weak-r", "strong-q", "plain-scheme",
+         "plain-delta", "plain-alpha-dip", "plain-no-masking", "plain-masking",
+         "hist-bins-without-histogram"],
 )
 def test_flag_the_scheme_or_regime_ignores_is_usage_error(tmp_path, capsys, monkeypatch, argv,
                                                           message):

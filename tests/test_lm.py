@@ -212,6 +212,13 @@ class TestMarkovSource:
         # A V=64 corpus of a few thousand contexts never evicts.
         assert MarkovSource(order=2, vocab_size=64, seed=1).cache_size > 4096
         assert MarkovSource(order=2, vocab_size=64, seed=1, cache_size=3).cache_size == 3
+        # The bound counts V floats per row, so a cached row owns its memory
+        # and is no view of a larger draw buffer.
+        for conc, temp in itertools.product((1e-308, 0.3, 2.5), (1.0, 0.5)):
+            src = MarkovSource(order=1, vocab_size=64, seed=1, concentration=conc, temperature=temp)
+            for ctx in range(4):
+                row = src.next([ctx])
+                assert row.base is None or row.base.nbytes == 8 * 64
 
     def test_cache_eviction_keeps_determinism(self):
         src = MarkovSource(order=2, vocab_size=16, seed=1, cache_size=2)
