@@ -3,8 +3,8 @@
 Decoders couple the model's next-token distribution with a keyed
 restriction so the token marginal is unchanged while keyed pivot uniforms
 become detectably small.  The package bundles the decoders, the detection
-tests (sum, higher criticism, order-statistic max, plus scheme-specific
-baselines), key handling, post-generation attacks, synthetic model
+tests (sum, higher criticism, order-statistic max, plus the baseline
+schemes' own tests), key handling, post-generation attacks, synthetic model
 sources, and the sparse-mixture power-study harness behind the ``wmkit``
 command-line tool.
 """
@@ -48,7 +48,6 @@ from .detection import (
     Statistic,
     calibrate_null,
     detect,
-    detect_baseline,
     extract_scores,
     hc_statistic,
     irwin_hall_cdf,

@@ -34,8 +34,8 @@ from .detection import (
     Side,
     Statistic,
     _check_calibration,
-    _check_detect_levels,
     _check_seed,
+    _detect_settings,
     calibrate_null,
     detect,
     default_cache_dir,
@@ -171,6 +171,9 @@ def cmd_generate(args) -> int:
 
 
 _STAT_CHOICES = sorted(s.value for s in _CALIBRATABLE)
+# The flags that set detect's and calibrate_null's settings, by setting.
+_SETTING_FLAGS = {"side": "--side", "denom": "--hc-denom", "reps": "--calib-reps",
+                  "seed": "--calib-seed"}
 
 
 def _read_lines(path: str) -> list[str]:
@@ -180,9 +183,9 @@ def _read_lines(path: str) -> list[str]:
 def cmd_detect(args) -> int:
     with _usage():
         key = _parse_key_arg(args.key)
-        statistic, side, denom = Statistic(args.stat), Side(args.side), HcDenom(args.hc_denom)
-        _check_detect_levels(statistic, args.alpha, args.calib_reps)
-        _check_seed(args.calib_seed)
+        statistic = Statistic(args.stat)
+        _detect_settings(statistic, args.alpha, args.side, args.hc_denom, args.calib_reps,
+                         args.calib_seed, _SETTING_FLAGS)
     lines = _read_lines(args.input)
     records = []
     n_wm = n_plain = rej_wm = rej_plain = 0
@@ -200,9 +203,9 @@ def cmd_detect(args) -> int:
                 key,
                 statistic=statistic,
                 alpha=args.alpha,
-                side=side,
+                side=args.side,
                 vocab_size=fields.get("vocab_size"),
-                denom=denom,
+                denom=args.hc_denom,
                 reps=args.calib_reps,
                 seed=args.calib_seed,
             )
@@ -316,11 +319,12 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir is not None else default_cache_dir()
     with _usage():
-        statistic, denom = Statistic(args.stat), HcDenom(args.hc_denom)
-        _check_calibration(statistic, args.n, args.alpha, args.reps, args.seed)
+        statistic = Statistic(args.stat)
+        _check_calibration(statistic, args.n, args.alpha, args.reps, args.seed, args.hc_denom,
+                           _SETTING_FLAGS)
     critical = calibrate_null(
-        statistic, n=args.n, alpha=args.alpha, reps=args.reps, seed=args.seed, denom=denom,
-        cache_dir=cache_dir,
+        statistic, n=args.n, alpha=args.alpha, reps=args.reps, seed=args.seed,
+        denom=args.hc_denom, cache_dir=cache_dir,
     )
     record = {
         "statistic": args.stat,
@@ -363,11 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--key", required=True)
     d.add_argument("--stat", default="sum", choices=_STAT_CHOICES)
     d.add_argument("--alpha", type=float, default=0.01)
-    d.add_argument("--side", default=Side.COMBINED.value, choices=[s.value for s in Side])
-    d.add_argument("--hc-denom", default=HcDenom.STANDARD_SQRT.value,
-                   choices=[h.value for h in HcDenom])
-    d.add_argument("--calib-reps", type=int, default=2000)
-    d.add_argument("--calib-seed", type=int, default=0)
+    # A setting flag left out is None, and one that --stat does not read is
+    # refused (see detection._READS).
+    d.add_argument("--side", choices=[s.value for s in Side])
+    d.add_argument("--hc-denom", choices=[h.value for h in HcDenom])
+    d.add_argument("--calib-reps", type=int)
+    d.add_argument("--calib-seed", type=int)
     d.add_argument("--out", default=None, help="output JSONL path (default stdout)")
     d.set_defaults(func=cmd_detect)
 
@@ -415,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=float, default=0.01)
     c.add_argument("--reps", type=int, default=2000)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--hc-denom", default=HcDenom.STANDARD_SQRT.value,
-                   choices=[h.value for h in HcDenom])
+    c.add_argument("--hc-denom", choices=[h.value for h in HcDenom])
     c.add_argument("--cache-dir", default=None,
                    help="cache directory (default WMKIT_CALIB_DIR or ~/.cache/wmkit)")
     c.set_defaults(func=cmd_calibrate)

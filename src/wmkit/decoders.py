@@ -164,26 +164,22 @@ def _check_vocab(P: np.ndarray, Q: np.ndarray) -> None:
 
 
 def sample_rejection_coupling(
-    P: np.ndarray,
-    Q: np.ndarray,
-    zeta: float,
-    aux: RngStream,
-    accept_scale: float = 1.0,
+    P: np.ndarray, Q: np.ndarray, zeta: float, aux: RngStream
 ) -> tuple[int, bool]:
     """One-draw rejection form of the coupling: draw w ~ Q via ``aux``, keep
-    it iff ``accept_scale * zeta * Q_w <= P_w``, else resample from the
-    normalized excess max(0, P - Q).
+    it iff ``zeta * Q_w <= P_w``, else resample from the normalized excess
+    max(0, P - Q).
 
-    At ``accept_scale = 1`` and uniform ``zeta`` the token marginal equals P
-    and the acceptance probability equals sum(min(P, Q)).  Unlike the
-    two-branch coupling (the overlap min(P, Q) when zeta <= sum(min(P, Q)),
-    the excess otherwise) the joint law of (zeta, token) makes ``zeta``
-    conditionally uniform on [0, P_w/Q_w]-style intervals, which is what the
-    soft coupling decoder needs.
+    At uniform ``zeta`` the token marginal equals P and the acceptance
+    probability equals sum(min(P, Q)).  Unlike the two-branch coupling (the
+    overlap min(P, Q) when zeta <= sum(min(P, Q)), the excess otherwise) the
+    joint law of (zeta, token) makes ``zeta`` conditionally uniform on
+    [0, P_w/Q_w]-style intervals, which is what the soft coupling decoder
+    needs.
     """
     _check_vocab(P, Q)
     w = categorical_from_uniform(Q, aux.next_uniform())
-    return accept_or_resample(P, Q, w, zeta, aux.next_uniform, accept_scale)
+    return accept_or_resample(P, Q, w, zeta, aux.next_uniform)
 
 
 def accept_or_resample(
@@ -268,7 +264,7 @@ def mc_soft_step_full(
     mass = _green_mass(P, green)
     zeta = derive_zeta(key, ctx)
     Q = mc_soft_q(P, green, delta)
-    token, accepted = sample_rejection_coupling(P, Q, zeta, aux, accept_scale=1.0)
+    token, accepted = sample_rejection_coupling(P, Q, zeta, aux)
     return StepResult(
         token=token,
         masked=False,

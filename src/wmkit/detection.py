@@ -7,8 +7,8 @@ kinds are stochastically small.  Tests: the sum of scores against its
 exact Irwin-Hall null (normal approximation for n >= 15), higher
 criticism (HC* and the HC+ restriction) against a simulated null
 quantile, and the order-statistic max test with its closed-form
-threshold.  Baseline detectors for the Gumbel-max and green/red-count
-schemes are included for comparisons.
+threshold.  The baseline schemes' own tests, the Gumbel score sum and the
+green-token count, are statistics of :func:`detect` too.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import GeneratedText, _block_rows, counter_uniforms
-from .decoders import Scheme
 from .keying import (
     ZETA_TAG,
     WatermarkKey,
@@ -53,7 +52,6 @@ __all__ = [
     "calibrate_null",
     "default_cache_dir",
     "detect",
-    "detect_baseline",
     "TooShort",
     "EmptyScores",
     "TooFewScores",
@@ -237,15 +235,6 @@ def _check_tail(alpha: float, reps: int) -> None:
         )
 
 
-def _check_detect_levels(statistic: Statistic, alpha: float, reps: int) -> None:
-    # The sum and max tests are exact; only HC takes its threshold from reps
-    # simulated nulls.
-    _check_alpha(alpha)
-    _check_reps(reps)
-    if statistic in _HC_STATISTICS:
-        _check_tail(alpha, reps)
-
-
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     """Reject when the score sum is too small: the watermark pulls folded
     pivots toward 0, so the signal sits in the lower tail."""
@@ -255,16 +244,13 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     if n < 1:
         raise EmptyScores("sum test needs at least one score")
     s = float(values.sum())
-    p = sum_pvalue(s, n)
-    return DetectionReport(
-        statistic=Statistic.SUM,
-        value=s,
-        p_value=p,
-        threshold=None,
-        n_scored=n,
-        reject=p < alpha,
-        alpha=alpha,
-    )
+    return _p_value_report(Statistic.SUM, s, sum_pvalue(s, n), n, alpha)
+
+
+def _p_value_report(statistic: Statistic, value: float, p: float, n: int, alpha: float):
+    """The report of a test whose p-value drives the decision."""
+    return DetectionReport(statistic=statistic, value=value, p_value=p, threshold=None,
+                           n_scored=n, reject=p < alpha, alpha=alpha)
 
 
 # HC rows of at least _HC_PRUNE_FROM scores are scored through value buckets
@@ -544,6 +530,22 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
 _CALIBRATABLE = (Statistic.SUM, Statistic.HC_PLUS, Statistic.HC_STAR, Statistic.MAX)
 _LOWER_TAIL = (Statistic.SUM, Statistic.MAX)
 
+# The statistics that read each setting of detect; calibrate_null reads the
+# denominator as detect does, and reps and seed for every statistic.  None
+# means not given: a statistic takes the default of a setting it reads and
+# refuses one it does not read.
+_READS = {"side": (Statistic.SUM, *_HC_STATISTICS), "denom": _HC_STATISTICS,
+          "reps": _HC_STATISTICS, "seed": _HC_STATISTICS}
+
+
+def _refuse_unread(statistic: Statistic, given: dict, labels: dict | None) -> None:
+    # Refuse a setting of given (name: value) that is not None and that the
+    # statistic does not read; labels, when given, names it as the CLI does.
+    for name, value in given.items():
+        if value is not None and statistic not in _READS[name]:
+            label = name if labels is None else labels[name]
+            raise ValueError(f"{label} does not apply to the {statistic.value} statistic")
+
 
 def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float) -> float:
     """The null quantile at level alpha in the statistic's rejection tail:
@@ -664,10 +666,14 @@ def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_v
         os.close(fd)
 
 
-def _check_calibration(statistic: Statistic, n: int, alpha: float, reps: int, seed: int) -> None:
-    """The refusals of :func:`calibrate_null` before any cache lookup or draw."""
+def _check_calibration(
+    statistic: Statistic, n: int, alpha: float, reps: int, seed: int, denom=None, labels=None
+) -> None:
+    """The refusals of :func:`calibrate_null` before any cache lookup or
+    draw; ``labels`` names the settings as :func:`_refuse_unread` does."""
     if statistic not in _CALIBRATABLE:
         raise ValueError(f"no simulated null for statistic {statistic}")
+    _refuse_unread(statistic, {"denom": denom}, labels)
     _check_reps(reps)
     _check_alpha(alpha)
     _check_tail(alpha, reps)
@@ -683,7 +689,7 @@ def calibrate_null(
     alpha: float,
     reps: int = 2000,
     seed: int = 0,
-    denom: HcDenom = HcDenom.STANDARD_SQRT,
+    denom: HcDenom | None = None,
     cache_dir: Path | str | None = None,
 ) -> float:
     """Empirical critical value of a statistic over ``reps`` null simulations
@@ -691,12 +697,12 @@ def calibrate_null(
     statistics (HC) and the alpha quantile for lower-tail ones (SUM, MAX).
 
     Results are cached in a CSV keyed by (statistic, n, alpha, reps, seed)
-    and, for HC, the denominator.  HC needs n >= 2, and every statistic
-    needs alpha * reps >= 10.
+    and, for HC, the denominator, which only HC reads (default sqrt).  HC
+    needs n >= 2, and every statistic needs alpha * reps >= 10.
     """
     statistic = Statistic(statistic)
-    denom = HcDenom(denom)
-    _check_calibration(statistic, n, alpha, reps, seed)
+    _check_calibration(statistic, n, alpha, reps, seed, denom)
+    denom = HcDenom.STANDARD_SQRT if denom is None else HcDenom(denom)
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
     hit = _cache_lookup(cache_path, statistic, n, alpha, reps, seed, denom)
@@ -707,26 +713,73 @@ def calibrate_null(
     return critical
 
 
+def _detect_settings(statistic: Statistic, alpha: float, side, denom, reps, seed, labels=None):
+    """The refusals of :func:`detect` before it reads a text, with ``labels``
+    as in :func:`_refuse_unread`; then side, denom, reps and seed with their
+    defaults filled in."""
+    given = {"side": side, "denom": denom, "reps": reps, "seed": seed}
+    _refuse_unread(statistic, given, labels)
+    side = Side.COMBINED if side is None else Side(side)
+    denom = HcDenom.STANDARD_SQRT if denom is None else HcDenom(denom)
+    reps, seed = 2000 if reps is None else reps, 0 if seed is None else seed
+    _check_alpha(alpha)
+    if statistic in _HC_STATISTICS:  # the other tests are exact
+        _check_reps(reps)
+        _check_tail(alpha, reps)
+        _check_seed(seed)
+    return side, denom, reps, seed
+
+
+def _baseline_test(text, key: WatermarkKey, statistic: Statistic, alpha: float, vocab_size):
+    """The baseline schemes' own tests over the first-occurrence tuples.
+    GUMBEL_SUM: the sum of -log(1 - U_token) against the Gamma(n, 1) upper
+    tail.  GREEN_COUNT: the green-token count against the exact
+    Binomial(n, gamma) upper tail under the key's green lists (DiPmark's
+    is the keyed permutation's head: count it under a perm-mode key)."""
+    ctxs, toks = _first_tuples(text.tokens, key.k, vocab_size)
+    n = len(toks)
+    if statistic is Statistic.GUMBEL_SUM:
+        # U_token is draw token + 1 of the context's ZETA stream.
+        value = 0.0
+        for u in counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), toks + 1).tolist():
+            value -= math.log1p(-u)
+        # The Gamma(n, 1) upper tail, as scipy.stats.gamma.sf evaluates it.
+        from scipy.special import gammaincc
+
+        p = float(gammaincc(n, value))
+    else:
+        g = int(is_green_batch(key, ctxs, toks, vocab_size).sum())
+        # No scipy.special function matches binom.sf bit for bit, so this
+        # path alone pays for importing scipy.stats.
+        from scipy.stats import binom
+
+        value, p = float(g), float(binom.sf(g - 1, n, key.gamma))
+    return _p_value_report(statistic, value, p, n, alpha)
+
+
 def detect(
     text: GeneratedText,
     key: WatermarkKey,
     statistic: Statistic = Statistic.SUM,
     alpha: float = 0.01,
-    side: Side = Side.COMBINED,
+    side: Side | None = None,
     vocab_size: int | None = None,
-    denom: HcDenom = HcDenom.STANDARD_SQRT,
-    reps: int = 2000,
-    seed: int = 0,
-    cache_dir: Path | str | None = None,
+    denom: HcDenom | None = None,
+    reps: int | None = None,
+    seed: int | None = None,
 ) -> DetectionReport:
     """Extract scores and run the chosen test.
 
-    COMBINED uses folded pivots from green and red tokens; GREEN_ONLY
-    restricts to green tokens' raw pivots (the max test always does).
+    SUM and HC read the side: COMBINED (the default) uses folded pivots from
+    green and red tokens, GREEN_ONLY green tokens' raw pivots, which MAX
+    always takes.  HC alone reads the denominator (default sqrt) and its
+    calibration's reps (2000) and seed (0).  GUMBEL_SUM and GREEN_COUNT (see
+    :func:`_baseline_test`) read none.  A setting not read is refused.
     """
     statistic = Statistic(statistic)
-    side = Side(side)
-    _check_detect_levels(statistic, alpha, reps)
+    side, denom, reps, seed = _detect_settings(statistic, alpha, side, denom, reps, seed)
+    if statistic in (Statistic.GUMBEL_SUM, Statistic.GREEN_COUNT):
+        return _baseline_test(text, key, statistic, alpha, vocab_size)
     scores = extract_scores(text, key, vocab_size)
     keep_red = side is Side.COMBINED and statistic is not Statistic.MAX
     values = np.array([z for z, green in scores if green or keep_red], dtype=np.float64)
@@ -735,9 +788,7 @@ def detect(
     if statistic is Statistic.MAX:
         return max_test(values, alpha)
     value = hc_statistic(values, statistic, denom)
-    critical = calibrate_null(
-        statistic, len(values), alpha, reps=reps, seed=seed, denom=denom, cache_dir=cache_dir
-    )
+    critical = calibrate_null(statistic, len(values), alpha, reps=reps, seed=seed, denom=denom)
     return DetectionReport(
         statistic=statistic,
         value=value,
@@ -745,52 +796,5 @@ def detect(
         threshold=critical,
         n_scored=len(values),
         reject=_rejects(statistic, value, critical),
-        alpha=alpha,
-    )
-
-
-def detect_baseline(
-    text: GeneratedText,
-    key: WatermarkKey,
-    scheme,
-    alpha: float = 0.01,
-    vocab_size: int | None = None,
-) -> DetectionReport:
-    """Reference detectors for the baseline schemes.
-
-    Gumbel-max: sum of -log(1 - U_token) over deduplicated tuples against
-    the Gamma(n, 1) upper tail.  Every other scheme: green-token count
-    against the exact Binomial(n, gamma) upper tail.  DiPmark's green set is
-    the keyed permutation's head under every key mode, as it generates.
-    """
-    _check_alpha(alpha)
-    scheme = Scheme(scheme)
-    ctxs, toks = _first_tuples(text.tokens, key.k, vocab_size)
-    n = len(toks)
-    if scheme is Scheme.GUMBEL:
-        # U_token is draw token + 1 of the context's ZETA stream.
-        value = 0.0
-        for u in counter_uniforms(derive_seed_batch(key, ctxs, ZETA_TAG), toks + 1).tolist():
-            value -= math.log1p(-u)
-        # The Gamma(n, 1) upper tail, as scipy.stats.gamma.sf evaluates it.
-        from scipy.special import gammaincc
-
-        statistic, p = Statistic.GUMBEL_SUM, float(gammaincc(n, value))
-    else:
-        if scheme is Scheme.DIPMARK:
-            key = replace(key, green_mode="perm")
-        g = int(is_green_batch(key, ctxs, toks, vocab_size).sum())
-        # No scipy.special function matches binom.sf bit for bit, so this
-        # path alone pays for importing scipy.stats.
-        from scipy.stats import binom
-
-        statistic, value, p = Statistic.GREEN_COUNT, float(g), float(binom.sf(g - 1, n, key.gamma))
-    return DetectionReport(
-        statistic=statistic,
-        value=value,
-        p_value=p,
-        threshold=None,
-        n_scored=n,
-        reject=p < alpha,
         alpha=alpha,
     )

@@ -55,20 +55,15 @@ class EndOfTrace(IndexError):
     """Raised when replay is asked for a step past the recorded horizon."""
 
 
-def _log_gamma(gen: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """Logs of ``n`` Gamma(shape) variates.  For shape < 1 each is
-    log Gamma(shape + 1) + log(U) / shape (all Gamma draws first, then the
-    uniforms), so a tiny shape gives very negative logs, not zeros.  If
-    log(U) / shape overflows to -inf on every entry, the logs are 0 at the
-    largest U and -inf elsewhere: the one-hot law that the row tends to as
-    the shape goes to 0."""
-    with np.errstate(over="ignore"):
-        return _gamma_logs(gen, shape, n)[0]
-
-
 def _gamma_logs(gen: np.random.Generator, shape: float, n: int) -> tuple[np.ndarray, float]:
-    """:func:`_log_gamma` and its max under the caller's errstate, from one
-    buffer and one log; the logs are an array of their own, n floats long."""
+    """Logs of ``n`` Gamma(shape) variates and their max, under the caller's
+    errstate, from one buffer and one log; the logs are an array of their
+    own, n floats long.  For shape < 1 each is log Gamma(shape + 1) +
+    log(U) / shape (all Gamma draws first, then the uniforms), so a tiny
+    shape gives very negative logs, not zeros.  If log(U) / shape overflows
+    to -inf on every entry, the logs are 0 at the largest U and -inf
+    elsewhere: the one-hot law that the row tends to as the shape goes to
+    0."""
     boost = shape < 1.0
     buf = np.empty((1 + boost, n))
     gen.standard_gamma(shape + 1.0 if boost else shape, out=buf[0])

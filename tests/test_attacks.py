@@ -199,18 +199,18 @@ class TestOneStep:
         assert abs(hits / n - expected) < 3 * np.sqrt(expected * (1 - expected) / n)
 
     def test_smaller_scale_accepts_more(self):
+        # The acceptance scale is the one specdec reads: proposals w ~ Q with
+        # the same pivots are kept more often at scale 0.5 than at 1.
         rng = np.random.default_rng(14)
         P, Q = _random_pq(rng, 6)
         zetas = rng.random(20_000)
-        full = sum(
-            sample_rejection_coupling(P, Q, float(z), RngStream(i), 1.0)[1]
-            for i, z in enumerate(zetas)
-        )
-        half = sum(
-            sample_rejection_coupling(P, Q, float(z), RngStream(i), 0.5)[1]
-            for i, z in enumerate(zetas)
-        )
-        assert half > full
+        proposals = [categorical_from_uniform(Q, u) for u in rng.random(20_000)]
+
+        def accepted(scale):
+            return sum(accept_or_resample(P, Q, w, float(z), lambda: 0.5, scale)[1]
+                       for w, z in zip(proposals, zetas))
+
+        assert accepted(0.5) > accepted(1.0)
 
 
 class TestSpecDecStats:

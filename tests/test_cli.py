@@ -1,7 +1,9 @@
 """Command-line workflows: generate, detect, attack, specdec, simulate,
 calibrate."""
 
+import argparse
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -335,9 +337,12 @@ def test_detect_golden(tmp_path, monkeypatch, golden_corpora, corpus, stat):
     out, payload = tmp_path / "r.jsonl", b""
     for side in ("combined", "green"):
         for denom in ("sqrt", "linear"):
+            # Each flag only where the statistic reads it.
+            flags = [] if stat == "max" else ["--side", side]
+            if stat in ("hc+", "hc*"):
+                flags += ["--hc-denom", denom, "--calib-reps", "1000"]
             rc = main(["detect", "--in", str(golden_corpora[corpus]), "--key", key,
-                       "--stat", stat, "--side", side, "--hc-denom", denom,
-                       "--calib-reps", "1000", "--out", str(out)])
+                       "--stat", stat, *flags, "--out", str(out)])
             assert rc == 0
             payload += out.read_bytes()
     assert hashlib.sha256(payload).hexdigest() == GOLDEN_DETECT[(corpus, stat)]
@@ -866,9 +871,9 @@ GOLDEN_CALIBRATE = {
 
 @pytest.mark.parametrize("stat,denom,n", sorted(GOLDEN_CALIBRATE))
 def test_calibrate_golden(tmp_path, capsys, stat, denom, n):
+    denom_flag = ["--hc-denom", denom] if stat in ("hc+", "hc*") else []
     rc = main(
-        ["calibrate", "--stat", stat, "--n", str(n), "--hc-denom", denom,
-         "--cache-dir", str(tmp_path)]
+        ["calibrate", "--stat", stat, "--n", str(n), *denom_flag, "--cache-dir", str(tmp_path)]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -1035,6 +1040,83 @@ def test_flag_the_scheme_or_regime_ignores_is_usage_error(tmp_path, capsys, monk
     assert main([*argv, *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,stat,flag,value",
+    [
+        ("detect", "max", "--side", "green"),
+        *(("detect", stat, flag, value) for stat in ("sum", "max")
+          for flag, value in (("--hc-denom", "linear"), ("--calib-reps", "5000"),
+                              ("--calib-seed", "9"))),
+        ("calibrate", "sum", "--hc-denom", "linear"),
+        ("calibrate", "max", "--hc-denom", "sqrt"),
+    ],
+)
+def test_flag_the_statistic_does_not_read_is_usage_error(tmp_path, capsys, monkeypatch, command,
+                                                         stat, flag, value):
+    # detect's input is missing, which exit 1 would show was read.
+    monkeypatch.setattr(detection, "_null_statistics", lambda *args: pytest.fail("drawn"))
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    extra = {"detect": ["--in", str(tmp_path / "missing.jsonl"), "--key", KEY_ARG,
+                        "--out", str(out)],
+             "calibrate": ["--n", "30", "--cache-dir", str(cache)]}[command]
+    assert main([command, "--stat", stat, flag, value, *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} does not apply to the {stat} statistic\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A second value for every flag of detect and calibrate besides --stat and
+# --out; "{...}" names a path of test_every_flag_is_read_or_refused.
+_BASE_FLAGS = {
+    "detect": {"--in": "{texts}", "--key": KEY_ARG, "--out": "{out}"},
+    "calibrate": {"--n": "30", "--cache-dir": "{cache}"},
+}
+_SECOND_VALUES = {
+    "detect": {"--in": "{other}", "--key": "12345:k=2:g=0.5:mode=hash", "--alpha": "0.05",
+               "--side": "green", "--hc-denom": "linear", "--calib-reps": "1000",
+               "--calib-seed": "1"},
+    "calibrate": {"--n": "40", "--alpha": "0.05", "--reps": "1000", "--seed": "1",
+                  "--hc-denom": "linear", "--cache-dir": "{other}"},
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_every_flag_is_read_or_refused(tmp_path, capsys, monkeypatch, command):
+    # Under every --stat choice, each flag of the command (but --out, which
+    # only says where the output goes) is refused, or its second value
+    # changes the output: a flag that some statistic ignores fails here.
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib"))
+    paths = {"texts": _generate(tmp_path, "a.jsonl", n=30, texts=2),
+             "other": _generate(tmp_path, "b.jsonl", n=30, texts=2, seed=1),
+             "out": tmp_path / "out.jsonl", "cache": tmp_path / "cache"}
+    if command == "calibrate":
+        paths["other"] = tmp_path / "other-cache"
+
+    def run(flags):
+        paths["out"].unlink(missing_ok=True)
+        argv = [command, *itertools.chain(*flags.items())]
+        rc = main([arg.format(**paths) for arg in argv])
+        out, err = capsys.readouterr()
+        written = paths["out"].read_text() if paths["out"].exists() else ""
+        return rc, err, out + written
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = [a.option_strings[0] for a in sub._actions if a.option_strings]
+    flags = [f for f in flags if f not in ("-h", "--stat", "--out")]
+    stats = next(a for a in sub._actions if a.dest == "stat").choices
+    for stat in stats:
+        base = {"--stat": stat, **_BASE_FLAGS[command]}
+        rc, _, want = run(base)
+        assert rc == 0
+        for flag in flags:
+            assert flag in _SECOND_VALUES[command], f"give {command} {flag} a second value"
+            rc, err, got = run({**base, flag: _SECOND_VALUES[command][flag]})
+            if rc == 2:
+                assert err == f"error: {flag} does not apply to the {stat} statistic\n"
+            else:
+                assert rc == 0 and got != want, f"{command} --stat {stat} ignores {flag}"
 
 
 @pytest.mark.parametrize(

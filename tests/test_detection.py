@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from wmkit.detection import (
     calibrate_null,
     default_cache_dir,
     detect,
-    detect_baseline,
     extract_scores,
     extract_zeta_primes_batch,
     hc_batch,
@@ -121,40 +121,101 @@ class TestSumTest:
 
 class TestLevelChecks:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -1.0, float("nan")])
-    def test_alpha_outside_unit_interval(self, tmp_path, alpha):
+    def test_alpha_outside_unit_interval(self, tmp_path, monkeypatch, alpha):
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
         scores = np.full(20, 0.5)
         text = _random_text(np.random.default_rng(0), length=40)
         for call in (
             lambda: sum_test(scores, alpha),
             lambda: max_test(scores, alpha),
             lambda: detect(text, KEY, Statistic.SUM, alpha=alpha),
-            lambda: detect(text, KEY, Statistic.HC_PLUS, alpha=alpha, cache_dir=tmp_path),
-            lambda: detect_baseline(text, KEY, "gumbel", alpha=alpha),
-            lambda: detect_baseline(text, KEY, "soft", alpha=alpha),
+            lambda: detect(text, KEY, Statistic.HC_PLUS, alpha=alpha),
+            lambda: detect(text, KEY, Statistic.GUMBEL_SUM, alpha=alpha),
+            lambda: detect(text, KEY, Statistic.GREEN_COUNT, alpha=alpha),
             lambda: calibrate_null(Statistic.SUM, 30, alpha, reps=1000, cache_dir=tmp_path),
         ):
             with pytest.raises(OutOfRange, match="alpha"):
                 call()
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("statistic", [Statistic.SUM, Statistic.HC_PLUS])
-    def test_detect_checks_calibration_reps_before_scoring(self, tmp_path, statistic):
+    @pytest.mark.parametrize("statistic", [Statistic.HC_PLUS, Statistic.HC_STAR])
+    def test_detect_checks_calibration_reps_before_scoring(self, tmp_path, monkeypatch,
+                                                          statistic):
         # Too short to score: the reps check must come first.
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
         short = GeneratedText(tokens=(1, 2))
-        with pytest.raises(OutOfRange, match="reps"):
-            detect(short, KEY, statistic, reps=10, cache_dir=tmp_path)
+        with pytest.raises(OutOfRange, match="reps must be >= 1000"):
+            detect(short, KEY, statistic, reps=10)
 
     @pytest.mark.parametrize("statistic", [Statistic.HC_PLUS, Statistic.HC_STAR])
-    def test_detect_refuses_unresolved_hc_level_before_scoring(self, tmp_path, statistic):
+    def test_detect_refuses_unresolved_hc_level_before_scoring(self, tmp_path, monkeypatch,
+                                                               statistic):
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
         short = GeneratedText(tokens=(1, 2))
         with pytest.raises(OutOfRange, match=r"alpha \* reps"):
-            detect(short, KEY, statistic, alpha=1e-6, cache_dir=tmp_path)
+            detect(short, KEY, statistic, alpha=1e-6)
+
+    @pytest.mark.parametrize("statistic", [Statistic.HC_PLUS, Statistic.HC_STAR])
+    def test_detect_checks_calibration_seed_before_scoring(self, statistic):
+        with pytest.raises(OutOfRange, match="seed must be >= 0"):
+            detect(GeneratedText(tokens=(1, 2)), KEY, statistic, seed=-1)
 
     @pytest.mark.parametrize("statistic", [Statistic.SUM, Statistic.MAX])
     def test_exact_tests_take_any_level(self, statistic):
         # Their thresholds are exact, so alpha * reps does not matter.
         text = _random_text(np.random.default_rng(0), length=40)
         assert detect(text, KEY, statistic, alpha=1e-6).alpha == 1e-6
+
+
+_HC_VARIANTS = (Statistic.HC_PLUS, Statistic.HC_STAR)
+_BASELINES = (Statistic.GUMBEL_SUM, Statistic.GREEN_COUNT)
+# (statistic, setting, value) for each setting of detect that a statistic
+# does not read: the side with max and the baselines, and the denominator and
+# the calibration reps and seed with every statistic but HC.
+_UNREAD = [
+    *((s, "side", side) for s in (Statistic.MAX, *_BASELINES) for side in ("combined", "green")),
+    *((s, name, value) for s in (Statistic.SUM, Statistic.MAX, *_BASELINES)
+      for name, value in (("denom", "sqrt"), ("denom", "linear"), ("reps", 2000), ("seed", 9))),
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("statistic,name,value", _UNREAD)
+    def test_detect_refuses_a_setting_its_statistic_does_not_read(self, statistic, name, value):
+        # Too short to score: the refusal comes first, even of a default value.
+        with pytest.raises(ValueError, match=f"^{name} does not apply to the {statistic.value} "):
+            detect(GeneratedText(tokens=(1, 2)), KEY, statistic, **{name: value})
+
+    @pytest.mark.parametrize("statistic", [Statistic.SUM, Statistic.MAX])
+    @pytest.mark.parametrize("denom", ["sqrt", "linear"])
+    def test_calibrate_null_refuses_a_denominator_for_sum_and_max(self, tmp_path, monkeypatch,
+                                                                  statistic, denom):
+        monkeypatch.setattr(detection, "_null_statistics", lambda *args: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match=f"^denom does not apply to the {statistic.value} "):
+            calibrate_null(statistic, 30, 0.01, denom=denom, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_omitted_settings_take_the_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
+        text = _random_text(np.random.default_rng(3), length=120)
+        defaults = {"side": "combined", "denom": "sqrt", "reps": 2000, "seed": 0}
+        for statistic in _HC_VARIANTS:
+            assert detect(text, KEY, statistic) == detect(text, KEY, statistic, **defaults)
+        assert detect(text, KEY, Statistic.SUM) == detect(text, KEY, Statistic.SUM, side="combined")
+        assert calibrate_null(Statistic.HC_PLUS, 50, 0.01, cache_dir=tmp_path) == calibrate_null(
+            Statistic.HC_PLUS, 50, 0.01, denom="sqrt", cache_dir=tmp_path / "fresh")
+
+    def test_every_setting_read_changes_the_report(self, tmp_path, monkeypatch):
+        # Each setting that a statistic reads is reachable: its other value
+        # changes the report.
+        monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path))
+        text = _random_text(np.random.default_rng(3), length=120)
+        others = {"side": "green", "denom": "linear", "reps": 1000, "seed": 1}
+        for statistic in (Statistic.SUM, *_HC_VARIANTS):
+            base = detect(text, KEY, statistic)
+            for name, reads in detection._READS.items():
+                if statistic in reads:
+                    assert detect(text, KEY, statistic, **{name: others[name]}) != base, name
 
 
 class TestHigherCriticism:
@@ -663,8 +724,8 @@ class TestExtractScores:
                 assert ctxs.shape == (len(scalar), k)
                 green = is_green_batch(key, ctxs, toks, 32).tolist()
                 assert [g for _, g in scalar] == green
-                for scheme in ("gumbel", "soft"):
-                    report = detect_baseline(text, key, scheme, vocab_size=32)
+                for statistic in _BASELINES:
+                    report = detect(text, key, statistic, vocab_size=32)
                     assert report.n_scored == len(scalar)
 
     def test_perm_extraction_memory_bounded(self):
@@ -722,8 +783,8 @@ class TestExtractScores:
         for call in (
             lambda: extract_scores(text, key, vocab_size),
             lambda: extract_zeta_primes_batch(np.array([tokens]), key, vocab_size),
-            lambda: detect_baseline(text, key, "gumbel", vocab_size=vocab_size),
-            lambda: detect_baseline(text, key, "mc", vocab_size=vocab_size),
+            lambda: detect(text, key, Statistic.GUMBEL_SUM, vocab_size=vocab_size),
+            lambda: detect(text, key, Statistic.GREEN_COUNT, vocab_size=vocab_size),
         ):
             with pytest.raises(OutOfRange, match="outside"):
                 call()
@@ -791,14 +852,14 @@ class TestBaselines:
         text = generate(
             model, KEY, DecoderConfig(scheme="gumbel"), GeneratedText((1, 2), 2), 120, RngStream(1)
         ).text
-        report = detect_baseline(text, KEY, "gumbel", alpha=0.01)
+        report = detect(text, KEY, Statistic.GUMBEL_SUM, alpha=0.01)
         assert report.statistic is Statistic.GUMBEL_SUM
         assert report.reject
         assert report.p_value == float(sstats.gamma.sf(report.value, a=report.n_scored))
 
     def test_gumbel_baseline_null_calibrated(self):
         rng = np.random.default_rng(10)
-        reports = [detect_baseline(_random_text(rng), KEY, "gumbel") for _ in range(200)]
+        reports = [detect(_random_text(rng), KEY, Statistic.GUMBEL_SUM) for _ in range(200)]
         for r in reports:
             assert r.p_value == float(sstats.gamma.sf(r.value, a=r.n_scored))
         assert sstats.kstest([r.p_value for r in reports], "uniform").pvalue > 1e-3
@@ -813,7 +874,7 @@ class TestBaselines:
                 break
         else:
             pytest.fail("no all-green text among the seeds searched")
-        report = detect_baseline(text, KEY, "soft", alpha=0.01)
+        report = detect(text, KEY, Statistic.GREEN_COUNT, alpha=0.01)
         assert (report.n_scored, report.value) == (10, 10.0)
         assert report.p_value == 2.0**-10
         assert report.reject
@@ -828,21 +889,23 @@ class TestBaselines:
             150,
             RngStream(2),
         ).text
-        report = detect_baseline(text, KEY, "soft", alpha=0.01)
+        report = detect(text, KEY, Statistic.GREEN_COUNT, alpha=0.01)
         assert report.statistic is Statistic.GREEN_COUNT
         assert report.reject
 
-    def test_dipmark_baseline_counts_permutation_head_under_hash_key(self):
+    def test_green_count_detects_dipmark_under_its_perm_key(self):
         # DiPmark generates toward the keyed permutation's head whatever the
-        # key's mode, so its green count must use that head under a hash key.
+        # key's mode, so a text generated under a hash key is counted under
+        # the same key in perm mode.
         model = MarkovSource(order=2, vocab_size=64, seed=11)
         config = DecoderConfig(scheme="dipmark", alpha_dip=0.45)
+        perm_key = replace(KEY, green_mode="perm")
         rejects = 0
         for i in range(20):
             text = generate(model, KEY, config, GeneratedText((1, 2), 2), 200, RngStream(i)).text
-            rejects += detect_baseline(text, KEY, "dipmark", alpha=0.01, vocab_size=64).reject
+            rejects += detect(text, perm_key, Statistic.GREEN_COUNT, vocab_size=64).reject
         assert rejects / 20 >= 0.9
 
-    def test_unknown_scheme(self):
+    def test_unknown_statistic(self):
         with pytest.raises(ValueError):
-            detect_baseline(_random_text(np.random.default_rng(0)), KEY, "nope")
+            detect(_random_text(np.random.default_rng(0)), KEY, "nope")

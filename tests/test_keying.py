@@ -18,7 +18,7 @@ from wmkit.core import (
     counter_words,
     mix64,
 )
-from wmkit.detection import detect_baseline
+from wmkit.detection import Statistic, detect
 from wmkit.keying import (
     GREEN_TAG,
     PERM_TAG,
@@ -407,7 +407,7 @@ class TestPivots:
         for *ctx, tok in first:
             u = RngStream(derive_seed(KEY, tuple(ctx), ZETA_TAG)).value_at(tok + 1)
             stat -= math.log1p(-u)
-        report = detect_baseline(GeneratedText(tokens), KEY, "gumbel")
+        report = detect(GeneratedText(tokens), KEY, Statistic.GUMBEL_SUM)
         assert report.n_scored == len(first) == 8  # four repeated tuples dropped
         assert report.value == stat
 

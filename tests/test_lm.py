@@ -19,7 +19,7 @@ from wmkit.lm import (
     MalformedTrace,
     MarkovSource,
     TraceSource,
-    _log_gamma,
+    _gamma_logs,
     load_trace,
     parse_model_spec,
     save_trace,
@@ -95,7 +95,8 @@ class TestGammaRow:
     @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
     def test_log_gamma_marginal_ks(self, shape):
         # Below shape 1 the draw is the boost log Gamma(a + 1) + log(U) / a.
-        g = np.exp(_log_gamma(np.random.default_rng(7), shape, 200_000))
+        with np.errstate(over="ignore"):
+            g = np.exp(_gamma_logs(np.random.default_rng(7), shape, 200_000)[0])
         assert sstats.kstest(g, "gamma", args=(shape,)).pvalue > 1e-3
 
     @pytest.mark.parametrize(
@@ -267,7 +268,8 @@ class TestMarkovSource:
         ).tolist() == [1.0]
         everywhere = 0
         for seed in range(300):
-            log_g = _log_gamma(np.random.default_rng(seed), 1e-308, 2)
+            with np.errstate(over="ignore"):
+                log_g = _gamma_logs(np.random.default_rng(seed), 1e-308, 2)[0]
             gen = np.random.default_rng(seed)
             gen.standard_gamma(1.0 + 1e-308, 2)
             u = gen.random(2)
