@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .attacks import (
     specdec_postprocess,
     substitute,
 )
-from .core import MASK64, GeneratedText, RngStream, fold64, mix64
+from .core import GeneratedText, RngStream, seed64
 from .decoders import DecoderConfig, Scheme, generate
 from .detection import (
     _CALIBRATABLE,
@@ -56,7 +57,7 @@ class UsageError(Exception):
 
 
 def _text_stream(seed: int, index: int, role: int) -> RngStream:
-    return RngStream(mix64(fold64(seed & MASK64, (role, index))))
+    return RngStream(seed64(seed, (role, index)))
 
 
 @contextlib.contextmanager
@@ -428,10 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for the
+    process: a parse leaves no state in it, and building it takes longer
+    than a short command.  :func:`build_parser` still builds a new one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

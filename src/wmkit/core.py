@@ -21,6 +21,7 @@ __all__ = [
     "mix64",
     "mix64_array",
     "fold64",
+    "seed64",
     "counter_words",
     "counter_uniforms",
     "context_window",
@@ -98,15 +99,35 @@ def fold64(state: int, tokens) -> int:
     return s
 
 
+def seed64(state: int, tokens) -> int:
+    """``mix64(fold64(state, tokens))`` in one loop with the finalizer
+    written inline: the seed of a context's stream (key PRFs, Markov rows,
+    the CLI's per-text streams), taken once per scored position or
+    generated token."""
+    z = state & MASK64
+    for tok in tokens:
+        z = (z * GOLDEN + int(tok) + 1) & MASK64
+        z ^= z >> 30
+        z = (z * _MIX_A) & MASK64
+        z ^= z >> 27
+        z = (z * _MIX_B) & MASK64
+        z ^= z >> 31
+    z ^= z >> 30
+    z = (z * _MIX_A) & MASK64
+    z ^= z >> 27
+    z = (z * _MIX_B) & MASK64
+    return z ^ (z >> 31)
+
+
 def _unit_float(z: int) -> float:
     # Top 53 bits of the mixed word; half-open [0, 1).
     return (z >> 11) * _INV_2_53
 
 
-def _block_rows(rows: int, width: int) -> int:
+def _block_rows(rows: int, width: int, elements: int = _BLOCK_ELEMENTS) -> int:
     """Rows per block when a (rows, width) array is worked on in blocks of
-    about ``_BLOCK_ELEMENTS`` elements; at least one row."""
-    return max(1, min(rows, _BLOCK_ELEMENTS // max(width, 1)))
+    about ``elements`` elements; at least one row."""
+    return max(1, min(rows, elements // max(width, 1)))
 
 
 def counter_words(states, counters) -> np.ndarray:

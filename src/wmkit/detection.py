@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GeneratedText, _block_rows, counter_uniforms
+from .core import _BLOCK_ELEMENTS, GeneratedText, _block_rows, counter_uniforms
 from .keying import (
     ZETA_TAG,
     WatermarkKey,
@@ -260,6 +260,18 @@ def _p_value_report(statistic: Statistic, value: float, p: float, n: int, alpha:
 # buckets were 3x slower at m = 64 and 10% faster at m = 4096).
 _HC_PRUNE_FROM = 4096
 _HC_BUCKET_SCORES = 16
+# Scores per block of the whole-row path (m < _HC_PRUNE_FROM): a worker's
+# three float64 buffers take 1.5 MiB and stay in a 2 MiB L2 cache.  On 2
+# shared Xeon vCPUs (2 MiB L2 each), the median of 60 (2000, 299) nulls on
+# two threads was 7.3 ms in blocks of 2**18 scores (6 MiB of buffers per
+# worker), 5.9 ms in blocks of 2**15 and 5.3 ms in blocks of 2**16.  The
+# bucketed path keeps blocks of core._BLOCK_ELEMENTS.
+_HC_ROW_BLOCK = 1 << 16
+# A call of fewer scores runs on this thread.  On the same vCPUs, in runs
+# of 30 to 60 nulls per shape, two threads had the higher median time in 12
+# of 15 runs below 2**19 scores, and the lower one in 3 of 4 runs at
+# (2000, 299) and in every run from (2000, 1000) up.
+_HC_INLINE_BELOW = 1 << 19
 # Slack of the bucket bounds, relative to the best lower bound plus 1: far
 # above their few ulps of rounding.
 _HC_MARGIN = 1e-12
@@ -410,8 +422,8 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
     is the whole sorted row's, bit for bit, and depends on that row alone:
     not on the block size, nor on how many threads run the blocks.  Blocks
     are shared out over the CPUs this process may use (numpy releases the
-    GIL in drawing, sort and ufuncs); a call of one block runs inline.
-    Array scores must lie in [0, 1].
+    GIL in drawing, sort and ufuncs); a call of one block, or of fewer than
+    _HC_INLINE_BELOW scores, runs inline.  Array scores must lie in [0, 1].
     """
     reps, m = rows.shape
     if m < 2:
@@ -427,17 +439,17 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
             np.copyto(out, rows[lo:hi])
 
     out = np.empty(reps)
-    # Blocks of about 2**18 scores: a calibration null of 2000 rows of about
-    # 300 scores is three blocks, so it runs on two threads.
-    block = _block_rows(reps, m)
-    starts = range(0, reps, block)
     pruned = m >= _HC_PRUNE_FROM
+    block = _block_rows(reps, m, _BLOCK_ELEMENTS if pruned else _HC_ROW_BLOCK)
+    starts = range(0, reps, block)
     if pruned:
         edges = _hc_bucket_edges(m, m // _HC_BUCKET_SCORES, denom)
     else:
         t = np.arange(1, m + 1, dtype=np.float64) / m
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(len(starts), cpus))
+    workers = 1
+    if reps * m >= _HC_INLINE_BELOW:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = max(1, min(len(starts), cpus))
 
     # Each worker's block buffers are allocated on this thread: allocated on
     # the workers, they stayed in the workers' malloc arenas, and a process

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GOLDEN, MASK64, counter_uniforms, counter_words, fold64, mix64, mix64_array
+from .core import GOLDEN, MASK64, counter_uniforms, counter_words, mix64, mix64_array, seed64
 from .core import _GOLDEN_U64, _block_rows, _mix64_inplace, _unit_float
 
 __all__ = [
@@ -115,7 +115,7 @@ def derive_seed(key: WatermarkKey, ctx, tag: int) -> int:
     """Deterministic 64-bit seed from (master XOR tag) folded with the context."""
     if len(ctx) != key.k:
         raise ContextLengthMismatch(f"context has {len(ctx)} tokens, key expects {key.k}")
-    return mix64(fold64(key.master ^ tag, ctx))
+    return seed64(key.master ^ tag, ctx)
 
 
 def derive_seed_batch(key: WatermarkKey, ctxs: np.ndarray, tag: int) -> np.ndarray:
@@ -130,7 +130,9 @@ def derive_seed_batch(key: WatermarkKey, ctxs: np.ndarray, tag: int) -> np.ndarr
     return mix64_array(s)
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _token_hash(token: int) -> int:
+    # Key-free, so memoized: a scalar membership test reuses its token's hash.
     return mix64(((int(token) + 1) * GOLDEN) & MASK64)
 
 
@@ -148,6 +150,7 @@ def _vocab_hashes(vocab_size: int) -> np.ndarray:
     return row
 
 
+@functools.lru_cache(maxsize=64)
 def _gamma_threshold(gamma: float) -> int:
     """Green-word threshold: a draw (w >> 11) * 2^-53 is below gamma exactly
     when the word w is below ceil(gamma * 2^53) * 2^11, which is below 2^64

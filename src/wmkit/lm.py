@@ -22,11 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MASK64,
     context_window,
-    fold64,
     make_ntp,
-    mix64,
+    seed64,
 )
 
 __all__ = [
@@ -119,7 +117,7 @@ class MarkovSource:
         if cached is not None:
             self._cache.move_to_end(ctx)
             return cached
-        state = mix64(fold64((self.seed ^ _ROW_TAG) & MASK64, ctx))
+        state = seed64(self.seed ^ _ROW_TAG, ctx)
         self._bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": _ROW_INC},

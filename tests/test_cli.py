@@ -330,22 +330,61 @@ GOLDEN_DETECT = {
 }
 
 
-@pytest.mark.parametrize("corpus,stat", sorted(GOLDEN_DETECT))
-def test_detect_golden(tmp_path, monkeypatch, golden_corpora, corpus, stat):
-    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib"))
+def _golden_detect_payload(workdir, corpora, corpus, stat) -> bytes:
+    """The concatenated reports that GOLDEN_DETECT[(corpus, stat)] digests,
+    written under ``workdir``."""
     key = _golden_key("perm" if corpus == "perm" else "hash")
-    out, payload = tmp_path / "r.jsonl", b""
+    out, payload = workdir / "r.jsonl", b""
     for side in ("combined", "green"):
         for denom in ("sqrt", "linear"):
             # Each flag only where the statistic reads it.
             flags = [] if stat == "max" else ["--side", side]
             if stat in ("hc+", "hc*"):
                 flags += ["--hc-denom", denom, "--calib-reps", "1000"]
-            rc = main(["detect", "--in", str(golden_corpora[corpus]), "--key", key,
+            rc = main(["detect", "--in", str(corpora[corpus]), "--key", key,
                        "--stat", stat, *flags, "--out", str(out)])
             assert rc == 0
             payload += out.read_bytes()
+    return payload
+
+
+@pytest.mark.parametrize("corpus,stat", sorted(GOLDEN_DETECT))
+def test_detect_golden(tmp_path, monkeypatch, golden_corpora, corpus, stat):
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib"))
+    payload = _golden_detect_payload(tmp_path, golden_corpora, corpus, stat)
     assert hashlib.sha256(payload).hexdigest() == GOLDEN_DETECT[(corpus, stat)]
+
+
+def test_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys, golden_corpora):
+    # main parses every command with one parser per process: a usage error
+    # and an argparse error in between leave the golden output unchanged.
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib-1"))
+    first = _golden_detect_payload(tmp_path, golden_corpora, "attacked", "hc+")
+    assert hashlib.sha256(first).hexdigest() == GOLDEN_DETECT[("attacked", "hc+")]
+    capsys.readouterr()
+    src = str(golden_corpora["hash"])
+    assert main(["detect", "--in", src, "--key", KEY_ARG, "--stat", "max", "--side", "green"]) == 2
+    assert capsys.readouterr().err == "error: --side does not apply to the max statistic\n"
+    assert main(["detect", "--in", src, "--key", KEY_ARG, "--stat", "hc+", "--calib-reps"]) == 2
+    assert "--calib-reps: expected one argument" in capsys.readouterr().err
+    monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "calib-2"))
+    assert _golden_detect_payload(tmp_path, golden_corpora, "attacked", "hc+") == first
+
+
+def test_built_parser_is_not_the_one_main_reads(tmp_path, capsys, golden_corpora):
+    # Each build_parser() call builds a new parser: changing one changes
+    # neither what main accepts nor what it runs.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub.choices["attack"].add_argument("--extra")
+    sub.choices["attack"].set_defaults(func=lambda args: 7)
+    argv = ["attack", "--in", str(golden_corpora["hash"]), "--rate", "0.2", "--seed", "3"]
+    assert parser.parse_args([*argv, "--extra", "1"]).func(None) == 7
+    assert main([*argv, "--extra", "1"]) == 2
+    assert "unrecognized arguments: --extra 1" in capsys.readouterr().err
+    out = tmp_path / "attacked.jsonl"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden_corpora["attacked"].read_bytes()
 
 
 class TestDetect:

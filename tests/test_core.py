@@ -20,6 +20,7 @@ from wmkit.core import (
     make_ntp,
     mix64,
     mix64_array,
+    seed64,
 )
 
 # Published splitmix64 outputs for seed 1234567: output k equals the
@@ -75,6 +76,22 @@ class TestFold64:
     @given(st.integers(min_value=0, max_value=MASK64), st.lists(st.integers(0, 2**32)))
     def test_deterministic(self, state, tokens):
         assert fold64(state, tokens) == fold64(state, tokens)
+
+    def test_fold_and_seed_match_chained_finalizer(self):
+        # No token, tokens at and past 2**32 up to 2**64 - 1, and states at
+        # and near 2**64: one finalizer per token, and seed64 one more.
+        contexts = [(), (0,), (2**32,), (2**32 - 1, 2**32), (2**63, MASK64), (MASK64, 0, 2**40)]
+        for state in (0, 1, 2**63, MASK64 - 1, MASK64):
+            for ctx in contexts:
+                s = state
+                for tok in ctx:
+                    s = _reference_finalizer(s * GOLDEN + tok + 1)
+                assert fold64(state, ctx) == s
+                assert seed64(state, ctx) == _reference_finalizer(s)
+
+    @given(st.integers(min_value=0, max_value=MASK64), st.lists(st.integers(0, MASK64)))
+    def test_seed_is_finalized_fold(self, state, tokens):
+        assert seed64(state, tokens) == mix64(fold64(state, tokens))
 
 
 def _first_draws(state, n):

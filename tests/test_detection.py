@@ -385,15 +385,40 @@ class TestHcKernel:
             return ThreadPoolExecutor(workers)
 
         monkeypatch.setattr(detection, "ThreadPoolExecutor", recording_pool)
-        # 2**18 // 300 = 873 rows fit one block; 2**18 // 3000 = 87 rows
-        # make three blocks of (250, 3000).
-        one_block = np.random.default_rng(12).random((800, 300))
+        # Whole-row blocks of _HC_ROW_BLOCK = 2**16 scores: 218 rows of 300
+        # fit one block; 800 rows of 300 make four blocks but fewer than
+        # _HC_INLINE_BELOW = 2**19 scores; 250 rows of 3000 make twelve
+        # blocks of at most 21 rows, 750,000 scores in all.
+        assert 800 * 300 < detection._HC_INLINE_BELOW <= 250 * 3000
+        one_block = np.random.default_rng(12).random((200, 300))
+        assert detection._HC_ROW_BLOCK // 300 >= 200
         hc_batch(one_block)
         hc_statistic(one_block[0])
+        hc_batch(np.random.default_rng(14).random((800, 300)))
         assert pools == []
         hc_batch(np.random.default_rng(13).random((250, 3000)))
+        blocks = -(-250 // (detection._HC_ROW_BLOCK // 3000))
         cpus = len(os.sched_getaffinity(0))
-        assert pools == ([] if cpus == 1 else [min(3, cpus)])
+        assert pools == ([] if cpus == 1 else [min(blocks, cpus)])
+
+    @pytest.mark.parametrize("reps,m", [
+        (50, 300), (300, 1000), (9, detection._HC_PRUNE_FROM), (30, 10_000),
+    ])
+    def test_bits_independent_of_block_size_and_workers(self, monkeypatch, reps, m):
+        # Blocks of one row, of 2**15 and of 2**18 scores on both paths, on
+        # one CPU and on every CPU, with no call run inline for its size.
+        rows = _hc_rows(reps, m, seed=3 * reps + m)
+        every = os.sched_getaffinity(0)
+        expected = {(variant, denom): _hc_oracle(rows, variant, denom).tobytes()
+                    for variant in (Statistic.HC_PLUS, Statistic.HC_STAR) for denom in HcDenom}
+        monkeypatch.setattr(detection, "_HC_INLINE_BELOW", 0)
+        for elements in (1, 2**15, 2**18):
+            monkeypatch.setattr(detection, "_HC_ROW_BLOCK", elements)
+            monkeypatch.setattr(detection, "_BLOCK_ELEMENTS", elements)
+            for cpus in ({0}, every):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                for (variant, denom), want in expected.items():
+                    assert hc_batch(rows, variant, denom).tobytes() == want
 
     def test_scalar_does_not_mutate(self):
         x = np.random.default_rng(10).random(500)
@@ -426,8 +451,8 @@ class TestHcKernel:
                 assert got.tobytes() == hc_batch(whole, variant, denom).tobytes()
 
     def test_fill_covers_every_row_once(self):
-        # 250 rows of 3000 scores: three blocks of at most 87 rows, shared
-        # over the threads.
+        # 250 rows of 3000 scores: twelve blocks of at most 2**16 // 3000 =
+        # 21 rows, shared over the threads.
         rows = RowStream((5,), (250, 3000), reduce=np.add)
         spans, lock, fill = [], threading.Lock(), rows.fill
 
@@ -439,7 +464,8 @@ class TestHcKernel:
         rows.fill = recording_fill
         hc_batch(rows)
         spans.sort()
-        assert spans[0][0] == 0 and spans[-1][1] == 250 and len(spans) == 3
+        blocks = -(-250 // (detection._HC_ROW_BLOCK // 3000))
+        assert spans[0][0] == 0 and spans[-1][1] == 250 and len(spans) == blocks == 12
         assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(spans, spans[1:]))
         sums = np.random.default_rng([5]).random((250, 3000)).sum(axis=1)
         assert rows.reduced.tobytes() == sums.tobytes()
@@ -617,8 +643,10 @@ class TestCalibration:
     @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
     def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
         # The null is drawn in blocks of about 2**18 scores (2 MiB): on this
-        # thread for the sum, and in the HC kernel's two buffers per thread
-        # for HC.  A draw chunk of 2e7 scores (153 MiB) breaks the bound.
+        # thread for the sum, and, as n >= _HC_PRUNE_FROM, in the bucketed HC
+        # kernel's two buffers per thread for HC (whole-row HC blocks, for
+        # n below it, hold 2**16 scores).  A draw chunk of 2e7 scores (153
+        # MiB) breaks the bound.
         threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))
         tracemalloc.start()
         try:

@@ -264,13 +264,34 @@ class TestGammaThreshold:
         assert scalar == expected[np.arange(40), toks].tolist()
 
 
+def _chained_seed(state: int, ctx) -> int:
+    # The seed of a context with one mix64 call per token and one at the
+    # end: the reference of the fused loop behind derive_seed.
+    s = state & MASK64
+    for tok in ctx:
+        s = mix64((s * GOLDEN + tok + 1) & MASK64)
+    return mix64(s)
+
+
+# Masters at and near 2**64, and tokens at and past 2**32 up to 2**64 - 1.
+EDGE_MASTERS = (0, 0x9E3779B97F4A7C15, MASK64 - 2**32, MASK64 - 1, MASK64)
+EDGE_TOKENS = (2**32 - 1, 2**32, 2**32 + 1, 2**63, MASK64 - 1, MASK64)
+
+
+def _edge_contexts(k: int, n: int = 20, seed: int = 0) -> list[tuple[int, ...]]:
+    # Random small-token contexts, then contexts of edge tokens.
+    ctxs = list(map(tuple, _random_contexts(n, k, seed=seed).tolist()))
+    return ctxs + [tuple(EDGE_TOKENS[(i + j) % len(EDGE_TOKENS)] for j in range(k))
+                   for i in range(len(EDGE_TOKENS))]
+
+
 def _reference_green(key: WatermarkKey, ctx, token: int) -> bool:
     # Per-token membership in Python-int arithmetic: the first draw of the
     # stream seeded by (green seed ^ token hash) is below gamma.
     if key.green_mode == "single":
         seed = mix64(key.master ^ GREEN_TAG)
     else:
-        seed = derive_seed(key, ctx, GREEN_TAG)
+        seed = _chained_seed(key.master ^ GREEN_TAG, ctx)
     token_hash = mix64(((token + 1) * GOLDEN) & MASK64)
     return RngStream(seed ^ token_hash).next_uniform() < key.gamma
 
@@ -287,12 +308,29 @@ class TestKeyedKernelOracles:
             toks = range(0, vocab, 1 if vocab <= 64 else 97)
             assert [is_green(key, ctx, t) for t in toks] == [expected[t] for t in toks]
 
+    @pytest.mark.parametrize("mode", ["hash", "single"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_membership_at_edge_keys_and_tokens(self, mode, k):
+        for master in EDGE_MASTERS:
+            key = WatermarkKey(master=master, k=k, gamma=0.3, green_mode=mode)
+            for ctx in _edge_contexts(k, n=5, seed=k):
+                for token in (0, 7, *EDGE_TOKENS):
+                    assert is_green(key, ctx, token) == _reference_green(key, ctx, token)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_seeds_match_chained_mix64(self, k):
+        for master in EDGE_MASTERS:
+            key = WatermarkKey(master=master, k=k, gamma=0.5)
+            for ctx in _edge_contexts(k, seed=k):
+                for tag in (GREEN_TAG, ZETA_TAG, PERM_TAG):
+                    assert derive_seed(key, ctx, tag) == _chained_seed(master ^ tag, ctx)
+
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_zeta_is_first_draw_of_the_zeta_stream(self, k):
-        for master in (0, 0x9E3779B97F4A7C15, MASK64):
+        for master in EDGE_MASTERS:
             key = WatermarkKey(master=master, k=k, gamma=0.5)
-            for ctx in map(tuple, _random_contexts(50, k, seed=k).tolist()):
-                expected = RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()
+            for ctx in _edge_contexts(k, n=50, seed=k):
+                expected = RngStream(_chained_seed(master ^ ZETA_TAG, ctx)).next_uniform()
                 assert derive_zeta(key, ctx) == expected
 
 

@@ -83,6 +83,17 @@ class TestGammaRow:
             for ctx in ((0, 0), (1, vocab - 1), (vocab // 2, 7 % vocab), (3 % vocab, 2 % vocab)):
                 assert src.next(ctx).tobytes() == _reference_row(src, ctx).tobytes()
 
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_row_state_at_edge_seeds_and_tokens(self, order):
+        # Seeds at and near 2**64 (one XORs to row state 0), and contexts of
+        # tokens at and past 2**32: the row state is the chained mix64 fold.
+        edge = (2**32 - 1, 2**32, 2**63, MASK64 - 1, MASK64)
+        for seed in (0, _ROW_TAG, MASK64 - 2**32, MASK64 - 1, MASK64):
+            src = MarkovSource(order=order, vocab_size=7, concentration=0.3, seed=seed)
+            for i in range(len(edge)):
+                ctx = tuple(edge[(i + j) % len(edge)] for j in range(order))
+                assert src.next(ctx).tobytes() == _reference_row(src, ctx).tobytes()
+
     def test_golden_rows(self):
         h = hashlib.sha256()
         for kwargs, n_ctx in ROW_CONFIGS:
