@@ -30,7 +30,7 @@ from .attacks import (
 from .core import GeneratedText, RngStream, seed64
 from .decoders import DecoderConfig, Scheme, generate
 from .detection import (
-    _CALIBRATABLE,
+    _HC_STATISTICS,
     HcDenom,
     Side,
     Statistic,
@@ -171,8 +171,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_STAT_CHOICES = sorted(s.value for s in _CALIBRATABLE)
-# The flags that set detect's and calibrate_null's settings, by setting.
+# detect's statistics; calibrate simulates only the HC nulls, as the sum and
+# max nulls are exact.
+_STAT_CHOICES = sorted(s.value for s in (Statistic.SUM, Statistic.MAX, *_HC_STATISTICS))
+_CALIBRATE_CHOICES = sorted(s.value for s in _HC_STATISTICS)
+# The flags that set detect's settings, by setting.
 _SETTING_FLAGS = {"side": "--side", "denom": "--hc-denom", "reps": "--calib-reps",
                   "seed": "--calib-seed"}
 
@@ -321,8 +324,7 @@ def cmd_calibrate(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir is not None else default_cache_dir()
     with _usage():
         statistic = Statistic(args.stat)
-        _check_calibration(statistic, args.n, args.alpha, args.reps, args.seed, args.hc_denom,
-                           _SETTING_FLAGS)
+        _check_calibration(statistic, args.n, args.alpha, args.reps, args.seed)
     critical = calibrate_null(
         statistic, n=args.n, alpha=args.alpha, reps=args.reps, seed=args.seed,
         denom=args.hc_denom, cache_dir=cache_dir,
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("calibrate", help="simulate and cache a null critical value")
-    c.add_argument("--stat", required=True, choices=_STAT_CHOICES)
+    c.add_argument("--stat", required=True, choices=_CALIBRATE_CHOICES)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--alpha", type=float, default=0.01)
     c.add_argument("--reps", type=int, default=2000)

@@ -4,11 +4,11 @@ Scores are folded pivots: a green token contributes its keyed uniform
 ``zeta``, a red token contributes ``1 - zeta``.  Under the null (text
 independent of the key) every score is U[0,1]; under the watermark both
 kinds are stochastically small.  Tests: the sum of scores against its
-exact Irwin-Hall null (normal approximation for n >= 15), higher
-criticism (HC* and the HC+ restriction) against a simulated null
-quantile, and the order-statistic max test with its closed-form
-threshold.  The baseline schemes' own tests, the Gumbel score sum and the
-green-token count, are statistics of :func:`detect` too.
+exact Irwin-Hall null at every n, the order-statistic max test with its
+closed-form threshold, and higher criticism (HC* and the HC+
+restriction) against a simulated null quantile, since its null law has
+no closed form.  The baseline schemes' own tests, the Gumbel score sum
+and the green-token count, are statistics of :func:`detect` too.
 """
 
 from __future__ import annotations
@@ -186,27 +186,49 @@ def extract_zeta_primes_batch(
 
 
 def irwin_hall_cdf(s: float, n: int) -> float:
-    """Exact CDF of a sum of n i.i.d. U[0,1] variables, for n < 15."""
-    if not 1 <= n < 15:
-        raise OutOfRange(f"exact branch supports 1 <= n < 15, got {n}")
+    """Exact CDF at s of a sum of n i.i.d. U[0,1] variables, for every n >= 1.
+
+    The smaller tail F_n(x), x = min(s, n - s), comes from the recursion
+    F_j(y) = F_{j-1}(y - 1) + (y / j) (F_{j-1}(y) - F_{j-1}(y - 1)) on the
+    points y = x - i, i <= floor(x), from F_1(y) = clip(y, 0, 1).  Each
+    step mixes two nonnegative values with weight y / j (both are 1 where
+    y > j), so nothing cancels: against rational arithmetic the tail is
+    within 2e-15 relative at n <= 300, down to tails of 1e-30.  The y / j
+    rows are built in blocks of about core._BLOCK_ELEMENTS entries.  A
+    sum outside [0, n] or NaN, or an n below 1, raises :class:`OutOfRange`.
+    """
+    if not n >= 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
+    # A NaN sum fails the comparison too.
     if not 0.0 <= s <= n:
         raise OutOfRange(f"sum must lie in [0, {n}], got {s}")
-    acc = 0.0
-    for j in range(int(math.floor(s)) + 1):
-        acc += (-1.0) ** j * math.comb(n, j) * (s - j) ** n
-    return min(1.0, max(0.0, acc / math.factorial(n)))
+    x = min(s, n - s)  # exact for s >= n / 2 (Sterbenz)
+    y = x - np.arange(math.floor(x) + 1)
+    # F on the points, then F(y - 1) = 0 for the point below 1; numpy
+    # reads an input that overlaps the output as if it were copied.
+    f = np.zeros(len(y) + 1)
+    here, below = f[:-1], f[1:]
+    np.clip(y, 0.0, 1.0, out=here)
+    step = np.empty(len(y))
+    ratios = np.empty((_block_rows(n - 1, len(y)), len(y)))
+    for lo in range(2, n + 1, len(ratios)):
+        rows = ratios[: min(len(ratios), n + 1 - lo)]
+        np.divide(y, np.arange(lo, lo + len(rows), dtype=np.float64)[:, None], out=rows)
+        for ratio in rows:
+            np.subtract(here, below, step)
+            np.multiply(step, ratio, step)
+            np.add(step, below, here)
+    return float(f[0]) if s <= n - s else 1.0 - float(f[0])
 
 
-def sum_pvalue(s: float, n: int) -> float:
-    """Lower-tail p-value of the score sum: exact Irwin-Hall for n < 15,
-    normal approximation with matching moments for n >= 15."""
-    if n < 15:
-        return irwin_hall_cdf(s, n)
-    # Imported here so that importing wmkit loads no scipy; ndtr is the
-    # standard normal CDF that scipy.stats.norm.cdf evaluates.
-    from scipy.special import ndtr
+# The lower-tail p-value of the score sum is its exact null CDF.
+sum_pvalue = irwin_hall_cdf
 
-    return float(ndtr((s - n / 2.0) / math.sqrt(n / 12.0)))
+
+def _check_scores(values: np.ndarray) -> None:
+    # A NaN fails both comparisons: min and max propagate it.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise OutOfRange("scores must lie in [0, 1], and none may be NaN")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -243,6 +265,7 @@ def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
     n = len(values)
     if n < 1:
         raise EmptyScores("sum test needs at least one score")
+    _check_scores(values)
     s = float(values.sum())
     return _p_value_report(Statistic.SUM, s, sum_pvalue(s, n), n, alpha)
 
@@ -431,9 +454,7 @@ def _hc_blocks(rows, variant: Statistic, denom: HcDenom) -> np.ndarray:
     if isinstance(rows, RowStream):
         fill = rows.fill
     else:
-        # A NaN fails both comparisons: min and max propagate it.
-        if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
-            raise OutOfRange("HC scores must lie in [0, 1], and none may be NaN")
+        _check_scores(rows)
 
         def fill(lo: int, hi: int, out: np.ndarray) -> None:
             np.copyto(out, rows[lo:hi])
@@ -526,6 +547,7 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
     n = len(values)
     if n < 1:
         raise EmptyScores("max test needs at least one score")
+    _check_scores(values)
     mx = float(values.max())
     threshold = alpha ** (1.0 / n)
     return DetectionReport(
@@ -539,33 +561,20 @@ def max_test(scores, alpha: float = 0.01) -> DetectionReport:
     )
 
 
-_CALIBRATABLE = (Statistic.SUM, Statistic.HC_PLUS, Statistic.HC_STAR, Statistic.MAX)
-_LOWER_TAIL = (Statistic.SUM, Statistic.MAX)
-
-# The statistics that read each setting of detect; calibrate_null reads the
-# denominator as detect does, and reps and seed for every statistic.  None
-# means not given: a statistic takes the default of a setting it reads and
-# refuses one it does not read.
+# The statistics that read each setting of detect.  None means not given: a
+# statistic takes the default of a setting it reads and refuses one it does
+# not read.
 _READS = {"side": (Statistic.SUM, *_HC_STATISTICS), "denom": _HC_STATISTICS,
           "reps": _HC_STATISTICS, "seed": _HC_STATISTICS}
 
 
-def _refuse_unread(statistic: Statistic, given: dict, labels: dict | None) -> None:
-    # Refuse a setting of given (name: value) that is not None and that the
-    # statistic does not read; labels, when given, names it as the CLI does.
-    for name, value in given.items():
-        if value is not None and statistic not in _READS[name]:
-            label = name if labels is None else labels[name]
-            raise ValueError(f"{label} does not apply to the {statistic.value} statistic")
-
-
 def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float) -> float:
     """The null quantile at level alpha in the statistic's rejection tail:
-    the alpha quantile for SUM and MAX, the 1 - alpha quantile for HC.  A
-    quantile that is not finite, as among HC+ values of -inf (rows with no
-    score >= 1/n), is refused."""
+    the alpha quantile for SUM (in the power study), the 1 - alpha quantile
+    for HC.  A quantile that is not finite, as among HC+ values of -inf
+    (rows with no score >= 1/n), is refused."""
     with np.errstate(invalid="ignore"):
-        q = np.quantile(null_values, alpha if statistic in _LOWER_TAIL else 1.0 - alpha)
+        q = np.quantile(null_values, alpha if statistic is Statistic.SUM else 1.0 - alpha)
     if not np.isfinite(q):
         raise OutOfRange(f"the simulated {statistic.value} null has no finite critical value "
                          f"at alpha {alpha}")
@@ -575,7 +584,7 @@ def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float)
 def _rejects(statistic: Statistic, values, critical: float):
     """Rejection, elementwise: strictly beyond the critical value in the
     statistic's tail."""
-    return values < critical if statistic in _LOWER_TAIL else values > critical
+    return values < critical if statistic is Statistic.SUM else values > critical
 
 
 _STAT_CODE = {s: i for i, s in enumerate(Statistic)}
@@ -594,28 +603,8 @@ def default_cache_dir() -> Path:
 def _null_statistics(
     statistic: Statistic, n: int, reps: int, seed: int, denom: HcDenom
 ) -> np.ndarray:
-    rows = RowStream(
-        (_STAT_CODE[statistic], n, reps, seed),
-        (reps, n),
-        reduce={Statistic.SUM: np.add, Statistic.MAX: np.maximum}.get(statistic),
-    )
-    if rows.reduce is None:
-        return hc_batch(rows, statistic, denom)
-    # Sum and max: blocks of about 2**18 scores on this thread, reduced by fill.
-    buf = np.empty((_block_rows(reps, n), n))
-    for lo in range(0, reps, len(buf)):
-        hi = min(lo + len(buf), reps)
-        rows.fill(lo, hi, buf[: hi - lo])
-    return rows.reduced
-
-
-def _cache_statistic(statistic: Statistic, denom: HcDenom) -> str:
-    # The statistic field of a cache row.  Only the HC nulls depend on the
-    # denominator, so HC rows carry it ("hc+:sqrt"); an HC row written
-    # without one ("hc+") never matches and is never reused.
-    if statistic in _HC_STATISTICS:
-        return f"{statistic.value}:{denom.value}"
-    return statistic.value
+    rows = RowStream((_STAT_CODE[statistic], n, reps, seed), (reps, n))
+    return hc_batch(rows, statistic, denom)
 
 
 def _parse_cache_row(line: str) -> tuple | None:
@@ -636,7 +625,9 @@ def _parse_cache_row(line: str) -> tuple | None:
 def _cache_lookup(path: Path, statistic, n, alpha, reps, seed, denom) -> float | None:
     if not path.exists():
         return None
-    key = (_cache_statistic(statistic, denom), n, alpha, reps, seed)
+    # The statistic field carries the denominator ("hc+:sqrt"): a row
+    # written without one ("hc+") never matches and is never reused.
+    key = (f"{statistic.value}:{denom.value}", n, alpha, reps, seed)
     hit, malformed = None, False
     for line in path.read_text().splitlines()[1:]:
         row = _parse_cache_row(line)
@@ -658,8 +649,7 @@ def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_v
     # one O_APPEND write, so concurrent writers never interleave or
     # overwrite rows.
     path.parent.mkdir(parents=True, exist_ok=True)
-    stat = _cache_statistic(statistic, denom)
-    line = f"{stat},{n},{alpha!r},{reps},{seed},{critical_value!r}\n"
+    line = f"{statistic.value}:{denom.value},{n},{alpha!r},{reps},{seed},{critical_value!r}\n"
     if not path.exists():
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
         with open(tmp, "x") as fh:
@@ -678,21 +668,18 @@ def _cache_append(path: Path, statistic, n, alpha, reps, seed, denom, critical_v
         os.close(fd)
 
 
-def _check_calibration(
-    statistic: Statistic, n: int, alpha: float, reps: int, seed: int, denom=None, labels=None
-) -> None:
+def _check_calibration(statistic: Statistic, n: int, alpha: float, reps: int, seed: int) -> None:
     """The refusals of :func:`calibrate_null` before any cache lookup or
-    draw; ``labels`` names the settings as :func:`_refuse_unread` does."""
-    if statistic not in _CALIBRATABLE:
-        raise ValueError(f"no simulated null for statistic {statistic}")
-    _refuse_unread(statistic, {"denom": denom}, labels)
+    draw."""
+    if statistic not in _HC_STATISTICS:
+        raise ValueError(f"no simulated null for the {statistic.value} statistic: "
+                         "only hc+ and hc* are calibrated")
     _check_reps(reps)
     _check_alpha(alpha)
     _check_tail(alpha, reps)
     _check_seed(seed)
-    least = 2 if statistic in _HC_STATISTICS else 1
-    if n < least:
-        raise OutOfRange(f"calibration of {statistic.value} needs n >= {least}, got {n}")
+    if n < 2:
+        raise OutOfRange(f"calibration of {statistic.value} needs n >= 2, got {n}")
 
 
 def calibrate_null(
@@ -704,16 +691,17 @@ def calibrate_null(
     denom: HcDenom | None = None,
     cache_dir: Path | str | None = None,
 ) -> float:
-    """Empirical critical value of a statistic over ``reps`` null simulations
-    of n i.i.d. U[0,1] scores: the (1-alpha) quantile for upper-tail
-    statistics (HC) and the alpha quantile for lower-tail ones (SUM, MAX).
+    """Empirical critical value of HC+ or HC* over ``reps`` null
+    simulations of n i.i.d. U[0,1] scores: their (1 - alpha) quantile.
+    HC is the one statistic with no closed-form null law; the sum and max
+    tests use their exact laws, and asking for either raises ValueError.
 
-    Results are cached in a CSV keyed by (statistic, n, alpha, reps, seed)
-    and, for HC, the denominator, which only HC reads (default sqrt).  HC
-    needs n >= 2, and every statistic needs alpha * reps >= 10.
+    Results are cached in a CSV keyed by (statistic, denominator, n, alpha,
+    reps, seed), the denominator defaulting to sqrt.  It needs n >= 2 and
+    alpha * reps >= 10.
     """
     statistic = Statistic(statistic)
-    _check_calibration(statistic, n, alpha, reps, seed, denom)
+    _check_calibration(statistic, n, alpha, reps, seed)
     denom = HcDenom.STANDARD_SQRT if denom is None else HcDenom(denom)
     cache_path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_path = cache_path / _CACHE_FILE
@@ -726,11 +714,15 @@ def calibrate_null(
 
 
 def _detect_settings(statistic: Statistic, alpha: float, side, denom, reps, seed, labels=None):
-    """The refusals of :func:`detect` before it reads a text, with ``labels``
-    as in :func:`_refuse_unread`; then side, denom, reps and seed with their
-    defaults filled in."""
+    """The refusals of :func:`detect` before it reads a text, then side,
+    denom, reps and seed with their defaults filled in.  A setting given
+    that the statistic does not read is refused, named by ``labels`` (as
+    the CLI names it) when given."""
     given = {"side": side, "denom": denom, "reps": reps, "seed": seed}
-    _refuse_unread(statistic, given, labels)
+    for name, value in given.items():
+        if value is not None and statistic not in _READS[name]:
+            label = name if labels is None else labels[name]
+            raise ValueError(f"{label} does not apply to the {statistic.value} statistic")
     side = Side.COMBINED if side is None else Side(side)
     denom = HcDenom.STANDARD_SQRT if denom is None else HcDenom(denom)
     reps, seed = 2000 if reps is None else reps, 0 if seed is None else seed

@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -313,20 +314,21 @@ def test_attack_golden(golden_corpora):
 # HC denominators sqrt and linear, concatenated in that order.  The attacked
 # corpus is scored under the hash key.  Captured when Markov rows became one
 # vectorized log-Gamma draw; the perm digests were captured again when the
-# keyed permutation became a sort of keyed words.
+# keyed permutation became a sort of keyed words, and the sum digests when
+# the sum p-value became the exact Irwin-Hall law at every n.
 GOLDEN_DETECT = {
     ("attacked", "hc*"): "bcead094fef66948a421112d79203e9b214312fd2bff55706e18fded516e566b",
     ("attacked", "hc+"): "fcdfd4c7de34c76ff1fdf679026a1f9df80b9e119f15f799a2e72ee32e6584bc",
     ("attacked", "max"): "f3af66822381be8a27c69e7f66d5a2098af0e1cb6600f67dded18e57751df485",
-    ("attacked", "sum"): "cd44b6890eec3959fd2c500b3d0ed56afd1d55012e940c60c0b682252af66fbe",
+    ("attacked", "sum"): "c0d003d504c7817e05dc0e10a4b4c1577014bfba6f02d715acc07ec612ddca59",
     ("hash", "hc*"): "10342620ee98f778860bc168850fc7fb17518d9e20229e0ed97e7675c86ffdb4",
     ("hash", "hc+"): "5e5a5538df787e3fa2cf09bb10a69f5acee701314d65b5c12cadae118267360d",
     ("hash", "max"): "b665e1d06cd03bff6b20ba4412972a3c886594475eb54551223411424c6d8f34",
-    ("hash", "sum"): "cd55cdc78579dc0162cd2244fbe39242d5c629d15b88c816f1bff94c799e5f5b",
+    ("hash", "sum"): "ec2f88031a598d64274995c3b0ec0ed6b561afc11d0d6a262267160f662baa74",
     ("perm", "hc*"): "d6b4719758befa7efcdcf7df90a6a90fc0138596ea42c1323cd41a034a71bc13",
     ("perm", "hc+"): "a70cccdebe7e218c968e96fdda610873a722be48dcf4a1210e83941a040a92c2",
     ("perm", "max"): "42270e472437616b064b948a28b5564566c8b7204849aa64ef861759d85fd639",
-    ("perm", "sum"): "e2cf2a10199f5fa329bad8f5a175ea6daeeb45f6cbad0f42a9bf8fd73589be31",
+    ("perm", "sum"): "258b0ad43b0403ec63bd0289e2df223352b2858572d52fe1dccc4805dc9090bf",
 }
 
 
@@ -902,18 +904,14 @@ GOLDEN_CALIBRATE = {
     ("hc*", "linear", 5000): "7ffeac81adfb669fafa12e42dd20ba729220f138fb0147b70d4ae8d35635191f",
     # Captured before the nulls were drawn from offsets in their streams:
     # n = 20000 spans two of the old draw chunks of 1000 rows.
-    ("sum", "sqrt", 20000): "85cc924c4eb51dfff47be3dc57094e7ead3aaf872aa6bd3caf227c75b8f21f91",
-    ("max", "sqrt", 20000): "bad183cf0f35c97660062a64a82cdeb26278072fd31318eb5090b250e2ba4899",
     ("hc+", "sqrt", 20000): "66f19100a9d17ec99e9da9a85ddea355a43f832f74b3dac9b30e792031752f0c",
 }
 
 
 @pytest.mark.parametrize("stat,denom,n", sorted(GOLDEN_CALIBRATE))
 def test_calibrate_golden(tmp_path, capsys, stat, denom, n):
-    denom_flag = ["--hc-denom", denom] if stat in ("hc+", "hc*") else []
-    rc = main(
-        ["calibrate", "--stat", stat, "--n", str(n), *denom_flag, "--cache-dir", str(tmp_path)]
-    )
+    rc = main(["calibrate", "--stat", stat, "--n", str(n), "--hc-denom", denom,
+               "--cache-dir", str(tmp_path)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     payload.pop("cache_dir")
@@ -947,12 +945,12 @@ class TestCalibrate:
         # once printed in its place.
         monkeypatch.setenv("WMKIT_CALIB_DIR", str(tmp_path / "default"))
         monkeypatch.chdir(tmp_path)
-        rc = main(["calibrate", "--stat", "sum", "--n", "30", "--reps", "1000",
+        rc = main(["calibrate", "--stat", "hc+", "--n", "30", "--reps", "1000",
                    "--cache-dir", ""])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         rows = (Path(payload["cache_dir"]) / "calibrations.csv").read_text().splitlines()
-        assert rows[1:] == [f"sum,30,0.01,1000,0,{payload['critical_value']!r}"]
+        assert rows[1:] == [f"hc+:sqrt,30,0.01,1000,0,{payload['critical_value']!r}"]
         assert not (tmp_path / "default").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "-1"])
@@ -962,7 +960,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(detection, "_null_statistics", no_draws)
         cache = tmp_path / "cache"
-        rc = main(["calibrate", "--stat", "sum", "--n", "30", "--alpha", alpha, "--reps", "1000",
+        rc = main(["calibrate", "--stat", "hc+", "--n", "30", "--alpha", alpha, "--reps", "1000",
                    "--cache-dir", str(cache)])
         assert rc == 2
         assert "alpha must lie in (0, 1)" in capsys.readouterr().err
@@ -972,10 +970,10 @@ class TestCalibrate:
     def test_nonpositive_n_is_usage_error(self, tmp_path, capsys, n):
         cache = tmp_path / "cache"
         rc = main(
-            ["calibrate", "--stat", "sum", "--n", n, "--reps", "1000", "--cache-dir", str(cache)]
+            ["calibrate", "--stat", "hc+", "--n", n, "--reps", "1000", "--cache-dir", str(cache)]
         )
         assert rc == 2
-        assert "n >= 1" in capsys.readouterr().err
+        assert "n >= 2" in capsys.readouterr().err
         assert not cache.exists()
 
     @pytest.mark.parametrize(
@@ -993,6 +991,16 @@ class TestCalibrate:
         assert message in capsys.readouterr().err
         assert not cache.exists()
 
+    @pytest.mark.parametrize("stat", ["sum", "max"])
+    def test_exact_statistics_have_no_calibration(self, tmp_path, capsys, monkeypatch, stat):
+        # Their nulls are exact laws, so calibrate offers no simulated one.
+        monkeypatch.setattr(detection, "_null_statistics", lambda *args: pytest.fail("drawn"))
+        cache = tmp_path / "cache"
+        rc = main(["calibrate", "--stat", stat, "--n", "30", "--cache-dir", str(cache)])
+        assert rc == 2
+        assert f"invalid choice: '{stat}'" in capsys.readouterr().err
+        assert not cache.exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -1003,7 +1011,7 @@ class TestCalibrate:
          "--key", KEY_ARG, "--n", "5", "--seed", "-1"],
         ["simulate", "--regime", "weak", "--p", "0.2", "--q", "0.5", "--m", "100",
          "--reps", "1000", "--seed", "-1"],
-        ["calibrate", "--stat", "sum", "--n", "30", "--reps", "1000", "--seed", "-1",
+        ["calibrate", "--stat", "hc+", "--n", "30", "--reps", "1000", "--seed", "-1",
          "--cache-dir", "{cache}"],
     ],
     ids=lambda argv: argv[0],
@@ -1019,7 +1027,7 @@ def test_negative_seed_is_usage_error_before_reading_or_drawing(tmp_path, capsys
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "calibrations.csv").write_text(
-        "statistic,n,alpha,reps,seed,critical_value\nsum,30,0.01,1000,-1,12.5\n"
+        "statistic,n,alpha,reps,seed,critical_value\nhc+:sqrt,30,0.01,1000,-1,12.5\n"
     )
     paths = {"missing": tmp_path / "missing.jsonl", "cache": cache}
     assert main([arg.format(**paths) for arg in argv]) == 2
@@ -1088,18 +1096,14 @@ def test_flag_the_scheme_or_regime_ignores_is_usage_error(tmp_path, capsys, monk
         *(("detect", stat, flag, value) for stat in ("sum", "max")
           for flag, value in (("--hc-denom", "linear"), ("--calib-reps", "5000"),
                               ("--calib-seed", "9"))),
-        ("calibrate", "sum", "--hc-denom", "linear"),
-        ("calibrate", "max", "--hc-denom", "sqrt"),
     ],
 )
 def test_flag_the_statistic_does_not_read_is_usage_error(tmp_path, capsys, monkeypatch, command,
                                                          stat, flag, value):
     # detect's input is missing, which exit 1 would show was read.
     monkeypatch.setattr(detection, "_null_statistics", lambda *args: pytest.fail("drawn"))
-    out, cache = tmp_path / "out", tmp_path / "cache"
-    extra = {"detect": ["--in", str(tmp_path / "missing.jsonl"), "--key", KEY_ARG,
-                        "--out", str(out)],
-             "calibrate": ["--n", "30", "--cache-dir", str(cache)]}[command]
+    extra = ["--in", str(tmp_path / "missing.jsonl"), "--key", KEY_ARG,
+             "--out", str(tmp_path / "out")]
     assert main([command, "--stat", stat, flag, value, *extra]) == 2
     assert capsys.readouterr() == ("", f"error: {flag} does not apply to the {stat} statistic\n")
     assert list(tmp_path.iterdir()) == []
@@ -1225,21 +1229,27 @@ class TestTopLevel:
         assert main([]) == 2
 
     def test_no_scipy_stats_on_import_or_sum_detect(self, tmp_path):
-        # scipy.stats costs about a second to import; only the green-count
-        # baseline needs it.
+        # Only the baselines' tests import scipy.  With every scipy import
+        # made to fail, importing the CLI and detect with each --stat choice
+        # (sum at n >= 15 included) still work.
         src = _generate(tmp_path, texts=1, n=40)
-        detect_argv = ["detect", "--in", str(src), "--key", KEY_ARG, "--stat", "sum",
-                       "--out", str(tmp_path / "r.jsonl")]
+        runs = [["detect", "--in", str(src), "--key", KEY_ARG, "--stat", stat,
+                 "--out", str(tmp_path / f"{stat}.jsonl")] for stat in ("sum", "max", "hc+", "hc*")]
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import wmkit.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'loaded by import'\n"
-            f"assert wmkit.cli.main({detect_argv!r}) == 0\n"
-            "assert 'scipy.stats' not in sys.modules, 'loaded by detect'\n"
+            f"for argv in {runs!r}:\n"
+            "    assert wmkit.cli.main(argv) == 0, argv\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        env = {**os.environ, "WMKIT_CALIB_DIR": str(tmp_path / "calib")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
-        assert _records(tmp_path / "r.jsonl")[0]["n_scored"] >= 15
+        for stat in ("sum", "max", "hc+", "hc*"):
+            (record,) = _records(tmp_path / f"{stat}.jsonl")
+            assert "error" not in record and record["statistic"] == stat
+        assert _records(tmp_path / "sum.jsonl")[0]["n_scored"] >= 15
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "e.jsonl"

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +71,35 @@ class TestIrwinHall:
                 )
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            irwin_hall_cdf(-0.1, 3)
-        with pytest.raises(OutOfRange):
-            irwin_hall_cdf(3.1, 3)
-        with pytest.raises(OutOfRange):
-            irwin_hall_cdf(1.0, 0)
-        with pytest.raises(OutOfRange):
-            irwin_hall_cdf(1.0, 15)
+        for s, n in ((-0.1, 3), (3.1, 3), (16.0, 15), (float("nan"), 3), (1.0, 0), (0.0, -1)):
+            with pytest.raises(OutOfRange):
+                irwin_hall_cdf(s, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 15, 300, 3000])
+    def test_endpoints(self, n):
+        assert irwin_hall_cdf(0.0, n) == 0.0
+        assert irwin_hall_cdf(float(n), n) == 1.0
+        assert sum_pvalue is irwin_hall_cdf
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 50, 100, 200, 300])
+    def test_matches_rational_oracle(self, n):
+        # Points s at lower-tail p from 0.5 down to 1e-30, found by bisection,
+        # and their mirrors n - s in the upper tail.  The lower tail is the
+        # CDF itself and must be within 1e-14 relative; in the upper tail the
+        # smaller tail is 1 - CDF, which the returned CDF carries to 1e-14
+        # relative plus one rounding at 1.
+        for p in (0.5, 0.1, 1e-3, 1e-6, 1e-10, 1e-15, 1e-20, 1e-30):
+            lo, hi = 0.0, n / 2.0
+            for _ in range(40):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if irwin_hall_cdf(mid, n) < p else (lo, mid)
+            s = hi
+            want = _irwin_hall_exact(Fraction(s), n)
+            assert abs(Fraction(irwin_hall_cdf(s, n)) - want) <= Fraction(1e-14) * want
+            mirror = n - s
+            tail = _irwin_hall_exact(n - Fraction(mirror), n)
+            got = Fraction(irwin_hall_cdf(mirror, n))
+            assert abs(got - (1 - tail)) <= Fraction(1e-14) * tail + Fraction(2.0**-53)
 
     def test_matches_simulation(self):
         # Empirical CDF of 1e6 simulated five-uniform sums; DKW at 1e6
@@ -87,20 +109,21 @@ class TestIrwinHall:
         for s in (1.0, 2.0, 2.5, 3.0, 4.0):
             assert irwin_hall_cdf(s, 5) == pytest.approx(float((sums <= s).mean()), abs=5e-3)
 
-    def test_normal_branch_continuity(self):
-        # At the exact/normal switchover the two laws agree to ~1e-2.
-        for s in (5.0, 6.0, 7.0, 8.0, 9.0):
-            exact = irwin_hall_cdf(s, 14)
-            approx = float(sstats.norm.cdf((s - 7.0) / math.sqrt(14 / 12.0)))
-            assert abs(exact - approx) < 0.01
 
-    def test_sum_pvalue_dispatch(self):
-        assert sum_pvalue(7.0, 14) == irwin_hall_cdf(7.0, 14)
-        # The normal branch is scipy.stats.norm.cdf bit for bit.
-        for n in (15, 40, 300, 3000):
-            for s in np.linspace(0.0, n, 61):
-                z = (s - n / 2.0) / math.sqrt(n / 12.0)
-                assert sum_pvalue(s, n) == float(sstats.norm.cdf(z))
+def _irwin_hall_exact(s: Fraction, n: int) -> Fraction:
+    # The alternating sum, in rational arithmetic.
+    terms = ((-1) ** j * math.comb(n, j) * (s - j) ** n for j in range(math.floor(s) + 1))
+    return sum(terms, Fraction(0)) / math.factorial(n)
+
+
+@pytest.mark.parametrize("test", [sum_test, max_test, hc_statistic],
+                         ids=["sum", "max", "hc+"])
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_scores_outside_unit_interval_refused_by_every_test(test, bad):
+    scores = np.full(20, 0.5)
+    scores[7] = bad
+    with pytest.raises(OutOfRange, match=r"scores must lie in \[0, 1\]"):
+        test(scores)
 
 
 class TestSumTest:
@@ -132,7 +155,7 @@ class TestLevelChecks:
             lambda: detect(text, KEY, Statistic.HC_PLUS, alpha=alpha),
             lambda: detect(text, KEY, Statistic.GUMBEL_SUM, alpha=alpha),
             lambda: detect(text, KEY, Statistic.GREEN_COUNT, alpha=alpha),
-            lambda: calibrate_null(Statistic.SUM, 30, alpha, reps=1000, cache_dir=tmp_path),
+            lambda: calibrate_null(Statistic.HC_PLUS, 30, alpha, reps=1000, cache_dir=tmp_path),
         ):
             with pytest.raises(OutOfRange, match="alpha"):
                 call()
@@ -190,8 +213,9 @@ class TestSettings:
     @pytest.mark.parametrize("denom", ["sqrt", "linear"])
     def test_calibrate_null_refuses_a_denominator_for_sum_and_max(self, tmp_path, monkeypatch,
                                                                   statistic, denom):
+        # They have no simulated null at all: their laws are exact.
         monkeypatch.setattr(detection, "_null_statistics", lambda *args: pytest.fail("drawn"))
-        with pytest.raises(ValueError, match=f"^denom does not apply to the {statistic.value} "):
+        with pytest.raises(ValueError, match=f"^no simulated null for the {statistic.value} "):
             calibrate_null(statistic, 30, 0.01, denom=denom, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
@@ -512,13 +536,13 @@ class TestCalibration:
         assert len(lines) == 2
 
     def test_seed_changes_value(self, tmp_path):
-        a = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, seed=0, cache_dir=tmp_path)
-        b = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, seed=1, cache_dir=tmp_path)
+        a = calibrate_null(Statistic.HC_PLUS, 30, 0.05, reps=1000, seed=0, cache_dir=tmp_path)
+        b = calibrate_null(Statistic.HC_PLUS, 30, 0.05, reps=1000, seed=1, cache_dir=tmp_path)
         assert a != b
 
     def test_reps_floor(self, tmp_path):
         with pytest.raises(ValueError):
-            calibrate_null(Statistic.SUM, 30, 0.05, reps=500, cache_dir=tmp_path)
+            calibrate_null(Statistic.HC_PLUS, 30, 0.05, reps=500, cache_dir=tmp_path)
 
     @pytest.mark.parametrize(
         "statistic,n,alpha",
@@ -528,7 +552,7 @@ class TestCalibration:
             # The tail holds 1e-3 of a draw; the threshold it gives rejects
             # 1.3e-3 of fresh null rows, not 1e-6.
             (Statistic.HC_PLUS, 100, 1e-6),
-            (Statistic.SUM, 30, 0.005),
+            (Statistic.HC_PLUS, 30, 0.005),
         ],
     )
     def test_refused_before_drawing(self, tmp_path, monkeypatch, statistic, n, alpha):
@@ -551,24 +575,13 @@ class TestCalibration:
     def test_n_floor_checked_before_cache(self, tmp_path, n):
         # A row for n = 0, as an unchecked call once appended, is not served.
         cache = tmp_path / "calibrations.csv"
-        cache.write_text(f"statistic,n,alpha,reps,seed,critical_value\nsum,{n},0.01,1000,0,0.0\n")
+        cache.write_text(
+            f"statistic,n,alpha,reps,seed,critical_value\nhc+:sqrt,{n},0.01,1000,0,0.0\n"
+        )
         before = cache.read_bytes()
         with pytest.raises(OutOfRange):
-            calibrate_null(Statistic.SUM, n, 0.01, reps=1000, cache_dir=tmp_path)
+            calibrate_null(Statistic.HC_PLUS, n, 0.01, reps=1000, cache_dir=tmp_path)
         assert cache.read_bytes() == before
-
-    def test_sum_tail_matches_exact_law(self, tmp_path):
-        calib = calibrate_null(Statistic.SUM, 12, 0.05, reps=4000, seed=7, cache_dir=tmp_path)
-        assert irwin_hall_cdf(calib, 12) == pytest.approx(0.05, abs=0.02)
-
-    def test_max_tail_matches_exact_law(self, tmp_path):
-        calib = calibrate_null(Statistic.MAX, 20, 0.01, reps=4000, seed=7, cache_dir=tmp_path)
-        assert abs(calib - 0.01 ** (1.0 / 20.0)) < 0.04
-
-    def test_sum_threshold_monotone_in_alpha(self, tmp_path):
-        tight = calibrate_null(Statistic.SUM, 10, 0.01, reps=2000, seed=2, cache_dir=tmp_path)
-        loose = calibrate_null(Statistic.SUM, 10, 0.10, reps=2000, seed=2, cache_dir=tmp_path)
-        assert tight < loose
 
     def test_env_var_controls_default_dir(self):
         assert default_cache_dir() == Path(os.environ["WMKIT_CALIB_DIR"])
@@ -581,14 +594,17 @@ class TestCalibration:
     def test_negative_seed_rejected_before_lookup(self, tmp_path):
         # A cached row for seed -1 is not an answer to the request.
         (tmp_path / "calibrations.csv").write_text(
-            "statistic,n,alpha,reps,seed,critical_value\nsum,30,0.01,1000,-1,12.5\n"
+            "statistic,n,alpha,reps,seed,critical_value\nhc+:sqrt,30,0.01,1000,-1,12.5\n"
         )
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            calibrate_null(Statistic.SUM, 30, 0.01, reps=1000, seed=-1, cache_dir=tmp_path)
+            calibrate_null(Statistic.HC_PLUS, 30, 0.01, reps=1000, seed=-1, cache_dir=tmp_path)
 
     def test_uncalibratable_statistic(self, tmp_path):
-        with pytest.raises(ValueError):
-            calibrate_null(Statistic.GUMBEL_SUM, 10, 0.01, cache_dir=tmp_path)
+        # Only HC has a simulated null; sum and max have exact laws.
+        for statistic in (Statistic.GUMBEL_SUM, Statistic.SUM, Statistic.MAX):
+            with pytest.raises(ValueError, match="no simulated null"):
+                calibrate_null(statistic, 10, 0.01, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_hc_denominator_is_part_of_the_key(self, tmp_path):
         # A sqrt calibration must not answer a linear request (3.94 vs 49.95
@@ -609,15 +625,11 @@ class TestCalibration:
         (tmp_path / "calibrations.csv").write_text(
             "statistic,n,alpha,reps,seed,critical_value\n"
             "hc+,300,0.01,2000,0,3.936\n"
-            "sum,30,0.05,1000,0,12.5\n"
         )
         linear = calibrate_null(Statistic.HC_PLUS, 300, 0.01, denom="linear", cache_dir=tmp_path)
         assert linear != 3.936
         sqrt = calibrate_null(Statistic.HC_PLUS, 300, 0.01, cache_dir=tmp_path)
         assert sqrt != 3.936
-        # The sum null has no denominator, so its rows stay valid.
-        kept = calibrate_null(Statistic.SUM, 30, 0.05, reps=1000, cache_dir=tmp_path)
-        assert kept == 12.5
 
     @pytest.mark.parametrize(
         "row",
@@ -634,20 +646,19 @@ class TestCalibration:
         # is ignored with a warning; the lookup then recomputes.
         path = tmp_path / "calibrations.csv"
         path.write_text("statistic,n,alpha,reps,seed,critical_value\n" + row + "\n")
-        fresh = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path / "fresh")
+        fresh = calibrate_null(Statistic.HC_PLUS, 30, 0.01, cache_dir=tmp_path / "fresh")
         with pytest.warns(UserWarning, match="malformed rows"):
-            got = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
+            got = calibrate_null(Statistic.HC_PLUS, 30, 0.01, cache_dir=tmp_path)
         assert got == fresh
         assert path.read_text().splitlines()[-1].endswith(repr(fresh))
 
-    @pytest.mark.parametrize("statistic,n", [(Statistic.SUM, 100_000), (Statistic.HC_PLUS, 10_000)])
+    @pytest.mark.parametrize("statistic,n", [(Statistic.HC_PLUS, 10_000)])
     def test_cold_calibration_memory_bounded(self, tmp_path, statistic, n):
-        # The null is drawn in blocks of about 2**18 scores (2 MiB): on this
-        # thread for the sum, and, as n >= _HC_PRUNE_FROM, in the bucketed HC
-        # kernel's two buffers per thread for HC (whole-row HC blocks, for
-        # n below it, hold 2**16 scores).  A draw chunk of 2e7 scores (153
-        # MiB) breaks the bound.
-        threads = 0 if statistic is Statistic.SUM else min(10, len(os.sched_getaffinity(0)))
+        # The null is drawn in blocks of about 2**18 scores (2 MiB), as n >=
+        # _HC_PRUNE_FROM, in the bucketed HC kernel's two buffers per thread
+        # (whole-row HC blocks, for n below it, hold 2**16 scores).  A draw
+        # chunk of 2e7 scores (153 MiB) breaks the bound.
+        threads = min(10, len(os.sched_getaffinity(0)))
         tracemalloc.start()
         try:
             calibrate_null(statistic, n, 0.01, cache_dir=tmp_path)
@@ -666,7 +677,7 @@ class TestCalibration:
             "time.sleep(max(0.0, start - time.time()))\n"
             "for f in range(20):\n"
             "    for n in range(25):\n"
-            "        _cache_append(root / str(f) / 'calibrations.csv', Statistic.SUM, n,\n"
+            "        _cache_append(root / str(f) / 'calibrations.csv', Statistic.HC_PLUS, n,\n"
             "                      0.01, 1000, who, HcDenom.STANDARD_SQRT, 0.5)\n"
         )
         root = Path(__file__).resolve().parent.parent
@@ -681,7 +692,7 @@ class TestCalibration:
         ]
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
         header = "statistic,n,alpha,reps,seed,critical_value"
-        want = sorted(f"sum,{n},0.01,1000,{who},0.5" for who in (1, 2) for n in range(25))
+        want = sorted(f"hc+:sqrt,{n},0.01,1000,{who},0.5" for who in (1, 2) for n in range(25))
         for f in range(20):
             lines = (tmp_path / str(f) / "calibrations.csv").read_text().splitlines()
             assert lines[0] == header
@@ -697,8 +708,8 @@ class TestCalibration:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            a = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
-            b = calibrate_null(Statistic.SUM, 30, 0.01, cache_dir=tmp_path)
+            a = calibrate_null(Statistic.HC_PLUS, 30, 0.01, cache_dir=tmp_path)
+            b = calibrate_null(Statistic.HC_PLUS, 30, 0.01, cache_dir=tmp_path)
         assert a == b
         assert len(caught) == 1
 

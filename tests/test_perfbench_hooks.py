@@ -77,19 +77,21 @@ def test_traced_commands_reach_the_hooked_names(perfbench, tmp_path, monkeypatch
 
 # sha256 of every file that one round of each workload writes at seed 1,
 # captured before the per-token kernels of lm, decoders and keying were cut
-# to fewer numpy calls with the same bits.  Like the golden digests in
+# to fewer numpy calls with the same bits; the det_*_sum reports were
+# captured again when the sum p-value became the exact Irwin-Hall law at
+# every n.  Like the golden digests in
 # test_cli.py and test_lm.py, they hold for one host and one numpy build:
 # numpy's log and exp pick a SIMD loop at run time (see README, Modules).
 ROUND_DIGESTS = {
     "desk": {
         "att.jsonl": "66a6b046b7abc66fda6c5ee91f85b069ae47ca493fc2d5f208e8ce80eb2fda76",
         "det_att_hc+.jsonl": "1cb9459976463a1b5618c11b35fe06498bc5edcf7af4d9c8ae0e71602688918a",
-        "det_att_sum.jsonl": "acee000bf4e973110d78651338945c78377ea45c35170d8ca3082f794162a30d",
-        "det_plain_sum.jsonl": "e9c4627de979bcc59d5589403bebad1593a01991bf8dfc87a30f16684f1b5c71",
-        "det_sd_sum.jsonl": "a554844b7470d769dbc18e73233158863faea8c1e34f5488d45e9775ef77471a",
+        "det_att_sum.jsonl": "39ddf6200e39a633b0d9a0d97805206ec2f682b418b64c89ec37914f8d529b22",
+        "det_plain_sum.jsonl": "d5f5ca606ffb667d284a23110f4d1b984138a08d7da4542756d36403ea3b273c",
+        "det_sd_sum.jsonl": "f7dabfbef046f43dca980c1ae757c1cc6a97ab7ece3ba0b719379b2effd039cc",
         "det_wm_hc+.jsonl": "c698222716e8c58cc7a4309acb3a3c8c7b1fb93606b9401c9f993f8fa6f2bbd2",
         "det_wm_max.jsonl": "06dbdcd2f168c3b1c14f85680cf29471aa37d0001cf99835ef4a60094c63e143",
-        "det_wm_sum.jsonl": "9b1e7136817b8178b7a2f10522b43be4fd6f92f409d4755e3b41b96237237217",
+        "det_wm_sum.jsonl": "cb130b4ef5ec14ce6ae1ed8040af5734859366e922d1fe7d180fdc9ea24404b7",
         "plain.jsonl": "8235536fd1d718f7c55e9eab29783c6cb00b1e497d7781961a16d8164923859c",
         "sd.jsonl": "687501a2231a55526ba22a8d92b95aa1d3c4256e1651cff25a57e403899e4864",
         "sd_stats.json": "81097df1ed23ac3972178cb730d9b34a530c2a11d019742b05def0de4e13c082",
@@ -97,10 +99,10 @@ ROUND_DIGESTS = {
     },
     "vocab32k": {
         "det_gumbel_hc+.jsonl": "47e0abe7fb57bab8fff3f7579f75ef653eb973080b64078d4f0c60288293d498",
-        "det_gumbel_sum.jsonl": "7efdb1442316ec177f226a4cd6b2c596bfb1b3292f4ea1959ce7717eed1c590a",
+        "det_gumbel_sum.jsonl": "5ad54103ed03a8fe2a052ae06a200fe478c5995d3bda5547c934e493154bcf70",
         "det_mc_hc+.jsonl": "6a81336f23416da75ea2fa2153bc3303d0f185d3e5473036228a4fa950459a2e",
-        "det_mc_sum.jsonl": "6eafb646fe4cb1775ce51ca1c2132b562aa95af3148ee88a636ecbcd5fda2d41",
-        "det_perm_sum.jsonl": "02822dd83c3d441f64eb7a790d0a2888751f2a6340363e450f026a7805db04cf",
+        "det_mc_sum.jsonl": "c42f1eb51c9daec96ee1e2a4332a2dd7a6a5d80e0c2313c54c3a5dbee1b3d713",
+        "det_perm_sum.jsonl": "9f50ee2ec4b6a932ca06340374212609f6f856a7b38c54d29ea613b6cb36711c",
         "dipmark.jsonl": "43760c5b2bd218b7def4473059dadb3bc803ee52c9541f743df02937026dcfd5",
         "gumbel.jsonl": "f6cd259236ea39f7af642dd826795bdfa3129315635417fd0f23440079ef9493",
         "mc.jsonl": "886be52439f7cb15d4aab5f966641fdfc6f11657c4c455ef4bf6bbf46b7078b8",
