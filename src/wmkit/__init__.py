@@ -73,7 +73,6 @@ from .simulation import (
     PowerCurve,
     Regime,
     RegimeConfig,
-    boundary_scan,
     run_power,
 )
 

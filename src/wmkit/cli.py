@@ -43,7 +43,7 @@ from .detection import (
 )
 from .keying import parse_key
 from .lm import EndOfTrace, MalformedTrace, TraceSource, parse_model_spec
-from .simulation import Regime, RegimeConfig, csv_text, run_power
+from .simulation import POWER_CSV_HEADER, Regime, RegimeConfig, csv_text, run_power
 
 __all__ = ["main", "build_parser", "text_record", "text_from_record"]
 
@@ -296,27 +296,39 @@ def cmd_specdec(args) -> int:
 _HIST_BINS = 50
 
 
+def _grid(text: str | None, flag: str) -> list:
+    """The comma-separated values of a grid flag, which may not repeat one;
+    [None] when the flag is not given."""
+    if text is None:
+        return [None]
+    values = [float(v) for v in text.split(",")]
+    if len(set(values)) < len(values):
+        raise ValueError(f"{flag} repeats a value: {text}")
+    return values
+
+
 def cmd_simulate(args) -> int:
     with _usage():
-        config = RegimeConfig(
-            regime=Regime(args.regime),
-            p=args.p,
-            r=args.r,
-            q=args.q,
-            m_grid=tuple(float(m) for m in args.m.split(",")),
-            reps=args.reps,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
+        m_grid = tuple(float(m) for m in args.m.split(","))
+        configs = [
+            RegimeConfig(regime=Regime(args.regime), p=p, r=r, q=q, m_grid=m_grid,
+                         reps=args.reps, alpha=args.alpha, seed=args.seed)
+            for p in _grid(args.p, "--p")
+            for q in _grid(args.q, "--q")
+            for r in _grid(args.r, "--r")
+        ]
         if args.histogram is None and args.hist_bins is not None:
             raise ValueError("--hist-bins does not apply without --histogram")
+        if args.histogram is not None and len(configs) > 1:
+            raise ValueError(f"--histogram takes one (p, q or r) cell, got {len(configs)}")
         hist_bins = _HIST_BINS if args.hist_bins is None else args.hist_bins
         if hist_bins < 1:
             raise ValueError("--hist-bins must be >= 1")
-    curve = run_power(config)
-    _write(curve.to_csv(), args.out)
+    curves = [run_power(config) for config in configs]
+    rows = "".join(curve.to_csv().partition("\n")[2] for curve in curves)
+    _write(f"{POWER_CSV_HEADER}\n{rows}", args.out)
     if args.histogram is not None:
-        _write(csv_text(curve.histogram(hist_bins)), args.histogram)
+        _write(csv_text(curves[0].histogram(hist_bins)), args.histogram)
     return 0
 
 
@@ -404,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", help="sparse-mixture power curves as CSV")
     m.add_argument("--regime", required=True, choices=[r.value for r in Regime])
-    m.add_argument("--p", type=float, required=True)
-    m.add_argument("--r", type=float, default=None)
-    m.add_argument("--q", type=float, default=None)
+    m.add_argument("--p", required=True, help="comma-separated sparsity exponents")
+    m.add_argument("--r", default=None, help="comma-separated strong-regime signal exponents")
+    m.add_argument("--q", default=None, help="comma-separated weak-regime signal exponents")
     m.add_argument("--m", required=True, help="comma-separated ascending m grid")
     m.add_argument("--reps", type=int, default=2000)
     m.add_argument("--alpha", type=float, default=0.01)

@@ -158,11 +158,6 @@ def categorical_from_uniform(weights: np.ndarray, u: float) -> int:
     return idx
 
 
-def _check_vocab(P: np.ndarray, Q: np.ndarray) -> None:
-    if len(P) != len(Q):
-        raise VocabMismatch(f"vocab sizes differ: {len(P)} vs {len(Q)}")
-
-
 def sample_rejection_coupling(
     P: np.ndarray, Q: np.ndarray, zeta: float, aux: RngStream
 ) -> tuple[int, bool]:
@@ -177,7 +172,8 @@ def sample_rejection_coupling(
     [0, P_w/Q_w]-style intervals, which is what the soft coupling decoder
     needs.
     """
-    _check_vocab(P, Q)
+    if len(P) != len(Q):
+        raise VocabMismatch(f"vocab sizes differ: {len(P)} vs {len(Q)}")
     w = categorical_from_uniform(Q, aux.next_uniform())
     return accept_or_resample(P, Q, w, zeta, aux.next_uniform)
 

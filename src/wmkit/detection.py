@@ -317,18 +317,14 @@ class RowStream:
     Row r is draws r * m .. (r + 1) * m - 1 of the PCG64 stream seeded with
     ``entropy`` (the stream of ``np.random.default_rng(entropy)``).
     ``transform(x, lo)``, when given, changes the drawn rows x, which start
-    at row lo, in place.  With a ``reduce`` ufunc, each filled row's
-    reduction (``np.add``: its sum) is written to ``reduced`` before the
-    row is scored.
+    at row lo, in place.
     """
 
-    def __init__(self, entropy, shape, *, transform=None, reduce=None):
+    def __init__(self, entropy, shape, *, transform=None):
         self.entropy = [int(e) for e in entropy]
         self.shape = (int(shape[0]), int(shape[1]))
         self.size = self.shape[0] * self.shape[1]
         self.transform = transform
-        self.reduce = reduce
-        self.reduced = None if reduce is None else np.empty(self.shape[0])
 
     def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Draw rows lo..hi-1 into ``out``, a C-contiguous (hi - lo, m)
@@ -338,13 +334,6 @@ class RowStream:
         np.random.Generator(bits).random(out=out)
         if self.transform is not None:
             self.transform(out, lo)
-        if self.reduce is not None:
-            self.reduce.reduce(out, axis=1, out=self.reduced[lo:hi])
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.empty(self.shape)
-        self.fill(0, self.shape[0], out)
-        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def _hc_sd(s, denom: HcDenom, x=None, scratch=None) -> np.ndarray:

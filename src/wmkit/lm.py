@@ -240,8 +240,10 @@ def parse_model_spec(spec: str):
         for part in rest.split(","):
             if "=" not in part:
                 raise ValueError(f"malformed model parameter {part!r}")
-            k, _, v = part.partition("=")
-            params[k.strip()] = v.strip()
+            k, _, v = (t.strip() for t in part.partition("="))
+            if k in params:
+                raise ValueError(f"repeated model parameter {k!r}")
+            params[k] = v
     if kind == "markov":
         known = {"seed", "vocab", "order", "conc", "temp"}
         unknown = set(params) - known

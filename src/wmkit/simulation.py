@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "PowerRow",
     "PowerCurve",
     "run_power",
-    "boundary_scan",
     "csv_text",
     "POWER_CSV_HEADER",
 ]
@@ -84,8 +82,8 @@ class RegimeConfig:
             raise ValueError("m_grid must not be empty")
         if any(m < 2 for m in self.m_grid):
             raise ValueError("m_grid entries must be >= 2: higher criticism needs two scores")
-        if list(self.m_grid) != sorted(self.m_grid):
-            raise ValueError("m_grid must be ascending")
+        if any(a >= b for a, b in zip(self.m_grid, self.m_grid[1:])):
+            raise ValueError(f"m_grid must be strictly ascending, got {self.m_grid}")
         _check_reps(self.reps)
         _check_alpha(self.alpha)
         _check_tail(self.alpha, self.reps)
@@ -152,87 +150,43 @@ def _add_signal(config: RegimeConfig, m: int, x: np.ndarray, lo: int) -> None:
         x[:, :n_sig] *= 1.0 - m ** (-config.q)
 
 
-def _cell_rows(config: RegimeConfig, m: int, role: int) -> RowStream:
-    """The (reps, m) scores of one (m, role) cell, drawn lazily with their
-    row sums; role 0 = null, role 1 = alternative, which needs no per-row
-    shuffle because the tests are permutation-invariant.  Streams are
-    derived from (seed, m, role) so the two roles never share draws."""
-    return RowStream(
-        (config.seed, m, role),
-        (config.reps, m),
-        transform=partial(_add_signal, config, m) if role == 1 else None,
-        reduce=np.add,
-    )
+def _cell_rows(config: RegimeConfig, m: int, role: int) -> tuple[RowStream, np.ndarray]:
+    """The (reps, m) scores of one (m, role) cell, drawn lazily, and the
+    row sums that filling them writes; role 0 = null, role 1 = alternative,
+    which needs no per-row shuffle because the tests are
+    permutation-invariant.  Streams are derived from (seed, m, role) so the
+    two roles never share draws."""
+    sums = np.empty(config.reps)
+
+    def transform(x: np.ndarray, lo: int) -> None:
+        if role == 1:
+            _add_signal(config, m, x, lo)
+        np.add.reduce(x, axis=1, out=sums[lo : lo + len(x)])
+
+    return RowStream((config.seed, m, role), (config.reps, m), transform=transform), sums
 
 
 def _stats_over_draws(config: RegimeConfig, m: int, role: int) -> dict[Statistic, np.ndarray]:
     """All reps of each statistic for one (m, role) cell; :func:`hc_batch`
     draws, sums and scores the rows block by block."""
-    rows = _cell_rows(config, m, role)
+    rows, sums = _cell_rows(config, m, role)
     hc = hc_batch(rows, Statistic.HC_PLUS, HcDenom.STANDARD_SQRT)
-    return {Statistic.SUM: rows.reduced, Statistic.HC_PLUS: hc}
-
-
-def _power_rows(config: RegimeConfig, m: int, null_stats: dict, alt_stats: dict) -> list[PowerRow]:
-    """Each statistic's critical value, the null quantile at level alpha
-    in its rejection tail, and its rejection rate over the alternative."""
-    rows = []
-    for stat in _STATISTICS:
-        crit = _critical_value(stat, null_stats[stat], config.alpha)
-        power = float(np.mean(_rejects(stat, alt_stats[stat], crit)))
-        rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
-    return rows
+    return {Statistic.SUM: sums, Statistic.HC_PLUS: hc}
 
 
 def run_power(config: RegimeConfig) -> PowerCurve:
     """Calibrate each statistic on null draws and measure rejection rates on
-    alternative draws, for every m in the grid."""
+    alternative draws, for every m in the grid: the critical value is the
+    null quantile at level alpha in the statistic's rejection tail."""
     rows: list[PowerRow] = []
     for m in config.m_grid:
         null_stats = _stats_over_draws(config, m, 0)
         alt_stats = _stats_over_draws(config, m, 1)
-        rows.extend(_power_rows(config, m, null_stats, alt_stats))
+        for stat in _STATISTICS:
+            crit = _critical_value(stat, null_stats[stat], config.alpha)
+            power = float(np.mean(_rejects(stat, alt_stats[stat], crit)))
+            rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
     return PowerCurve(config=config, rows=tuple(rows), largest_cell=(null_stats, alt_stats))
-
-
-def _classify(p: float, q: float) -> str:
-    if 2.0 * p + q > 1.0:
-        return "undetectable"
-    if p + q < 0.5:
-        return "sum-detectable"
-    return "hc-only"
-
-
-def boundary_scan(
-    p_list, q_list, m: int, reps: int = 2000, alpha: float = 0.01, seed: int = 0
-) -> list[dict]:
-    """WEAK-regime power at a fixed m over a (p, q) grid, with each cell
-    labeled by its side of the analytic boundaries 2p + q = 1 and
-    p + q = 1/2.  The null cell depends only on (seed, m, reps), so it is
-    drawn once for the whole grid."""
-    configs = [
-        RegimeConfig(regime=Regime.WEAK, p=p, q=q, m_grid=(m,), reps=reps, alpha=alpha, seed=seed)
-        for p in p_list
-        for q in q_list
-    ]
-    if not configs:
-        return []
-    null_stats = _stats_over_draws(configs[0], m, 0)
-    table = []
-    for config in configs:
-        alt_stats = _stats_over_draws(config, m, 1)
-        for row in _power_rows(config, m, null_stats, alt_stats):
-            table.append(
-                {
-                    "p": config.p,
-                    "q": config.q,
-                    "m": m,
-                    "statistic": row.statistic.value,
-                    "power": row.power,
-                    "region": _classify(config.p, config.q),
-                }
-            )
-    return table
 
 
 def _histogram_rows(

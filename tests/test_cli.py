@@ -850,6 +850,76 @@ class TestSimulate:
         assert len(lines) > 20
         assert sorted(drawn) == [(50, 0), (50, 1), (100, 0), (100, 1)]
 
+    def test_grid_is_its_cells_in_p_major_order(self, tmp_path):
+        # One header, then each (p, q) cell's rows as a run of that cell
+        # alone writes them, p-major.
+        def run(name, p, q):
+            out = tmp_path / name
+            assert main(["simulate", "--regime", "weak", "--p", p, "--q", q, "--m", "50,100",
+                         "--reps", "1000", "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        grid = run("grid.csv", "0.2,0.1", "0.5,0.3")
+        want = [POWER_CSV_HEADER]
+        for p in ("0.2", "0.1"):
+            for q in ("0.5", "0.3"):
+                cell = run(f"{p}-{q}.csv", p, q)
+                assert cell[0] == POWER_CSV_HEADER and len(cell) == 5
+                want.extend(cell[1:])
+        assert grid == want
+        assert all(0.0 <= float(line.split(",")[8]) <= 1.0 for line in grid[1:])
+
+    def test_grid_cells_draw_their_own_nulls(self, tmp_path, monkeypatch):
+        # Every cell draws its null and its alternative at each m: a null
+        # depends only on (seed, m, reps), so each cell draws the same one.
+        drawn = []
+        draw = simulation._stats_over_draws
+        monkeypatch.setattr(
+            simulation, "_stats_over_draws",
+            lambda config, m, role: drawn.append((config.p, config.q, m, role))
+            or draw(config, m, role),
+        )
+        assert main(["simulate", "--regime", "strong", "--p", "0.1,0.3", "--r", "0.5", "--m",
+                     "50", "--reps", "1000", "--out", str(tmp_path / "p.csv")]) == 0
+        assert drawn == [(0.1, None, 50, 0), (0.1, None, 50, 1), (0.3, None, 50, 0),
+                         (0.3, None, 50, 1)]
+
+    def test_histogram_with_a_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
+        rc = main(["simulate", "--regime", "weak", "--p", "0.1,0.2", "--q", "0.3", "--m", "100",
+                   "--reps", "1000", "--out", str(tmp_path / "p.csv"),
+                   "--histogram", str(tmp_path / "hist.csv")])
+        assert rc == 2
+        assert "--histogram takes one (p, q or r) cell, got 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "regime,flags,message",
+        [
+            ("weak", ("--p", "0.1,x", "--q", "0.3"), "could not convert string to float: 'x'"),
+            ("weak", ("--p", "0.1", "--q", "0.3,"), "could not convert string to float: ''"),
+            ("weak", ("--p", "0.1,1.0", "--q", "0.3"), "p must lie in (0, 1)"),
+            ("strong", ("--p", "0.1", "--r", "0.5,-1"), "STRONG regime requires r > 0"),
+            ("weak", ("--p", "0.1,0.2,0.10", "--q", "0.3"), "--p repeats a value: 0.1,0.2,0.10"),
+            ("weak", ("--p", "0.1", "--q", "0.3,0.3"), "--q repeats a value: 0.3,0.3"),
+            ("strong", ("--p", "0.1", "--r", "0.5,5e-1"), "--r repeats a value: 0.5,5e-1"),
+            ("weak", ("--p", "0.1", "--q", "0.3", "--m", "100,1e2"),
+             "m_grid must be strictly ascending, got (100, 100)"),
+        ],
+        ids=["p-not-a-number", "q-empty", "second-p-out-of-range", "second-r-negative",
+             "p-repeated", "q-repeated", "r-repeated", "m-repeated"],
+    )
+    def test_bad_grid_entry_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                          regime, flags, message):
+        # Every cell is checked before the first one is drawn.
+        monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
+        m = () if "--m" in flags else ("--m", "100")
+        rc = main(["simulate", "--regime", regime, *flags, *m, "--reps", "1000",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 # sha256 of `wmkit simulate` output: the power CSV, and for the --histogram
 # run the power CSV then the histogram CSV.  The WEAK digests were captured
@@ -888,6 +958,19 @@ def test_simulate_golden(tmp_path, cell):
     outputs = (power, hist) if extra else (power,)
     digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in outputs)
     assert digests == GOLDEN_SIMULATE[cell]
+
+
+# sha256 of the `wmkit simulate` power CSV of a 2 x 2 weak (p, q) grid at m =
+# 1000 and 1000 reps, the README's experiment.  Its powers are, cell for
+# cell, those that the boundary scan it replaced wrote for the same flags.
+GOLDEN_SIMULATE_GRID = "8f3ae6107b28cc064ba83baf126dd6bb445b00c2c3e849b15b399cf5e106f238"
+
+
+def test_simulate_grid_golden(tmp_path):
+    out = tmp_path / "power.csv"
+    assert main(["simulate", "--regime", "weak", "--p", "0.1,0.2", "--q", "0.3,0.5",
+                 "--m", "1000", "--reps", "1000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE_GRID
 
 
 # sha256 of `wmkit calibrate` JSON without its cache_dir (alpha 0.01, 2000
@@ -1177,9 +1260,14 @@ def test_every_flag_is_read_or_refused(tmp_path, capsys, monkeypatch, command):
         *((["generate", "--model", MODEL_ARG, "--key", f"9e3779b97f4a7c15:{fields}", "--n", "5"],
            "bad key: ") for fields in ("k=-1:g=0.5:mode=hash", "k=2:g=1.5:mode=hash",
                                        "k=2:g=0.5:mode=foo")),
+        # A repeated model parameter is refused before a trace: file is read.
+        (["generate", "--model", "trace:path={missing},path={missing}", "--key", KEY_ARG,
+          "--n", "5"], "bad model spec: repeated model parameter 'path'"),
+        (["specdec", "--draft", MODEL_ARG, "--target", MODEL_ARG + ",seed=12", "--key", KEY_ARG,
+          "--n", "5", "--stats-out", "{stats}"], "bad model spec: repeated model parameter 'seed'"),
     ],
     ids=["detect-key", "specdec-key", "generate-model", "specdec-draft", "specdec-target",
-         "key-k", "key-gamma", "key-mode"],
+         "key-k", "key-gamma", "key-mode", "generate-repeated", "specdec-repeated"],
 )
 def test_bad_key_or_model_spec_is_usage_error_before_reading(tmp_path, capsys, monkeypatch,
                                                              argv, prefix):

@@ -19,7 +19,6 @@ from wmkit.decoders import (
     DegenerateExcess,
     Scheme,
     _categorical_batch,
-    _check_vocab,
     _dipmark_reweight,
     _green_mass,
     _gumbel_argmax,
@@ -102,7 +101,8 @@ def sample_maximal_coupling(P, Q, zeta, aux):
     With ``zeta ~ U[0, 1)`` independent of ``aux`` the token marginal is
     exactly P.
     """
-    _check_vocab(P, Q)
+    if len(P) != len(Q):
+        raise VocabMismatch(f"vocab sizes differ: {len(P)} vs {len(Q)}")
     overlap = np.minimum(P, Q)
     p = float(overlap.sum())
     if zeta <= p:

@@ -330,6 +330,13 @@ def _hc_oracle(rows, variant, denom):
     return hc.max(axis=1)
 
 
+def _filled(rows):
+    # The whole matrix of a RowStream, filled in one call.
+    out = np.empty(rows.shape)
+    rows.fill(0, rows.shape[0], out)
+    return out
+
+
 def _hc_rows(reps, m, seed):
     # Uniform rows with the edge cases the kernel must keep: exact 0 and 1,
     # scores below 1/m, ties, scores equal to some t = i/m, and, for the
@@ -380,9 +387,9 @@ class TestHcKernel:
         # signal transform.
         exponent = {"q": 0.5} if regime == "weak" else {"r": 0.5}
         config = simulation.RegimeConfig(regime, p=0.2, reps=1000, seed=6, **exponent)
-        cell = simulation._cell_rows(config, 100_000, role)
+        cell, _ = simulation._cell_rows(config, 100_000, role)
         rows = RowStream(cell.entropy, (9, 100_000), transform=cell.transform)
-        whole = np.asarray(rows)
+        whole = _filled(rows)
         for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
             for denom in HcDenom:
                 got = hc_batch(rows, variant, denom)
@@ -467,7 +474,7 @@ class TestHcKernel:
     @pytest.mark.parametrize("reps,m", [(7, 2), (1000, 3000)])
     def test_stream_matches_its_materialized_matrix(self, reps, m):
         rows = RowStream((4, m, reps), (reps, m))
-        whole = np.asarray(rows)
+        whole = _filled(rows)
         assert whole.tobytes() == np.random.default_rng([4, m, reps]).random((reps, m)).tobytes()
         for variant in (Statistic.HC_PLUS, Statistic.HC_STAR):
             for denom in HcDenom:
@@ -477,22 +484,22 @@ class TestHcKernel:
     def test_fill_covers_every_row_once(self):
         # 250 rows of 3000 scores: twelve blocks of at most 2**16 // 3000 =
         # 21 rows, shared over the threads.
-        rows = RowStream((5,), (250, 3000), reduce=np.add)
+        rows = RowStream((5,), (250, 3000))
         spans, lock, fill = [], threading.Lock(), rows.fill
 
         def recording_fill(lo, hi, out):
-            with lock:
-                spans.append((lo, hi))
             fill(lo, hi, out)
+            with lock:
+                spans.append((lo, hi, out.copy()))
 
         rows.fill = recording_fill
         hc_batch(rows)
-        spans.sort()
+        spans.sort(key=lambda span: span[0])
         blocks = -(-250 // (detection._HC_ROW_BLOCK // 3000))
         assert spans[0][0] == 0 and spans[-1][1] == 250 and len(spans) == blocks == 12
-        assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(spans, spans[1:]))
-        sums = np.random.default_rng([5]).random((250, 3000)).sum(axis=1)
-        assert rows.reduced.tobytes() == sums.tobytes()
+        assert all(lo < hi == next_lo for (lo, hi, _), (next_lo, _, _) in zip(spans, spans[1:]))
+        whole = np.random.default_rng([5]).random((250, 3000))
+        assert np.concatenate([out for _, _, out in spans]).tobytes() == whole.tobytes()
 
 
 class TestMaxTest:

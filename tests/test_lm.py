@@ -522,6 +522,14 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             parse_model_spec("markov:seed=1,vocab=8,order=1,flavor=mint")
 
+    @pytest.mark.parametrize("spec", ["markov:seed=1,vocab=64,order=1,seed=2",
+                                      "markov:seed=1,vocab=64,order=1, seed =1",
+                                      "trace:path=a.jsonl,path=b.jsonl"])
+    def test_repeated_param(self, spec):
+        # A repeated key would silently keep its last value.
+        with pytest.raises(ValueError, match="repeated model parameter"):
+            parse_model_spec(spec)
+
     def test_trace_spec(self, tmp_path):
         path = tmp_path / "t.jsonl"
         save_trace(_make_trace(n=4), path)

@@ -1,4 +1,4 @@
-"""Sparse-mixture power study: regimes, boundary classification, and CSV
+"""Sparse-mixture power study: regimes, drawn cells, power curves, and CSV
 reporting."""
 
 import os
@@ -15,7 +15,6 @@ from wmkit.simulation import (
     PowerCurve,
     Regime,
     RegimeConfig,
-    boundary_scan,
     csv_text,
     run_power,
     signal_count,
@@ -28,6 +27,13 @@ def _weak(p=0.2, q=0.4, m_grid=(100, 1000), reps=1000, alpha=0.01, seed=0):
 
 def _strong(p=0.3, r=0.5, m_grid=(100, 1000), reps=1000, alpha=0.01, seed=0):
     return RegimeConfig(regime=Regime.STRONG, p=p, r=r, m_grid=m_grid, reps=reps, alpha=alpha, seed=seed)
+
+
+def _filled(rows):
+    # The whole matrix of a RowStream, filled in one call.
+    out = np.empty(rows.shape)
+    rows.fill(0, rows.shape[0], out)
+    return out
 
 
 class TestRegimeConfig:
@@ -55,6 +61,7 @@ class TestRegimeConfig:
             (_weak, {"m_grid": (1, 100)}),
             (_weak, {"alpha": 0.005}),
             (_strong, {"alpha": 0.005, "reps": 1999}),
+            (_weak, {"m_grid": (100, 100)}),
         ],
     )
     def test_validation(self, factory, kwargs):
@@ -102,7 +109,7 @@ class TestSampling:
     def test_weak_alternative_mean(self):
         config = _weak(p=0.1, q=0.3)
         m = 2000
-        rows = np.asarray(simulation._cell_rows(config, m, 1))
+        rows = _filled(simulation._cell_rows(config, m, 1)[0])
         n_sig = signal_count(config, m)
         shrink = 1.0 - m ** (-0.3)
         expected = 0.5 * (n_sig * shrink + (m - n_sig)) / m
@@ -112,7 +119,7 @@ class TestSampling:
     def test_strong_alternative_mean(self):
         config = _strong(p=0.1, r=0.5)
         m = 2000
-        rows = np.asarray(simulation._cell_rows(config, m, 1))
+        rows = _filled(simulation._cell_rows(config, m, 1)[0])
         n_sig = signal_count(config, m)
         lo = m ** (-0.5)
         expected = ((lo + 1.0) / 4.0 * n_sig + 0.5 * (m - n_sig)) / m
@@ -120,7 +127,7 @@ class TestSampling:
 
     def test_alternative_in_unit_interval(self):
         for config in (_weak(), _strong()):
-            rows = np.asarray(simulation._cell_rows(config, 500, 1))
+            rows = _filled(simulation._cell_rows(config, 500, 1)[0])
             assert rows.shape == (config.reps, 500)
             assert np.all((rows >= 0) & (rows <= 1))
 
@@ -271,12 +278,12 @@ class TestDrawnCells:
         m = 300
         want = _whole_draws(config, m, role)
         for block in (7, 50):
-            rows = simulation._cell_rows(config, m, role)
+            rows, sums = simulation._cell_rows(config, m, role)
             got = np.empty_like(want)
             for lo in range(0, config.reps, block):
                 rows.fill(lo, min(lo + block, config.reps), got[lo : lo + block])
             assert got.tobytes() == want.tobytes()
-            assert rows.reduced.tobytes() == want.sum(axis=1).tobytes()
+            assert sums.tobytes() == want.sum(axis=1).tobytes()
         stats = simulation._stats_over_draws(config, m, role)
         assert stats[Statistic.SUM].tobytes() == want.sum(axis=1).tobytes()
         hc = hc_batch(want, Statistic.HC_PLUS, HcDenom.STANDARD_SQRT)
@@ -286,11 +293,12 @@ class TestDrawnCells:
     def test_stream_matches_its_materialized_matrix(self, config):
         # Three HC blocks of the m = 3000 alternative, scored in threads; a
         # STRONG block draws its own rows of the P_G stream.
-        rows = simulation._cell_rows(config, 3000, 1)
-        whole = np.asarray(rows)
+        rows, _ = simulation._cell_rows(config, 3000, 1)
+        whole = _filled(rows)
         assert whole.tobytes() == _whole_draws(config, 3000, 1).tobytes()
         assert hc_batch(rows).tobytes() == hc_batch(whole).tobytes()
-        assert rows.reduced.tobytes() == whole.sum(axis=1).tobytes()
+        stats = simulation._stats_over_draws(config, 3000, 1)
+        assert stats[Statistic.SUM].tobytes() == whole.sum(axis=1).tobytes()
 
     @pytest.mark.parametrize(
         "config,role", [(_weak(), 0), (_weak(), 1), (_strong(), 1)], ids=["0", "1", "strong"]
@@ -307,38 +315,6 @@ class TestDrawnCells:
         finally:
             tracemalloc.stop()
         assert peak < (16 + 24 * workers) * 2**20
-
-
-class TestBoundaryScan:
-    def test_region_labels(self):
-        table = boundary_scan([0.1, 0.3, 0.6], [0.2, 0.5], m=200, reps=1000)
-        assert len(table) == 12
-        regions = {(row["p"], row["q"]): row["region"] for row in table}
-        assert regions[(0.1, 0.2)] == "sum-detectable"
-        assert regions[(0.3, 0.2)] == "hc-only"
-        assert regions[(0.6, 0.5)] == "undetectable"
-
-    def test_empty_grid_draws_nothing(self, monkeypatch):
-        monkeypatch.setattr(simulation, "_stats_over_draws", lambda *args: pytest.fail("drawn"))
-        assert boundary_scan([], [0.2, 0.5], m=200, reps=1000) == []
-
-    def test_rows_carry_power(self):
-        table = boundary_scan([0.2], [0.3], m=200, reps=1000)
-        for row in table:
-            assert row["statistic"] in ("sum", "hc+")
-            assert 0.0 <= row["power"] <= 1.0
-
-    def test_null_drawn_once(self, monkeypatch):
-        # A null cell depends only on (seed, m, reps): one draw serves the
-        # whole grid, and each (p, q) draws its own alternative.
-        drawn = []
-        draw = simulation._stats_over_draws
-        monkeypatch.setattr(
-            simulation, "_stats_over_draws",
-            lambda config, m, role: drawn.append(role) or draw(config, m, role),
-        )
-        boundary_scan([0.1, 0.3, 0.6], [0.2, 0.5], m=200, reps=1000)
-        assert sorted(drawn) == [0] + [1] * 6
 
 
 def _histogram(config, bins, statistic):
