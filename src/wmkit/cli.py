@@ -43,7 +43,7 @@ from .detection import (
 )
 from .keying import parse_key
 from .lm import EndOfTrace, MalformedTrace, TraceSource, parse_model_spec
-from .simulation import POWER_CSV_HEADER, Regime, RegimeConfig, csv_text, run_power
+from .simulation import Regime, RegimeConfig, csv_text, power_csv, run_power
 
 __all__ = ["main", "build_parser", "text_record", "text_from_record"]
 
@@ -264,6 +264,9 @@ def cmd_specdec(args) -> int:
         config = AttackConfig(accept_scale=args.accept_scale, lookahead=args.lookahead)
         _check_seed(args.seed)
         _check_lengths(args)
+        # A trace source is refused by its spec's kind, before its file is read.
+        if any(spec.partition(":")[0] == "trace" for spec in (args.draft, args.target)):
+            raise ValueError("specdec needs models that read the history, not trace sources")
         draft, target = _parse_model_arg(args.draft), _parse_model_arg(args.target)
         _check_specdec_models(draft, target)
     attack = {"kind": "specdec", "accept_scale": config.accept_scale, "lookahead": config.lookahead}
@@ -296,12 +299,20 @@ def cmd_specdec(args) -> int:
 _HIST_BINS = 50
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a list flag; a refusal names the flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _grid(text: str | None, flag: str) -> list:
     """The comma-separated values of a grid flag, which may not repeat one;
     [None] when the flag is not given."""
     if text is None:
         return [None]
-    values = [float(v) for v in text.split(",")]
+    values = _numbers(text, flag)
     if len(set(values)) < len(values):
         raise ValueError(f"{flag} repeats a value: {text}")
     return values
@@ -309,7 +320,7 @@ def _grid(text: str | None, flag: str) -> list:
 
 def cmd_simulate(args) -> int:
     with _usage():
-        m_grid = tuple(float(m) for m in args.m.split(","))
+        m_grid = tuple(_numbers(args.m, "--m"))
         configs = [
             RegimeConfig(regime=Regime(args.regime), p=p, r=r, q=q, m_grid=m_grid,
                          reps=args.reps, alpha=args.alpha, seed=args.seed)
@@ -325,8 +336,7 @@ def cmd_simulate(args) -> int:
         if hist_bins < 1:
             raise ValueError("--hist-bins must be >= 1")
     curves = [run_power(config) for config in configs]
-    rows = "".join(curve.to_csv().partition("\n")[2] for curve in curves)
-    _write(f"{POWER_CSV_HEADER}\n{rows}", args.out)
+    _write(power_csv(curves), args.out)
     if args.histogram is not None:
         _write(csv_text(curves[0].histogram(hist_bins)), args.histogram)
     return 0

@@ -237,17 +237,16 @@ def _check_alpha(alpha: float) -> None:
         raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1000:
-        raise OutOfRange(f"reps must be >= 1000, got {reps}")
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
 
 
-def _check_tail(alpha: float, reps: int) -> None:
+def _check_null(alpha: float, reps: int, seed: int) -> None:
+    """The settings of a simulated null, in order: reps, alpha, tail, seed."""
+    if reps < 1000:
+        raise OutOfRange(f"reps must be >= 1000, got {reps}")
+    _check_alpha(alpha)
     # A threshold set by a simulated null rests on the alpha * reps draws in
     # its rejection tail.  With fewer than 10 its size is far above alpha:
     # hc+ at n = 100, alpha = 1e-6 and 1000 reps rejects 1.3e-3 of nulls.
@@ -255,6 +254,7 @@ def _check_tail(alpha: float, reps: int) -> None:
         raise OutOfRange(
             f"alpha * reps must be >= 10 for a simulated threshold, got {alpha} * {reps}"
         )
+    _check_seed(seed)
 
 
 def sum_test(scores, alpha: float = 0.01) -> DetectionReport:
@@ -558,22 +558,15 @@ _READS = {"side": (Statistic.SUM, *_HC_STATISTICS), "denom": _HC_STATISTICS,
 
 
 def _critical_value(statistic: Statistic, null_values: np.ndarray, alpha: float) -> float:
-    """The null quantile at level alpha in the statistic's rejection tail:
-    the alpha quantile for SUM (in the power study), the 1 - alpha quantile
-    for HC.  A quantile that is not finite, as among HC+ values of -inf
-    (rows with no score >= 1/n), is refused."""
+    """The 1 - alpha quantile of an HC statistic's simulated null; HC
+    rejects strictly above it.  A quantile that is not finite, as among HC+
+    values of -inf (rows with no score >= 1/n), is refused."""
     with np.errstate(invalid="ignore"):
-        q = np.quantile(null_values, alpha if statistic is Statistic.SUM else 1.0 - alpha)
+        q = np.quantile(null_values, 1.0 - alpha)
     if not np.isfinite(q):
         raise OutOfRange(f"the simulated {statistic.value} null has no finite critical value "
                          f"at alpha {alpha}")
     return float(q)
-
-
-def _rejects(statistic: Statistic, values, critical: float):
-    """Rejection, elementwise: strictly beyond the critical value in the
-    statistic's tail."""
-    return values < critical if statistic is Statistic.SUM else values > critical
 
 
 _STAT_CODE = {s: i for i, s in enumerate(Statistic)}
@@ -663,10 +656,7 @@ def _check_calibration(statistic: Statistic, n: int, alpha: float, reps: int, se
     if statistic not in _HC_STATISTICS:
         raise ValueError(f"no simulated null for the {statistic.value} statistic: "
                          "only hc+ and hc* are calibrated")
-    _check_reps(reps)
-    _check_alpha(alpha)
-    _check_tail(alpha, reps)
-    _check_seed(seed)
+    _check_null(alpha, reps, seed)
     if n < 2:
         raise OutOfRange(f"calibration of {statistic.value} needs n >= 2, got {n}")
 
@@ -717,9 +707,7 @@ def _detect_settings(statistic: Statistic, alpha: float, side, denom, reps, seed
     reps, seed = 2000 if reps is None else reps, 0 if seed is None else seed
     _check_alpha(alpha)
     if statistic in _HC_STATISTICS:  # the other tests are exact
-        _check_reps(reps)
-        _check_tail(alpha, reps)
-        _check_seed(seed)
+        _check_null(alpha, reps, seed)
     return side, denom, reps, seed
 
 
@@ -788,6 +776,6 @@ def detect(
         p_value=None,
         threshold=critical,
         n_scored=len(values),
-        reject=_rejects(statistic, value, critical),
+        reject=value > critical,
         alpha=alpha,
     )

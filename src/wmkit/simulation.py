@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import HcDenom, RowStream, Statistic, hc_batch
-from .detection import _check_alpha, _check_reps, _check_seed, _check_tail
-from .detection import _critical_value, _rejects
+from .detection import _check_null, _critical_value
 
 __all__ = [
     "Regime",
@@ -27,6 +26,7 @@ __all__ = [
     "PowerRow",
     "PowerCurve",
     "run_power",
+    "power_csv",
     "csv_text",
     "POWER_CSV_HEADER",
 ]
@@ -84,10 +84,7 @@ class RegimeConfig:
             raise ValueError("m_grid entries must be >= 2: higher criticism needs two scores")
         if any(a >= b for a, b in zip(self.m_grid, self.m_grid[1:])):
             raise ValueError(f"m_grid must be strictly ascending, got {self.m_grid}")
-        _check_reps(self.reps)
-        _check_alpha(self.alpha)
-        _check_tail(self.alpha, self.reps)
-        _check_seed(self.seed)
+        _check_null(self.alpha, self.reps, self.seed)
 
     @property
     def q_or_r(self) -> float:
@@ -109,14 +106,6 @@ class PowerCurve:
     # Null and alternative values of each statistic at the largest m, kept
     # so that :meth:`histogram` bins them instead of drawing them again.
     largest_cell: tuple[dict, dict] = field(compare=False, repr=False)
-
-    def to_csv(self) -> str:
-        c, names = self.config, POWER_CSV_HEADER.split(",")
-        return csv_text([
-            dict(zip(names, (c.regime.value, c.p, c.q_or_r, row.m, row.statistic.value, c.reps,
-                             c.alpha, row.critical_value, row.power, c.seed)))
-            for row in self.rows
-        ])
 
     def histogram(self, bins: int = 50) -> list[dict]:
         """Binned null and alternative counts of each statistic at the
@@ -176,17 +165,29 @@ def _stats_over_draws(config: RegimeConfig, m: int, role: int) -> dict[Statistic
 
 def run_power(config: RegimeConfig) -> PowerCurve:
     """Calibrate each statistic on null draws and measure rejection rates on
-    alternative draws, for every m in the grid: the critical value is the
-    null quantile at level alpha in the statistic's rejection tail."""
+    alternative draws, for every m in the grid: the sum rejects strictly below
+    its null's alpha quantile, HC strictly above its 1 - alpha quantile."""
+    sums, hc = _STATISTICS
     rows: list[PowerRow] = []
     for m in config.m_grid:
         null_stats = _stats_over_draws(config, m, 0)
         alt_stats = _stats_over_draws(config, m, 1)
-        for stat in _STATISTICS:
-            crit = _critical_value(stat, null_stats[stat], config.alpha)
-            power = float(np.mean(_rejects(stat, alt_stats[stat], crit)))
-            rows.append(PowerRow(m=m, statistic=stat, critical_value=crit, power=power))
+        crit = float(np.quantile(null_stats[sums], config.alpha))
+        rows.append(PowerRow(m, sums, crit, float(np.mean(alt_stats[sums] < crit))))
+        crit = _critical_value(hc, null_stats[hc], config.alpha)
+        rows.append(PowerRow(m, hc, crit, float(np.mean(alt_stats[hc] > crit))))
     return PowerCurve(config=config, rows=tuple(rows), largest_cell=(null_stats, alt_stats))
+
+
+def power_csv(curves) -> str:
+    """The power CSV of any number of curves: one header, then their rows."""
+    names, rows = POWER_CSV_HEADER.split(","), []
+    for curve in curves:
+        c = curve.config
+        rows += [dict(zip(names, (c.regime.value, c.p, c.q_or_r, row.m, row.statistic.value,
+                                  c.reps, c.alpha, row.critical_value, row.power, c.seed)))
+                 for row in curve.rows]
+    return csv_text(rows)
 
 
 def _histogram_rows(

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wmkit import cli, detection, simulation
+from wmkit import cli, detection, lm, simulation
+from wmkit.attacks import _check_specdec_models
 from wmkit.cli import main
 from wmkit.core import make_ntp
 from wmkit.lm import TraceSource, save_trace
@@ -642,6 +643,24 @@ class TestSpecDec:
         assert "trace sources" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("traced", ["--draft", "--target"])
+    @pytest.mark.parametrize("other", ["markov:seed=1,vocab=64,order=1",
+                                       "markov:seed=1,vocab=64,order=1,seed=2"],
+                             ids=["good-spec", "repeated-key"])
+    def test_trace_spec_is_refused_before_its_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                                           traced, other):
+        # Refused by its kind with the API's message: the missing file is never opened.
+        monkeypatch.setattr(lm, "load_trace", lambda *args: pytest.fail("a trace was read"))
+        with pytest.raises(ValueError) as api:
+            _check_specdec_models(TraceSource(64, [make_ntp(np.full(64, 1 / 64))]), None)
+        models = {"--draft": other, "--target": other,
+                  traced: f"trace:path={tmp_path / 'missing.jsonl'}"}
+        rc = main(["specdec", *(x for kv in models.items() for x in kv), "--key", KEY_ARG,
+                   "--n", "5", "--out", str(tmp_path / "sd.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {api.value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_vocabulary_mismatch_is_usage_error_before_drawing(self, tmp_path, capsys,
                                                               monkeypatch):
         monkeypatch.setattr(cli, "_random_prompt", lambda *args: pytest.fail("a text was drawn"))
@@ -896,8 +915,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "regime,flags,message",
         [
-            ("weak", ("--p", "0.1,x", "--q", "0.3"), "could not convert string to float: 'x'"),
-            ("weak", ("--p", "0.1", "--q", "0.3,"), "could not convert string to float: ''"),
+            ("weak", ("--p", "0.1,x", "--q", "0.3"), "--p: could not convert string to float: 'x'"),
+            ("weak", ("--p", "0.1", "--q", "0.3,"), "--q: could not convert string to float: ''"),
+            ("weak", ("--p", "0.1", "--q", "0.3", "--m", "100,x"),
+             "--m: could not convert string to float: 'x'"),
             ("weak", ("--p", "0.1,1.0", "--q", "0.3"), "p must lie in (0, 1)"),
             ("strong", ("--p", "0.1", "--r", "0.5,-1"), "STRONG regime requires r > 0"),
             ("weak", ("--p", "0.1,0.2,0.10", "--q", "0.3"), "--p repeats a value: 0.1,0.2,0.10"),
@@ -906,8 +927,8 @@ class TestSimulate:
             ("weak", ("--p", "0.1", "--q", "0.3", "--m", "100,1e2"),
              "m_grid must be strictly ascending, got (100, 100)"),
         ],
-        ids=["p-not-a-number", "q-empty", "second-p-out-of-range", "second-r-negative",
-             "p-repeated", "q-repeated", "r-repeated", "m-repeated"],
+        ids=["p-not-a-number", "q-empty", "m-not-a-number", "second-p-out-of-range",
+             "second-r-negative", "p-repeated", "q-repeated", "r-repeated", "m-repeated"],
     )
     def test_bad_grid_entry_is_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                           regime, flags, message):

@@ -16,6 +16,7 @@ from wmkit.simulation import (
     Regime,
     RegimeConfig,
     csv_text,
+    power_csv,
     run_power,
     signal_count,
 )
@@ -83,9 +84,9 @@ class TestRegimeConfig:
     def test_numpy_floats_write_the_same_csv(self):
         # The CSV writes floats by repr, which for a numpy scalar is
         # "np.float64(0.2)" under numpy 2.
-        want = run_power(_weak(m_grid=(100,))).to_csv()
+        want = power_csv([run_power(_weak(m_grid=(100,)))])
         config = _weak(p=np.float64(0.2), q=np.float64(0.4), m_grid=(100,), alpha=np.float64(0.01))
-        assert run_power(config).to_csv() == want
+        assert power_csv([run_power(config)]) == want
 
     def test_regime_parameter_required(self):
         with pytest.raises(ValueError):
@@ -147,17 +148,25 @@ class TestRunPower:
             assert 0.0 <= row.power <= 1.0
 
     def test_reproducible_csv(self):
-        a = run_power(_weak()).to_csv()
-        b = run_power(_weak()).to_csv()
+        a = power_csv([run_power(_weak())])
+        b = power_csv([run_power(_weak())])
         assert a == b
 
     def test_csv_shape(self):
-        csv = run_power(_weak(m_grid=(100,))).to_csv()
+        csv = power_csv([run_power(_weak(m_grid=(100,)))])
         lines = csv.splitlines()
         assert lines[0] == POWER_CSV_HEADER
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "weak" and first[3] == "100" and first[4] == "sum"
+
+    def test_csv_of_several_curves_has_one_header(self):
+        weak, strong = run_power(_weak(m_grid=(100,))), run_power(_strong(m_grid=(100,)))
+        lines = power_csv([weak, strong]).splitlines()
+        assert lines[0] == POWER_CSV_HEADER
+        assert lines[1:] == (power_csv([weak]).splitlines()[1:]
+                             + power_csv([strong]).splitlines()[1:])
+        assert power_csv([]) == ""
 
     def test_negligible_signal_gives_size(self):
         # One signal coordinate in a thousand: power collapses to the test
