@@ -99,11 +99,17 @@ def fold64(state: int, tokens) -> int:
     return s
 
 
-def seed64(state: int, tokens) -> int:
+def seed64(state: int, tokens, salt: int | None = None) -> int:
     """``mix64(fold64(state, tokens))`` in one loop with the finalizer
     written inline: the seed of a context's stream (key PRFs, Markov rows,
     the CLI's per-text streams), taken once per scored position or
-    generated token."""
+    generated token.
+
+    Given a ``salt``, it returns instead the first counter word
+    ``mix64((seed ^ salt) + GOLDEN)`` of the stream seeded by seed ^ salt,
+    in the same call: a scalar pivot (salt 0) or green-membership draw (the
+    token's hash) needs that word, not the seed.
+    """
     z = state & MASK64
     for tok in tokens:
         z = (z * GOLDEN + int(tok) + 1) & MASK64
@@ -116,12 +122,15 @@ def seed64(state: int, tokens) -> int:
     z = (z * _MIX_A) & MASK64
     z ^= z >> 27
     z = (z * _MIX_B) & MASK64
+    z ^= z >> 31
+    if salt is None:
+        return z
+    z = ((z ^ salt) + GOLDEN) & MASK64
+    z ^= z >> 30
+    z = (z * _MIX_A) & MASK64
+    z ^= z >> 27
+    z = (z * _MIX_B) & MASK64
     return z ^ (z >> 31)
-
-
-def _unit_float(z: int) -> float:
-    # Top 53 bits of the mixed word; half-open [0, 1).
-    return (z >> 11) * _INV_2_53
 
 
 def _block_rows(rows: int, width: int, elements: int = _BLOCK_ELEMENTS) -> int:
@@ -173,12 +182,14 @@ class RngStream:
         self.counter = 0
 
     def next_uniform(self) -> float:
-        self.counter = (self.counter + 1) & MASK64
-        return self.value_at(self.counter)
+        # value_at(counter + 1), without the second call.
+        c = self.counter = (self.counter + 1) & MASK64
+        return (mix64(self.state + c * GOLDEN) >> 11) * _INV_2_53
 
     def value_at(self, counter: int) -> float:
-        """Draw at an absolute counter position without advancing the stream."""
-        return _unit_float(mix64((self.state + (counter & MASK64) * GOLDEN) & MASK64))
+        """Draw at an absolute counter position without advancing the stream:
+        the top 53 bits of the counter's word, scaled to [0, 1)."""
+        return (mix64(self.state + (counter & MASK64) * GOLDEN) >> 11) * _INV_2_53
 
 
 def make_ntp(raw, strict: bool = False) -> np.ndarray:

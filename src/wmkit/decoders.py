@@ -231,11 +231,19 @@ def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray,
     other side it is replaced in place by P - P * green, the excess
     max(0, P - Q), which is also P itself when P_green = 0.  That has the
     bits of a masked select: P - P = +0.0 on green, P - 0.0 = P on red.
+    The subtract takes a ``where=`` only when some rows are on each side.
     """
     weights = probs * green
     mass = np.add.reduce(weights, axis=-1)
-    excess = np.asarray((mass < zeta) | (mass == 0.0))[..., None]
-    return np.subtract(probs, weights, out=weights, where=excess), mass
+    excess = (mass < zeta) | (mass == 0.0)
+    # One row's side is a numpy bool, read by bool(): its all() costs more
+    # than the row's subtract.
+    every = bool(excess) if excess.ndim == 0 else excess.all()
+    if every:
+        np.subtract(probs, weights, out=weights)
+    elif excess.ndim and excess.any():
+        np.subtract(probs, weights, out=weights, where=excess[:, None])
+    return weights, mass
 
 
 def mc_step_full(P: np.ndarray, key: WatermarkKey, ctx, aux: RngStream) -> StepResult:
@@ -347,29 +355,34 @@ def generate(
     if n < 1:
         raise ValueError("n must be >= 1")
     history: list[int] = list(prompt.tokens)
-    seen: set[tuple[int, ...]] = set()
     steps: list[StepResult] = []
-    for _ in range(n):
-        ctx = context_window(history, key.k)
-        P = model.next(history)
-        if config is None or (config.masking and ctx in seen):
-            token = categorical_from_uniform(P, aux.next_uniform())
-            step = StepResult(token=token, masked=True)
-        elif config.scheme is Scheme.MC:
-            step = mc_step_full(P, key, ctx, aux)
-        elif config.scheme is Scheme.MC_SOFT:
-            step = mc_soft_step_full(P, key, ctx, aux, config.delta)
-        elif config.scheme is Scheme.GUMBEL:
-            step = gumbel_max_step_full(P, key, ctx)
-        elif config.scheme is Scheme.SOFT:
-            step = soft_step_full(P, key, ctx, aux, config.delta)
-        else:
-            step = dipmark_step_full(P, key, ctx, aux, config.alpha_dip)
-        seen.add(ctx)
-        steps.append(step)
-        history.append(step.token)
+    if config is None:
+        # Plain draws: no context, no mask and no step record.
+        for _ in range(n):
+            history.append(categorical_from_uniform(model.next(history), aux.next_uniform()))
+    else:
+        seen: set[tuple[int, ...]] = set()
+        for _ in range(n):
+            ctx = context_window(history, key.k)
+            P = model.next(history)
+            if config.masking and ctx in seen:
+                token = categorical_from_uniform(P, aux.next_uniform())
+                step = StepResult(token=token, masked=True)
+            elif config.scheme is Scheme.MC:
+                step = mc_step_full(P, key, ctx, aux)
+            elif config.scheme is Scheme.MC_SOFT:
+                step = mc_soft_step_full(P, key, ctx, aux, config.delta)
+            elif config.scheme is Scheme.GUMBEL:
+                step = gumbel_max_step_full(P, key, ctx)
+            elif config.scheme is Scheme.SOFT:
+                step = soft_step_full(P, key, ctx, aux, config.delta)
+            else:
+                step = dipmark_step_full(P, key, ctx, aux, config.alpha_dip)
+            seen.add(ctx)
+            steps.append(step)
+            history.append(step.token)
     text = GeneratedText(tokens=tuple(history), prompt_len=len(prompt.tokens))
-    return GenerationResult(text=text, steps=() if config is None else tuple(steps))
+    return GenerationResult(text=text, steps=tuple(steps))
 
 
 def _categorical_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GOLDEN, MASK64, counter_uniforms, counter_words, mix64, mix64_array, seed64
-from .core import _GOLDEN_U64, _block_rows, _mix64_inplace, _unit_float
+from .core import _GOLDEN_U64, _INV_2_53, _block_rows, _mix64_inplace
 
 __all__ = [
     "GREEN_TAG",
@@ -111,10 +111,15 @@ def parse_key(text: str) -> WatermarkKey:
         raise KeyFormatError(str(exc)) from None
 
 
+def _context_mismatch(key: WatermarkKey, ctx) -> ContextLengthMismatch:
+    # The scalar functions test the length inline and raise this.
+    return ContextLengthMismatch(f"context has {len(ctx)} tokens, key expects {key.k}")
+
+
 def derive_seed(key: WatermarkKey, ctx, tag: int) -> int:
     """Deterministic 64-bit seed from (master XOR tag) folded with the context."""
     if len(ctx) != key.k:
-        raise ContextLengthMismatch(f"context has {len(ctx)} tokens, key expects {key.k}")
+        raise _context_mismatch(key, ctx)
     return seed64(key.master ^ tag, ctx)
 
 
@@ -165,8 +170,8 @@ def _below_gamma(words: np.ndarray, gamma: float) -> np.ndarray:
 
 def _green_seed(key: WatermarkKey, ctx) -> int:
     if key.green_mode == "single":
-        # Context-independent: the membership hash is shared by every step.
-        return mix64(key.master ^ GREEN_TAG)
+        # Context-independent: the empty context's seed, shared by every step.
+        return seed64(key.master ^ GREEN_TAG, ())
     return derive_seed(key, ctx, GREEN_TAG)
 
 
@@ -198,9 +203,12 @@ def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) 
     """Green-list membership of one token under the keyed partition."""
     if key.green_mode == "perm":
         return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
-    # The first counter word of the (seed ^ token hash) stream.
-    word = mix64((_green_seed(key, ctx) ^ _token_hash(token)) + GOLDEN)
-    return word < _gamma_threshold(key.gamma)
+    if key.green_mode == "single":
+        ctx = ()  # the seed of the empty context, as _green_seed takes it
+    elif len(ctx) != key.k:
+        raise _context_mismatch(key, ctx)
+    # The first counter word of the (seed ^ token hash) stream, in one call.
+    return seed64(key.master ^ GREEN_TAG, ctx, _token_hash(token)) < _gamma_threshold(key.gamma)
 
 
 def green_mask(key: WatermarkKey, ctx, vocab_size: int) -> np.ndarray:
@@ -273,8 +281,11 @@ def keyed_permutation_batch(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
 
 def derive_zeta(key: WatermarkKey, ctx) -> float:
     """Keyed pivot uniform for one context: first draw of the ZETA stream,
-    ``RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()``."""
-    return _unit_float(mix64(derive_seed(key, ctx, ZETA_TAG) + GOLDEN))
+    ``RngStream(derive_seed(key, ctx, ZETA_TAG)).next_uniform()``, whose
+    word one :func:`~wmkit.core.seed64` call returns."""
+    if len(ctx) != key.k:
+        raise _context_mismatch(key, ctx)
+    return (seed64(key.master ^ ZETA_TAG, ctx, 0) >> 11) * _INV_2_53
 
 
 def derive_zeta_batch(key: WatermarkKey, ctxs: np.ndarray) -> np.ndarray:

@@ -43,6 +43,10 @@ _ROW_TAG = 0x5A
 _ROW_INC = 0xDA3E39CB94B95BDB
 # Default byte budget of a MarkovSource row cache.
 _CACHE_BYTES = 1 << 28
+# Concentrations at or above this cannot overflow log(U) / concentration: a
+# nonzero uniform U of numpy's 53-bit grid has |log U| <= 53 log 2 < 36.8,
+# and 36.8 / 1e-306 is below the largest float.  Overflow starts near 2e-307.
+_OVERFLOW_CONC = 1e-306
 
 
 class MalformedTrace(ValueError):
@@ -95,6 +99,7 @@ class MarkovSource:
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
     _bits: np.random.PCG64 = field(init=False, repr=False, compare=False)
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -107,39 +112,51 @@ class MarkovSource:
             raise ValueError("temperature must be > 0")
         if self.cache_size is None:
             self.cache_size = max(1, _CACHE_BYTES // (8 * self.vocab_size))
-        # Each row re-keys this one generator; seeding a fresh one costs more
+        size = self.cache_size
+        # A bool is an int, but no count of rows.
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"cache_size must be an integer >= 1, got {size!r}")
+        # Each row re-keys this one generator from this one state dict, whose
+        # 128-bit state it rewrites; seeding a fresh generator costs more
         # than a small row.
         self._bits = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bits)
+        self._state = {
+            "bit_generator": "PCG64",
+            "state": {"state": 0, "inc": _ROW_INC},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         cached = self._cache.get(ctx)
         if cached is not None:
             self._cache.move_to_end(ctx)
             return cached
-        state = seed64(self.seed ^ _ROW_TAG, ctx)
-        self._bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": _ROW_INC},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._state["state"]["state"] = seed64(self.seed ^ _ROW_TAG, ctx)
+        self._bits.state = self._state
         # Tempering by exponent 1/T is a scale of the logs; the row is
         # exponentiated relative to its max, so it never underflows to zeros.
         # A scale that overflows the max is applied to logs relative to the
         # untempered max instead, where overflow only sends entries to -inf.
-        # The tempered max is the scaled max, as division is monotone.
+        # The tempered max is the scaled max, as division is monotone.  At
+        # T = 1 the scale is skipped (x / 1.0 is x), and so is the errstate
+        # unless log(U) / concentration can overflow (see _OVERFLOW_CONC).
         # Normalized twice in place, as make_ntp(row / row.sum()) would be;
         # make_ntp's checks cannot fail on a row whose max is exp(0) = 1.
-        with np.errstate(over="ignore"):
+        if self.temperature == 1.0 and self.concentration >= _OVERFLOW_CONC:
             dist, top = _gamma_logs(self._gen, self.concentration, self.vocab_size)
-            scaled = top / self.temperature
-            if math.isfinite(scaled):
-                dist /= self.temperature
-                dist -= scaled
-            else:
-                dist -= top
-                dist /= self.temperature
+            dist -= top
+        else:
+            with np.errstate(over="ignore"):
+                dist, top = _gamma_logs(self._gen, self.concentration, self.vocab_size)
+                scaled = top / self.temperature
+                if math.isfinite(scaled):
+                    dist /= self.temperature
+                    dist -= scaled
+                else:
+                    dist -= top
+                    dist /= self.temperature
         np.exp(dist, out=dist)
         dist /= np.add.reduce(dist)
         dist /= np.add.reduce(dist)

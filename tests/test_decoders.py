@@ -548,6 +548,18 @@ class TestKernelReferences:
         assert _same_bits(weights, ref_weights) and _same_bits(got_mass, ref_mass)
         assert np.all(got_mass[:8] == 0.0) and np.array_equal(weights[:8], np.tile(P, (8, 1)))
 
+    def test_mc_weights_matrix_on_one_side(self):
+        # Every row on the excess side takes a plain subtract, and rows all
+        # on the overlap side none: both keep the masked select's bits.
+        rng = np.random.default_rng(54)
+        P = _sparse_law(rng, 500)
+        green = green_mask_batch(KEY, _contexts(32, seed=54), 500)
+        for zeta, excess in ((np.full(32, 1.0 - 2**-53), True), (np.zeros(32), False)):
+            weights, got_mass = _mc_weights(P, green, zeta)
+            ref_weights, ref_mass = masked_mc_weights(P, green, zeta)
+            assert _same_bits(weights, ref_weights) and _same_bits(got_mass, ref_mass)
+            assert np.all(((ref_mass < zeta) | (ref_mass == 0.0)) == excess)
+
     @pytest.mark.parametrize("delta", [0.0, 1.5, _MAX_DELTA])
     def test_soft_weights(self, delta):
         rng = np.random.default_rng(53)

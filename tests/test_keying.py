@@ -467,3 +467,60 @@ def test_seed_derivation_stable_under_reconstruction(master, ctx):
     clone = parse_key(format_key(key))
     assert derive_seed(key, tuple(ctx), ZETA_TAG) == derive_seed(clone, tuple(ctx), ZETA_TAG)
     assert derive_zeta(key, tuple(ctx)) == derive_zeta(clone, tuple(ctx))
+
+
+def _same_draw(scalar, batch_entry) -> bool:
+    return np.float64(scalar).tobytes() == np.float64(batch_entry).tobytes()
+
+
+class TestOneCallDrawsMatchBatchKernels:
+    # The scalar draws compute their counter word in one seed64 or mix64
+    # call; the batch kernels are their oracle, bit for bit.
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        master=st.integers(0, MASK64),
+        k=st.sampled_from([0, 1, 2, 3]),
+        gamma=st.floats(0.01, 0.99),
+        tokens=st.lists(st.integers(0, 2**63 - 1), min_size=4, max_size=4),
+        cast=st.sampled_from([int, np.int64, np.uint64]),
+    )
+    def test_pivot_and_membership(self, master, k, gamma, tokens, cast):
+        ctx = tuple(cast(t) for t in tokens[:k])
+        ctxs = np.array(tokens[:k], dtype=np.int64).reshape(1, k)
+        for mode in ("hash", "single", "perm"):
+            key = WatermarkKey(master=master, k=k, gamma=gamma, green_mode=mode)
+            vocab = 97 if mode == "perm" else None
+            token = tokens[3] % 97 if mode == "perm" else tokens[3]
+            assert _same_draw(derive_zeta(key, ctx), derive_zeta_batch(key, ctxs)[0])
+            expected = bool(is_green_batch(key, ctxs, [token], vocab)[0])
+            assert is_green(key, ctx, cast(token), vocab) is expected
+            # A context one token too long: refused by the pivot and by hash
+            # and perm membership; single mode reads no context.
+            longer = ctx + (cast(1),)
+            with pytest.raises(ContextLengthMismatch):
+                derive_zeta(key, longer)
+            if mode == "single":
+                assert is_green(key, longer, cast(token), vocab) is expected
+            else:
+                with pytest.raises(ContextLengthMismatch):
+                    is_green(key, longer, cast(token), vocab)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=st.integers(0, MASK64),
+        counter=st.integers(0, 2**66),
+        draws=st.integers(1, 4),
+    )
+    def test_stream_draws(self, state, counter, draws):
+        stream = RngStream(state)
+        # One-entry arrays: numpy warns on a scalar uint64 overflow.
+        expected = counter_uniforms(state, np.array([counter & MASK64], dtype=np.uint64))
+        assert _same_draw(stream.value_at(counter), expected[0])
+        # next_uniform from the counter on, wrapping modulo 2**64.
+        stream.counter = counter & MASK64
+        got = [stream.next_uniform() for _ in range(draws)]
+        counters = [(counter + i) & MASK64 for i in range(1, draws + 1)]
+        expected = counter_uniforms(state, np.array(counters, dtype=np.uint64))
+        assert all(_same_draw(g, e) for g, e in zip(got, expected))
+        assert stream.counter == counters[-1]

@@ -72,7 +72,11 @@ def _reference_row(src: MarkovSource, ctx: tuple[int, ...]) -> np.ndarray:
 
 
 class TestGammaRow:
-    @pytest.mark.parametrize("concentration", [1e-308, 0.3, 1.0, 2.5, 1e308])
+    # A row takes an np.errstate only at a temperature other than 1 or a
+    # concentration whose log(U) / concentration can overflow (1e-308); with
+    # RuntimeWarnings as errors, a missing errstate fails here.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("concentration", [1e-308, 1e-8, 0.3, 1.0, 2.5, 1e308])
     @pytest.mark.parametrize("vocab", [1, 2, 64, 1000])
     def test_row_bytes_match_reference(self, vocab, concentration):
         for temperature, seed in itertools.product((1e-308, 0.5, 1.0, 5.0), (0, 11, MASK64)):
@@ -248,6 +252,17 @@ class TestMarkovSource:
             MarkovSource(order=2, vocab_size=16, seed=1, concentration=0.0)
         with pytest.raises(ValueError):
             MarkovSource(order=2, vocab_size=16, seed=1, temperature=0.0)
+
+    @pytest.mark.parametrize("cache_size", [0, -3, 2.5, 1.0, "4", True])
+    def test_cache_size_must_be_an_integer_of_at_least_one(self, cache_size):
+        with pytest.raises(ValueError, match="cache_size must be an integer >= 1"):
+            MarkovSource(order=2, vocab_size=16, seed=1, cache_size=cache_size)
+
+    def test_numpy_integer_cache_size(self):
+        src = MarkovSource(order=2, vocab_size=16, seed=1, cache_size=np.int64(2))
+        for i in range(4):
+            src.next([i, i])
+        assert len(src._cache) == 2
 
     def test_concentration_must_be_finite(self):
         # Gamma(inf) is no law; refused before any row is drawn.
