@@ -231,18 +231,14 @@ def _mc_weights(probs: np.ndarray, green: np.ndarray, zeta) -> tuple[np.ndarray,
     other side it is replaced in place by P - P * green, the excess
     max(0, P - Q), which is also P itself when P_green = 0.  That has the
     bits of a masked select: P - P = +0.0 on green, P - 0.0 = P on red.
-    The subtract takes a ``where=`` only when some rows are on each side.
     """
     weights = probs * green
     mass = np.add.reduce(weights, axis=-1)
     excess = (mass < zeta) | (mass == 0.0)
-    # One row's side is a numpy bool, read by bool(): its all() costs more
-    # than the row's subtract.
-    every = bool(excess) if excess.ndim == 0 else excess.all()
-    if every:
+    if excess.ndim:
+        np.subtract(probs, weights, out=weights, where=excess[..., None])
+    elif excess:
         np.subtract(probs, weights, out=weights)
-    elif excess.ndim and excess.any():
-        np.subtract(probs, weights, out=weights, where=excess[:, None])
     return weights, mass
 
 

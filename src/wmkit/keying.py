@@ -170,8 +170,8 @@ def _below_gamma(words: np.ndarray, gamma: float) -> np.ndarray:
 
 def _green_seed(key: WatermarkKey, ctx) -> int:
     if key.green_mode == "single":
-        # Context-independent: the empty context's seed, shared by every step.
-        return seed64(key.master ^ GREEN_TAG, ())
+        # Context-independent: the membership hash is shared by every step.
+        return mix64(key.master ^ GREEN_TAG)
     return derive_seed(key, ctx, GREEN_TAG)
 
 
@@ -204,7 +204,7 @@ def is_green(key: WatermarkKey, ctx, token: int, vocab_size: int | None = None) 
     if key.green_mode == "perm":
         return bool(is_green_batch(key, np.array([ctx]), [token], vocab_size)[0])
     if key.green_mode == "single":
-        ctx = ()  # the seed of the empty context, as _green_seed takes it
+        ctx = ()  # no tokens to fold: mix64(master ^ GREEN_TAG), as in _green_seed
     elif len(ctx) != key.k:
         raise _context_mismatch(key, ctx)
     # The first counter word of the (seed ^ token hash) stream, in one call.

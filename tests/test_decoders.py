@@ -549,8 +549,7 @@ class TestKernelReferences:
         assert np.all(got_mass[:8] == 0.0) and np.array_equal(weights[:8], np.tile(P, (8, 1)))
 
     def test_mc_weights_matrix_on_one_side(self):
-        # Every row on the excess side takes a plain subtract, and rows all
-        # on the overlap side none: both keep the masked select's bits.
+        # A batch with every row on one side keeps the masked select's bits.
         rng = np.random.default_rng(54)
         P = _sparse_law(rng, 500)
         green = green_mask_batch(KEY, _contexts(32, seed=54), 500)

@@ -72,10 +72,8 @@ def _reference_row(src: MarkovSource, ctx: tuple[int, ...]) -> np.ndarray:
 
 
 class TestGammaRow:
-    # A row takes an np.errstate only at a temperature other than 1 or a
-    # concentration whose log(U) / concentration can overflow (1e-308); with
-    # RuntimeWarnings as errors, a missing errstate fails here.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # pyproject.toml makes RuntimeWarnings errors, so a missing np.errstate
+    # fails here.
     @pytest.mark.parametrize("concentration", [1e-308, 1e-8, 0.3, 1.0, 2.5, 1e308])
     @pytest.mark.parametrize("vocab", [1, 2, 64, 1000])
     def test_row_bytes_match_reference(self, vocab, concentration):
